@@ -6,7 +6,7 @@ GO ?= go
 # `make verify` runs the full population.
 SWEEP ?= 1000
 
-.PHONY: build test check bench bench-lp bench-incr bench-pipeline fmt vet verify smoke obs-smoke fleet-smoke trace-smoke chaos bench-fleet
+.PHONY: build test check bench bench-ab bench-lp bench-incr bench-pipeline fmt vet verify smoke obs-smoke fleet-smoke trace-smoke chaos bench-fleet
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,16 @@ check:
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x -timeout 2h
+
+# A/B the repository benchmark (bench/): the working tree against BASE
+# in N alternating pairs of 22-second runs of workload W, printing each
+# pair's end-to-end metrics, then medians, quartiles and win counts.
+# Example: make bench-ab W=ladder_zoo N=10 BASE=HEAD SEED=7
+N ?= 10
+BASE ?= HEAD
+SEED ?= 7
+bench-ab:
+	bash scripts/bench_ab.sh $(W) $(N) $(BASE) $(SEED)
 
 # The LP-rung gate: times the revised-simplex cold solve of the exact
 # rung's root relaxation (BenchmarkLPRung in short mode skips the dense

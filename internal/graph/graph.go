@@ -212,24 +212,27 @@ func (g *Graph) Nodes() []Node {
 	return out
 }
 
-// Succ returns a copy of the outgoing edges of id.
+// Succ returns the outgoing edges of id. The slice is a read-only view
+// of the graph's adjacency, valid until the graph is next mutated:
+// callers must not write through it, and must copy it before mutating
+// the graph or keeping it past a mutation. Its capacity is clipped, so
+// appending to it copies instead of touching the graph.
 func (g *Graph) Succ(id NodeID) []Edge {
 	if !g.valid(id) {
 		return nil
 	}
-	out := make([]Edge, len(g.succ[id]))
-	copy(out, g.succ[id])
-	return out
+	s := g.succ[id]
+	return s[:len(s):len(s)]
 }
 
-// Pred returns a copy of the incoming edges of id.
+// Pred returns the incoming edges of id, as a read-only view with the
+// same rules as Succ.
 func (g *Graph) Pred(id NodeID) []Edge {
 	if !g.valid(id) {
 		return nil
 	}
-	out := make([]Edge, len(g.pred[id]))
-	copy(out, g.pred[id])
-	return out
+	p := g.pred[id]
+	return p[:len(p):len(p)]
 }
 
 // OutDegree reports |succ(id)|.

@@ -55,6 +55,47 @@ func TestAddEdgeRejectsBadEdges(t *testing.T) {
 	}
 }
 
+// TestAdjacencyViewsAreClipped: Succ and Pred return views of the
+// graph's adjacency; appending to one must copy rather than write into
+// spare capacity the graph's next AddEdge would reuse.
+func TestAdjacencyViewsAreClipped(t *testing.T) {
+	g := New(6)
+	for i := 0; i < 6; i++ {
+		g.AddNode(Node{Name: "n"})
+	}
+	// Node 0 gets three successors and node 5 three predecessors, so
+	// both adjacency slices have grown to capacity 4 with one slot
+	// spare.
+	for _, e := range [][2]NodeID{{0, 1}, {0, 2}, {0, 3}, {1, 5}, {2, 5}, {3, 5}} {
+		if err := g.AddEdge(e[0], e[1], 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	succ := append(g.Succ(0), Edge{From: 0, To: 99})
+	pred := append(g.Pred(5), Edge{From: 99, To: 5})
+	if len(g.Succ(0)) != 3 || len(g.Pred(5)) != 3 {
+		t.Fatalf("appending to a view changed the graph: succ %v pred %v", g.Succ(0), g.Pred(5))
+	}
+	if err := g.AddEdge(0, 4, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddEdge(4, 5, 8); err != nil {
+		t.Fatal(err)
+	}
+	if succ[3].To != 99 || pred[3].From != 99 {
+		t.Fatalf("a view shares spare capacity with the graph: succ[3]=%v pred[3]=%v", succ[3], pred[3])
+	}
+	if got := g.Succ(0); len(got) != 4 || got[3].To != 4 {
+		t.Fatalf("Succ(0) = %v after AddEdge(0, 4)", got)
+	}
+	if got := g.Pred(5); len(got) != 4 || got[3].From != 4 {
+		t.Fatalf("Pred(5) = %v after AddEdge(4, 5)", got)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTopoSortDiamond(t *testing.T) {
 	g, ids := diamond(t)
 	order, err := g.TopoSort()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -883,8 +884,9 @@ func greedyETF(g *graph.Graph, sys sim.System, sct bool) ([]sim.DeviceID, error)
 			}
 		}
 	}
-	devFree := make(map[sim.DeviceID]time.Duration)
-	memUsed := make(map[sim.DeviceID]int64)
+	devFree := make([]time.Duration, len(sys.Devices))
+	memUsed := make([]int64, len(sys.Devices))
+	cpuOnly := []sim.DeviceID{sys.CPUID()}
 	finish := make([]time.Duration, n)
 	pending := make([]int, n)
 	var ready []graph.NodeID
@@ -912,7 +914,7 @@ func greedyETF(g *graph.Graph, sys sim.System, sct bool) ([]sim.DeviceID, error)
 		return dv.Memory
 	}
 	for len(ready) > 0 {
-		sort.Slice(ready, func(a, b int) bool { return ready[a] < ready[b] })
+		slices.Sort(ready)
 		bestI := -1
 		var bestDev sim.DeviceID
 		bestScore := time.Duration(math.MaxInt64)
@@ -920,7 +922,7 @@ func greedyETF(g *graph.Graph, sys sim.System, sct bool) ([]sim.DeviceID, error)
 			nd := nodes[id]
 			cands := gpus
 			if nd.Kind != graph.KindGPU {
-				cands = []sim.DeviceID{sys.CPUID()}
+				cands = cpuOnly
 			}
 			for _, d := range cands {
 				if c := capOf(d); c > 0 && nd.Kind == graph.KindGPU && memUsed[d]+nd.Memory > c {

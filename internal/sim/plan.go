@@ -98,12 +98,14 @@ var (
 // together, and any explicit order covers exactly the nodes placed on
 // that device.
 func (p Plan) Validate(g *graph.Graph, sys System) error {
-	if len(p.Device) != g.NumNodes() {
-		return fmt.Errorf("%w: placement covers %d of %d nodes", ErrBadPlacement, len(p.Device), g.NumNodes())
+	nodes := g.NumNodes()
+	if len(p.Device) != nodes {
+		return fmt.Errorf("%w: placement covers %d of %d nodes", ErrBadPlacement, len(p.Device), nodes)
 	}
 	colocDev := make(map[string]DeviceID)
-	for _, n := range g.Nodes() {
-		d := p.Device[n.ID]
+	for i := 0; i < nodes; i++ {
+		n, _ := g.Node(graph.NodeID(i))
+		d := p.Device[i]
 		if _, ok := sys.Device(d); !ok {
 			return fmt.Errorf("%w: node %d on unknown device %d", ErrBadPlacement, n.ID, d)
 		}
@@ -118,10 +120,11 @@ func (p Plan) Validate(g *graph.Graph, sys System) error {
 		}
 	}
 	if p.Order != nil {
-		seen := make(map[graph.NodeID]bool, g.NumNodes())
+		seen := make([]bool, nodes)
+		covered := 0
 		for dev, order := range p.Order {
 			for _, id := range order {
-				if int(id) < 0 || int(id) >= g.NumNodes() {
+				if int(id) < 0 || int(id) >= nodes {
 					return fmt.Errorf("%w: order references unknown node %d", ErrBadPlacement, id)
 				}
 				if p.Device[id] != DeviceID(dev) {
@@ -131,14 +134,15 @@ func (p Plan) Validate(g *graph.Graph, sys System) error {
 					return fmt.Errorf("%w: node %d appears twice in order", ErrBadPlacement, id)
 				}
 				seen[id] = true
+				covered++
 			}
 		}
-		if len(seen) != g.NumNodes() {
-			return fmt.Errorf("%w: order covers %d of %d nodes", ErrBadPlacement, len(seen), g.NumNodes())
+		if covered != nodes {
+			return fmt.Errorf("%w: order covers %d of %d nodes", ErrBadPlacement, covered, nodes)
 		}
 	}
-	if p.Policy == PolicyPriority && len(p.Priority) != g.NumNodes() {
-		return fmt.Errorf("%w: priority vector covers %d of %d nodes", ErrBadPlacement, len(p.Priority), g.NumNodes())
+	if p.Policy == PolicyPriority && len(p.Priority) != nodes {
+		return fmt.Errorf("%w: priority vector covers %d of %d nodes", ErrBadPlacement, len(p.Priority), nodes)
 	}
 	return nil
 }
@@ -146,10 +150,9 @@ func (p Plan) Validate(g *graph.Graph, sys System) error {
 // MemoryUsage sums the memory footprint placed on each device.
 func (p Plan) MemoryUsage(g *graph.Graph, sys System) map[DeviceID]int64 {
 	use := make(map[DeviceID]int64, len(sys.Devices))
-	for _, n := range g.Nodes() {
-		if int(n.ID) < len(p.Device) {
-			use[p.Device[n.ID]] += n.Memory
-		}
+	for i := 0; i < min(g.NumNodes(), len(p.Device)); i++ {
+		n, _ := g.Node(graph.NodeID(i))
+		use[p.Device[i]] += n.Memory
 	}
 	return use
 }
@@ -159,10 +162,16 @@ func (p Plan) MemoryUsage(g *graph.Graph, sys System) map[DeviceID]int64 {
 // memory approximation (§3.2.2 "Memory constraints") and the failure
 // mode the Expert strategy hits on the large NASNet variants.
 func (p Plan) CheckMemory(g *graph.Graph, sys System) error {
-	use := p.MemoryUsage(g, sys)
-	for _, d := range sys.Devices {
-		if d.Memory > 0 && use[d.ID] > d.Memory {
-			return fmt.Errorf("device %s needs %d of %d bytes: %w", d.Name, use[d.ID], d.Memory, ErrOOM)
+	use := make([]int64, len(sys.Devices))
+	for i := 0; i < min(g.NumNodes(), len(p.Device)); i++ {
+		if d := p.Device[i]; d >= 0 && int(d) < len(use) {
+			n, _ := g.Node(graph.NodeID(i))
+			use[d] += n.Memory
+		}
+	}
+	for i, d := range sys.Devices {
+		if d.Memory > 0 && use[i] > d.Memory {
+			return fmt.Errorf("device %s needs %d of %d bytes: %w", d.Name, use[i], d.Memory, ErrOOM)
 		}
 	}
 	return nil
