@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -136,5 +138,36 @@ func TestLatencyTrackerP95(t *testing.T) {
 	}
 	if got := fast.p95(min, max); got != min {
 		t.Fatalf("fast p95 = %v, want clamp to %v", got, min)
+	}
+}
+
+// TestLatencyTrackerP95Exact holds p95 to the copy-and-sort it
+// replaced, on random windows from empty through partly filled to
+// wrapped, and to sorting without allocating.
+func TestLatencyTrackerP95Exact(t *testing.T) {
+	min, max := 10*time.Millisecond, 900*time.Millisecond
+	rng := rand.New(rand.NewSource(1))
+	for _, fill := range []int{0, 7, 8, 9, 20, 100, 255, 256, 257, 1000} {
+		var lt latencyTracker
+		for i := 0; i < fill; i++ {
+			lt.observe(time.Duration(rng.Int63n(int64(time.Second))))
+		}
+		want := max
+		if n := lt.n; n >= 8 {
+			ref := append([]time.Duration(nil), lt.samples[:n]...)
+			sort.Slice(ref, func(a, b int) bool { return ref[a] < ref[b] })
+			want = ref[(n*95)/100]
+			if want < min {
+				want = min
+			} else if want > max {
+				want = max
+			}
+		}
+		if got := lt.p95(min, max); got != want {
+			t.Errorf("fill %d: p95 = %v, want %v", fill, got, want)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { lt.p95(min, max) }); allocs != 0 {
+			t.Errorf("fill %d: p95 allocates %v times", fill, allocs)
+		}
 	}
 }

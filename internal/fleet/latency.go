@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -37,16 +37,16 @@ func (t *latencyTracker) observe(d time.Duration) {
 // [min, max]. With fewer than a handful of samples it returns max —
 // hedging waits until there is evidence of what "slow" means.
 func (t *latencyTracker) p95(min, max time.Duration) time.Duration {
+	var buf [latencySamples]time.Duration
 	t.mu.Lock()
-	n := t.n
-	buf := make([]time.Duration, n)
-	copy(buf, t.samples[:n])
+	n := copy(buf[:], t.samples[:t.n])
 	t.mu.Unlock()
 	if n < 8 {
 		return max
 	}
-	sort.Slice(buf, func(a, b int) bool { return buf[a] < buf[b] })
-	p := buf[(n*95)/100]
+	window := buf[:n]
+	slices.Sort(window)
+	p := window[(n*95)/100]
 	if p < min {
 		return min
 	}

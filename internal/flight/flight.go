@@ -17,7 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -171,6 +171,9 @@ func ReadBundleFile(path string) (Bundle, error) {
 	return b, nil
 }
 
+// defaultBaselineWindow is Config.BaselineWindow's default.
+const defaultBaselineWindow = 512
+
 // Config sizes a Recorder. Zero values mean defaults.
 type Config struct {
 	// Dir is where triggered bundles are written; empty means capture
@@ -203,7 +206,7 @@ func (c Config) withDefaults() Config {
 		c.RingSize = 4096
 	}
 	if c.BaselineWindow <= 0 {
-		c.BaselineWindow = 512
+		c.BaselineWindow = defaultBaselineWindow
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 32
@@ -284,9 +287,15 @@ func latP99(buf []time.Duration, n int) time.Duration {
 	if n == 0 {
 		return 0
 	}
-	tmp := make([]time.Duration, n)
-	copy(tmp, buf[:n])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+	// The default window sorts on the stack; only a larger configured
+	// one allocates.
+	var stack [defaultBaselineWindow]time.Duration
+	tmp := stack[:0]
+	if n > len(stack) {
+		tmp = make([]time.Duration, 0, n)
+	}
+	tmp = append(tmp, buf[:n]...)
+	slices.Sort(tmp)
 	idx := (99*n + 99) / 100 // ceil(0.99 n)
 	if idx > n {
 		idx = n

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -238,5 +240,34 @@ func TestBundleGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("bundle schema drifted from golden; run with -update if intentional.\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestLatP99Exact holds latP99 to the copy-and-sort it replaced, on
+// random windows of the default size and a larger one, partly filled
+// and full, and to sorting the default window without allocating.
+func TestLatP99Exact(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct{ window, n int }{
+		{512, 1}, {512, 31}, {512, 32}, {512, 300}, {512, 511}, {512, 512}, {600, 17}, {600, 600},
+	} {
+		buf := make([]time.Duration, c.window)
+		for i := range buf {
+			buf[i] = time.Duration(rng.Int63n(int64(time.Second)))
+		}
+		ref := append([]time.Duration(nil), buf[:c.n]...)
+		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
+		idx := (99*c.n + 99) / 100
+		if idx > c.n {
+			idx = c.n
+		}
+		if got, want := latP99(buf, c.n), ref[idx-1]; got != want {
+			t.Errorf("window %d, n %d: p99 = %v, want %v", c.window, c.n, got, want)
+		}
+		if c.window == defaultBaselineWindow {
+			if allocs := testing.AllocsPerRun(20, func() { latP99(buf, c.n) }); allocs != 0 {
+				t.Errorf("window %d, n %d: latP99 allocates %v times", c.window, c.n, allocs)
+			}
+		}
 	}
 }

@@ -1,10 +1,11 @@
 package graph
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
-	"sort"
+	"slices"
 )
 
 // fingerprintVersion is folded into every fingerprint so the hash
@@ -36,39 +37,71 @@ const fingerprintVersion = "pesto/graph-fingerprint/v1\n"
 // (internal/service); JSON round-trips preserve it because the codec
 // carries every hashed field.
 func (g *Graph) Fingerprint() [32]byte {
-	h := sha256.New()
-	h.Write([]byte(fingerprintVersion))
-	writeU64(h, uint64(len(g.nodes)))
+	w := fpWriter{h: sha256.New()}
+	w.str(fingerprintVersion)
+	w.u64(uint64(len(g.nodes)))
 	for i := range g.nodes {
 		n := &g.nodes[i]
-		writeU64(h, uint64(n.Kind))
-		writeU64(h, uint64(n.Cost))
-		writeU64(h, uint64(n.Memory))
-		writeU64(h, uint64(len(n.Coloc)))
-		h.Write([]byte(n.Coloc))
-		writeU64(h, uint64(int64(n.Layer)))
-		writeU64(h, uint64(int64(n.Branch)))
+		w.u64(uint64(n.Kind))
+		w.u64(uint64(n.Cost))
+		w.u64(uint64(n.Memory))
+		w.u64(uint64(len(n.Coloc)))
+		w.str(n.Coloc)
+		w.u64(uint64(int64(n.Layer)))
+		w.u64(uint64(int64(n.Branch)))
 	}
 	edges := g.Edges()
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].From != edges[b].From {
-			return edges[a].From < edges[b].From
+	slices.SortFunc(edges, func(a, b Edge) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		return edges[a].To < edges[b].To
+		return cmp.Compare(a.To, b.To)
 	})
-	writeU64(h, uint64(len(edges)))
+	w.u64(uint64(len(edges)))
 	for _, e := range edges {
-		writeU64(h, uint64(e.From))
-		writeU64(h, uint64(e.To))
-		writeU64(h, uint64(e.Bytes))
+		w.u64(uint64(e.From))
+		w.u64(uint64(e.To))
+		w.u64(uint64(e.Bytes))
 	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	return w.sum()
 }
 
-func writeU64(h hash.Hash, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	h.Write(buf[:])
+// fpWriter feeds the hash through one fixed buffer, so a fingerprint
+// costs one allocation for the buffer instead of one per field written
+// through the hash.Hash interface.
+type fpWriter struct {
+	h   hash.Hash
+	buf [512]byte
+	n   int
+}
+
+func (w *fpWriter) u64(v uint64) {
+	if w.n+8 > len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], v)
+	w.n += 8
+}
+
+func (w *fpWriter) str(s string) {
+	for len(s) > 0 {
+		if w.n == len(w.buf) {
+			w.flush()
+		}
+		c := copy(w.buf[w.n:], s)
+		w.n += c
+		s = s[c:]
+	}
+}
+
+func (w *fpWriter) flush() {
+	w.h.Write(w.buf[:w.n])
+	w.n = 0
+}
+
+func (w *fpWriter) sum() [32]byte {
+	w.flush()
+	var out [32]byte
+	w.h.Sum(out[:0])
+	return out
 }

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -145,5 +148,33 @@ func TestFingerprintColocBoundary(t *testing.T) {
 	}
 	if mk("", 1).Fingerprint() == mk("", 0).Fingerprint() {
 		t.Fatal("layer not bound into the hash")
+	}
+}
+
+// TestFingerprintPinned pins digests: cached plans are keyed by them, so
+// the hash must not change without a fingerprintVersion bump. The
+// second graph's colocation groups cross the hash writer's buffer
+// boundaries.
+func TestFingerprintPinned(t *testing.T) {
+	long := New(3)
+	long.AddNode(Node{Kind: KindGPU, Cost: time.Microsecond, Coloc: strings.Repeat("x", 509)})
+	long.AddNode(Node{Kind: KindCPU, Cost: 2 * time.Microsecond, Coloc: strings.Repeat("yz", 700), Layer: -1, Branch: 3})
+	long.AddNode(Node{Kind: KindKernel, Memory: 1 << 40})
+	for _, e := range []Edge{{0, 2, 9}, {1, 2, 1 << 33}} {
+		if err := long.AddEdge(e.From, e.To, e.Bytes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range []struct {
+		g    *Graph
+		want string
+	}{
+		{fpGraph(t), "985e4eac1bb1910e925ff4e9d82590a5d30153464d923e2a2c5c502c7d60b80e"},
+		{long, "009bb4de77cf0bac835b102030e948b7dd0500e673fe7cc9d844e5ce285990e1"},
+		{randomDAG(rand.New(rand.NewSource(1)), 40, 60), "7ee65446dba5b3fd85b3cf159e19ce35f0a8eaea5bb09fee5b03c3318727affb"},
+	} {
+		if got := fmt.Sprintf("%x", c.g.Fingerprint()); got != c.want {
+			t.Errorf("graph %d: fingerprint %s, want %s", i, got, c.want)
+		}
 	}
 }

@@ -12,16 +12,15 @@
 package incr
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash"
 	"time"
 
 	"pesto/internal/graph"
+	"pesto/internal/jsonlex"
 )
 
 // Edit kinds. An Edit is a single structural change to a graph; a
@@ -410,14 +409,9 @@ func max64(a, b int64) int64 {
 // POST /v1/place/delta). Unknown fields, trailing data and oversized
 // lists are errors; no input panics.
 func ParseEdits(data []byte) ([]Edit, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var edits []Edit
-	if err := dec.Decode(&edits); err != nil {
+	if err := jsonlex.DecodeStrict(data, &edits); err != nil {
 		return nil, fmt.Errorf("decode edits: %v: %w", err, ErrBadEdit)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("trailing data after edit list: %w", ErrBadEdit)
 	}
 	if len(edits) > maxEditCount {
 		return nil, fmt.Errorf("%d edits over cap %d: %w", len(edits), maxEditCount, ErrBadEdit)

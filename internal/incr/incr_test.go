@@ -330,8 +330,13 @@ func TestParseEditsAndFingerprint(t *testing.T) {
 	if _, err := ParseEdits([]byte(`[{"kind":"x","bogus":1}]`)); !errors.Is(err, ErrBadEdit) {
 		t.Fatalf("unknown field err = %v", err)
 	}
-	if _, err := ParseEdits([]byte(`[] trailing`)); !errors.Is(err, ErrBadEdit) {
-		t.Fatalf("trailing err = %v", err)
+	for _, trailing := range []string{`[] trailing`, `[]]`, `[]}`} {
+		if _, err := ParseEdits([]byte(trailing)); !errors.Is(err, ErrBadEdit) {
+			t.Fatalf("%s: trailing err = %v", trailing, err)
+		}
+	}
+	if _, err := ParseEdits([]byte("[]\n\t ")); err != nil {
+		t.Fatalf("trailing whitespace: %v", err)
 	}
 
 	a := Fingerprint(edits)

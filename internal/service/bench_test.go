@@ -51,6 +51,41 @@ func readAllB(tb testing.TB, resp *http.Response) []byte {
 	return buf.Bytes()
 }
 
+// zipfBodies are the request bodies of the serving benchmark's corpus:
+// 128 graphs of 8 to 63 operations drawn by gen.NewTrace at seed 7, at
+// budgetMs 150.
+func zipfBodies(tb testing.TB) [][]byte {
+	tb.Helper()
+	tr, err := gen.NewTrace(gen.TraceConfig{Corpus: 128, Requests: 1, Skew: 1.2, Seed: 7})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bodies := make([][]byte, len(tr.Configs))
+	for i, cfg := range tr.Configs {
+		g, err := gen.Generate(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if bodies[i], err = json.Marshal(PlaceRequest{Graph: g, Options: RequestOptions{BudgetMs: 150}}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return bodies
+}
+
+// BenchmarkDecodePlaceRequest measures one request decode, cycling
+// through the serving corpus.
+func BenchmarkDecodePlaceRequest(b *testing.B) {
+	bodies := zipfBodies(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodePlaceRequest(bytes.NewReader(bodies[i%len(bodies)]), 0, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkServiceCacheHit measures the full HTTP round-trip of a
 // cache hit: decode, fingerprint, lookup, replay.
 func BenchmarkServiceCacheHit(b *testing.B) {

@@ -17,6 +17,7 @@ import (
 
 	"pesto/internal/graph"
 	"pesto/internal/incr"
+	"pesto/internal/jsonlex"
 	"pesto/internal/obs"
 	"pesto/internal/placement"
 	"pesto/internal/sim"
@@ -116,25 +117,13 @@ func deltaCacheKey(baseFP, editsFP [32]byte, o RequestOptions) [32]byte {
 // most limit bytes, under the same no-panic contract as
 // DecodePlaceRequest.
 func DecodeDeltaRequest(r io.Reader, limit int64) (*DeltaRequest, error) {
-	if limit <= 0 {
-		limit = 32 << 20
-	}
-	lr := &io.LimitedReader{R: r, N: limit + 1}
-	data, err := io.ReadAll(lr)
+	data, err := readBody(r, limit)
 	if err != nil {
-		return nil, fmt.Errorf("read body: %v: %w", err, ErrBadRequest)
+		return nil, err
 	}
-	if int64(len(data)) > limit {
-		return nil, fmt.Errorf("body over %d bytes: %w", limit, ErrTooLarge)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var req DeltaRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := jsonlex.DecodeStrict(data, &req); err != nil {
 		return nil, fmt.Errorf("decode delta request: %v: %w", err, ErrBadRequest)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("trailing data after request body: %w", ErrBadRequest)
 	}
 	if _, err := hex32(req.BaseFingerprint); err != nil {
 		return nil, fmt.Errorf("baseFingerprint: %v: %w", err, ErrBadRequest)
@@ -146,13 +135,14 @@ func DecodeDeltaRequest(r io.Reader, limit int64) (*DeltaRequest, error) {
 }
 
 // baseEntry is one resident base graph: the graph, the latest plan
-// served for it, how many warm re-places that plan already chains off
-// the last cold solve, and the chain's quality record (the drift
-// detector's reference — without it every delta would re-anchor on
-// its immediate predecessor and drift could compound one margin at a
-// time).
+// served for it and the response body it was read from, how many warm
+// re-places that plan already chains off the last cold solve, and the
+// chain's quality record (the drift detector's reference — without it
+// every delta would re-anchor on its immediate predecessor and drift
+// could compound one margin at a time).
 type baseEntry struct {
 	g      *graph.Graph
+	body   []byte
 	plan   sim.Plan
 	chain  int
 	anchor float64
@@ -195,16 +185,16 @@ func (b *baseStore) get(fp [32]byte) (*baseEntry, bool) {
 }
 
 // put registers (or refreshes) the graph under fp with the plan that
-// currently serves it.
-func (b *baseStore) put(fp [32]byte, g *graph.Graph, plan sim.Plan, chain int, anchor float64) {
+// currently serves it and the response body that plan was read from.
+func (b *baseStore) put(fp [32]byte, g *graph.Graph, body []byte, plan sim.Plan, chain int, anchor float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if e, ok := b.entries[fp]; ok {
-		e.g, e.plan, e.chain, e.anchor = g, plan, chain, anchor
+		e.g, e.body, e.plan, e.chain, e.anchor = g, body, plan, chain, anchor
 		b.lru.MoveToFront(e.elem)
 		return
 	}
-	e := &baseEntry{g: g, plan: plan, chain: chain, anchor: anchor}
+	e := &baseEntry{g: g, body: body, plan: plan, chain: chain, anchor: anchor}
 	e.elem = b.lru.PushFront(fp)
 	b.entries[fp] = e
 	for len(b.entries) > b.cap {
@@ -214,6 +204,21 @@ func (b *baseStore) put(fp [32]byte, g *graph.Graph, plan sim.Plan, chain int, a
 	}
 }
 
+// restart resets fp's entry to chain depth zero under g, exactly as put
+// with the entry's own plan would, when the entry was registered from
+// body; it reports whether it did.
+func (b *baseStore) restart(fp [32]byte, g *graph.Graph, body []byte) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	e, ok := b.entries[fp]
+	if !ok || !bytes.Equal(e.body, body) {
+		return false
+	}
+	e.g, e.chain, e.anchor = g, 0, 0
+	b.lru.MoveToFront(e.elem)
+	return true
+}
+
 func (b *baseStore) len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -221,15 +226,20 @@ func (b *baseStore) len() int {
 }
 
 // registerBase makes a successfully placed graph a valid delta base.
-// The plan is recovered from the serialized response body; a body
-// that does not parse is simply not registered (the place path
-// already succeeded — base residency is best-effort amortization).
+// The plan is recovered from the serialized response body — parsed
+// only when the resident entry was not already registered from these
+// very bytes, as it was on every repeat hit. A body that does not
+// parse is simply not registered (the place path already succeeded —
+// base residency is best-effort amortization).
 func (s *Server) registerBase(fp [32]byte, g *graph.Graph, body []byte) {
+	if s.bases.restart(fp, g, body) {
+		return
+	}
 	var resp PlaceResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		return
 	}
-	s.bases.put(fp, g, resp.Plan, 0, 0)
+	s.bases.put(fp, g, body, resp.Plan, 0, 0)
 }
 
 // handleDelta serves POST /v1/place/delta: apply the edit list to the
@@ -300,7 +310,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	// cache hits included: residency follows traffic, not just solves.
 	var resp DeltaResponse
 	if err := json.Unmarshal(body, &resp); err == nil {
-		s.bases.put(editedFP, edited, resp.Plan, resp.ChainDepth, resp.AnchorQuality)
+		s.bases.put(editedFP, edited, body, resp.Plan, resp.ChainDepth, resp.AnchorQuality)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Pesto-Cache", cacheStatus(hit))

@@ -181,6 +181,7 @@ func TestDeltaErrors(t *testing.T) {
 	for name, raw := range map[string]string{
 		"empty edits":   `{"baseFingerprint":"` + pr.Fingerprint + `","edits":[],"options":{}}`,
 		"trailing data": `{"baseFingerprint":"` + pr.Fingerprint + `","edits":[{"kind":"reweight","node":1,"costNs":10}],"options":{}} trailing`,
+		"trailing ]}":   `{"baseFingerprint":"` + pr.Fingerprint + `","edits":[{"kind":"reweight","node":1,"costNs":10}],"options":{}}]}`,
 		"unknown field": `{"baseFingerprint":"` + pr.Fingerprint + `","edits":[{"kind":"reweight","node":1,"costNs":10}],"bogus":1}`,
 		"bad hex":       `{"baseFingerprint":"zz","edits":[{"kind":"reweight","node":1,"costNs":10}]}`,
 	} {
@@ -380,7 +381,7 @@ func TestBaseStoreEviction(t *testing.T) {
 	var fps [3][32]byte
 	for i := range fps {
 		fps[i][0] = byte(i + 1)
-		st.put(fps[i], nil, sim.Plan{}, 0, 0)
+		st.put(fps[i], nil, nil, sim.Plan{}, 0, 0)
 	}
 	if st.len() != 2 {
 		t.Fatalf("len %d, want 2", st.len())
@@ -395,11 +396,78 @@ func TestBaseStoreEviction(t *testing.T) {
 	}
 	// A refresh moves a base to the front.
 	st.get(fps[1])
-	st.put(fps[0], nil, sim.Plan{}, 0, 0)
+	st.put(fps[0], nil, nil, sim.Plan{}, 0, 0)
 	if _, ok := st.get(fps[2]); ok {
 		t.Fatal("refreshed base was evicted instead of the cold one")
 	}
 	if _, ok := st.get(fps[1]); !ok {
 		t.Fatal("refreshed base evicted")
+	}
+}
+
+// TestPlaceRestartsDeltaChain: a /v1/place of a graph that a delta made
+// resident resets the entry to chain depth zero with no anchor — on a
+// cold solve and on a cache hit alike — while the delta path keeps
+// registering its own chain depth and anchor.
+func TestPlaceRestartsDeltaChain(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	opts := fastOptions()
+	g, body := layeredBody(t, 7, opts)
+	resp := post(t, ts.URL+"/v1/place", body)
+	data := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("place: %d %s", resp.StatusCode, data)
+	}
+	var pr PlaceResponse
+	if err := json.Unmarshal(data, &pr); err != nil {
+		t.Fatal(err)
+	}
+	edits := []incr.Edit{{Kind: incr.KindReweight, Node: 10, CostNs: 2_000_000}}
+	edited, _, err := incr.ApplyAll(g, edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	editedBody, err := json.Marshal(PlaceRequest{Graph: edited, Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := edited.Fingerprint()
+	entry := func(step string, chain int, anchor float64) {
+		t.Helper()
+		e, ok := s.bases.get(fp)
+		if !ok {
+			t.Fatalf("%s: edited graph not resident", step)
+		}
+		if e.chain != chain || e.anchor != anchor {
+			t.Fatalf("%s: chain %d anchor %v, want %d and %v", step, e.chain, e.anchor, chain, anchor)
+		}
+	}
+	delta := func(step string) DeltaResponse {
+		t.Helper()
+		resp := post(t, ts.URL+"/v1/place/delta", deltaBody(t, pr.Fingerprint, edits, opts))
+		data := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", step, resp.StatusCode, data)
+		}
+		var dr DeltaResponse
+		if err := json.Unmarshal(data, &dr); err != nil {
+			t.Fatal(err)
+		}
+		entry(step, dr.ChainDepth, dr.AnchorQuality)
+		return dr
+	}
+	if dr := delta("warm delta"); !dr.Warm || dr.ChainDepth == 0 || dr.AnchorQuality == 0 {
+		t.Fatalf("want a warm delta with a chain and an anchor, got %+v", dr)
+	}
+	for _, want := range []string{"miss", "hit"} {
+		resp := post(t, ts.URL+"/v1/place", editedBody)
+		if data := readAll(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("place: %d %s", resp.StatusCode, data)
+		}
+		if got := resp.Header.Get("X-Pesto-Cache"); got != want {
+			t.Fatalf("place X-Pesto-Cache %q, want %q", got, want)
+		}
+		entry("place "+want, 0, 0)
+		delta("delta after place " + want) // a delta-cache hit, re-registering the chain
 	}
 }

@@ -1,16 +1,15 @@
 package service
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"pesto/internal/graph"
+	"pesto/internal/jsonlex"
 	"pesto/internal/pipeline"
 	"pesto/internal/placement"
 	"pesto/internal/sim"
@@ -253,32 +252,23 @@ type ErrorResponse struct {
 	RetryAfterSec int64  `json:"retryAfterSec,omitempty"`
 }
 
+// requestFields are the members of a place request body; any other
+// member is an error.
+var requestFields = []string{"graph", "options"}
+
 // DecodePlaceRequest reads and validates one request body of at most
-// limit bytes. Malformed JSON, schema violations, invalid graphs and
-// oversized bodies are errors (wrapping ErrBadRequest or ErrTooLarge);
-// no input makes it panic — the fuzz target's contract.
+// limit bytes. Malformed JSON, schema violations, invalid graphs,
+// trailing data and oversized bodies are errors (wrapping ErrBadRequest
+// or ErrTooLarge); no input makes it panic — the fuzz target's
+// contract.
 func DecodePlaceRequest(r io.Reader, limit int64, maxNodes int) (*PlaceRequest, error) {
-	if limit <= 0 {
-		limit = 32 << 20
-	}
-	lr := &io.LimitedReader{R: r, N: limit + 1}
-	data, err := io.ReadAll(lr)
+	data, err := readBody(r, limit)
 	if err != nil {
-		return nil, fmt.Errorf("read body: %v: %w", err, ErrBadRequest)
+		return nil, err
 	}
-	if int64(len(data)) > limit {
-		return nil, fmt.Errorf("body over %d bytes: %w", limit, ErrTooLarge)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var req PlaceRequest
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodePlaceRequest(data)
+	if err != nil {
 		return nil, fmt.Errorf("decode request: %v: %w", err, ErrBadRequest)
-	}
-	// Trailing garbage after the JSON value is a malformed request,
-	// not an extension point.
-	if dec.More() {
-		return nil, fmt.Errorf("trailing data after request body: %w", ErrBadRequest)
 	}
 	if req.Graph == nil {
 		return nil, fmt.Errorf("missing graph: %w", ErrBadRequest)
@@ -289,5 +279,59 @@ func DecodePlaceRequest(r io.Reader, limit int64, maxNodes int) (*PlaceRequest, 
 	if maxNodes > 0 && req.Graph.NumNodes() > maxNodes {
 		return nil, fmt.Errorf("graph has %d nodes, limit %d: %w", req.Graph.NumNodes(), maxNodes, ErrTooLarge)
 	}
+	return req, nil
+}
+
+// decodePlaceRequest walks the request envelope in one pass: the graph
+// member is decoded where it stands by internal/graph, and only the
+// small options member goes to encoding/json, the decoder it shares
+// with DecodeDeltaRequest. A null body or graph member leaves Graph
+// nil; a repeated member is decoded again, as encoding/json does.
+func decodePlaceRequest(data []byte) (*PlaceRequest, error) {
+	var req PlaceRequest
+	lx := jsonlex.New(data)
+	if !lx.Null() {
+		err := lx.Object(func(key []byte) error {
+			switch jsonlex.Field(key, requestFields) {
+			case "graph":
+				if lx.Null() {
+					req.Graph = nil
+					return nil
+				}
+				g, err := graph.DecodeJSON(lx)
+				req.Graph = g
+				return err
+			case "options":
+				raw, err := lx.Raw()
+				if err != nil {
+					return err
+				}
+				return jsonlex.DecodeStrict(raw, &req.Options)
+			}
+			return fmt.Errorf("unknown field %q", key)
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := lx.End(); err != nil {
+		return nil, err
+	}
 	return &req, nil
+}
+
+// readBody reads a request body of at most limit bytes (32 MiB when
+// limit is not positive).
+func readBody(r io.Reader, limit int64) ([]byte, error) {
+	if limit <= 0 {
+		limit = 32 << 20
+	}
+	data, err := io.ReadAll(&io.LimitedReader{R: r, N: limit + 1})
+	if err != nil {
+		return nil, fmt.Errorf("read body: %v: %w", err, ErrBadRequest)
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("body over %d bytes: %w", limit, ErrTooLarge)
+	}
+	return data, nil
 }

@@ -320,7 +320,8 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		finish(s.httpError(w, "place", rid, err))
 		return
 	}
-	body, hit, err := s.respond(ctx, req, opts)
+	fp := req.Graph.Fingerprint()
+	body, hit, err := s.respond(ctx, req, fp, opts)
 	if err != nil {
 		finish(s.httpError(w, "place", rid, err))
 		return
@@ -328,7 +329,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	// A successfully placed graph becomes a valid base for
 	// POST /v1/place/delta — hits included, so residency follows
 	// traffic across restarts of the client, not just cold solves.
-	s.registerBase(req.Graph.Fingerprint(), req.Graph, body)
+	s.registerBase(fp, req.Graph, body)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Pesto-Cache", cacheStatus(hit))
 	w.Write(body)
@@ -349,7 +350,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		finish(s.httpError(w, "trace", rid, err))
 		return
 	}
-	body, hit, err := s.respond(ctx, req, opts)
+	body, hit, err := s.respond(ctx, req, req.Graph.Fingerprint(), opts)
 	if err != nil {
 		finish(s.httpError(w, "trace", rid, err))
 		return
@@ -417,9 +418,9 @@ func (s *Server) decode(r *http.Request) (*PlaceRequest, RequestOptions, error) 
 }
 
 // respond produces the deterministic response body for a normalized
-// request: from the cache when possible, by solving otherwise.
-func (s *Server) respond(ctx context.Context, req *PlaceRequest, opts RequestOptions) (body []byte, hit bool, err error) {
-	fp := req.Graph.Fingerprint()
+// request whose graph has fingerprint fp: from the cache when
+// possible, by solving otherwise.
+func (s *Server) respond(ctx context.Context, req *PlaceRequest, fp [32]byte, opts RequestOptions) (body []byte, hit bool, err error) {
 	key := opts.cacheKey(fp)
 	if opts.NoCache {
 		// Uncached solves run entirely under the request context:
@@ -654,7 +655,7 @@ func (s *Server) WarmFromDir(ctx context.Context, dir string) (int, error) {
 		if err != nil {
 			return warmed, err
 		}
-		if _, _, err := s.respond(ctx, &PlaceRequest{Graph: g, Options: opts}, opts); err != nil {
+		if _, _, err := s.respond(ctx, &PlaceRequest{Graph: g, Options: opts}, g.Fingerprint(), opts); err != nil {
 			return warmed, fmt.Errorf("warm %s: %w", name, err)
 		}
 		warmed++

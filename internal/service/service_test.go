@@ -146,6 +146,7 @@ func TestPlaceBadRequests(t *testing.T) {
 		"unknown field": `{"graph": null, "bogus": 1}`,
 		"missing graph": `{"options": {}}`,
 		"trailing":      `{"options": {}} trailing`,
+		"trailing ]}":   `{"graph":{"nodes":[{"id":0,"kind":2,"costNanos":10}],"edges":[]}}]]]}`,
 		"empty body":    ``,
 		"bad options":   `{"graph":{"nodes":[{"id":0,"kind":"gpu","costNanos":10}],"edges":[]},"options":{"gpus":1}}`,
 	}
