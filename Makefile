@@ -6,7 +6,7 @@ GO ?= go
 # `make verify` runs the full population.
 SWEEP ?= 1000
 
-.PHONY: build test check bench bench-ab bench-lp bench-incr bench-pipeline fmt vet verify smoke obs-smoke fleet-smoke trace-smoke chaos bench-fleet
+.PHONY: build test check bench bench-ab bench-incr bench-pipeline fmt vet verify smoke obs-smoke fleet-smoke trace-smoke chaos bench-fleet
 
 build:
 	$(GO) build ./...
@@ -32,15 +32,6 @@ BASE ?= HEAD
 SEED ?= 7
 bench-ab:
 	bash scripts/bench_ab.sh $(W) $(N) $(BASE) $(SEED)
-
-# The LP-rung gate: times the revised-simplex cold solve of the exact
-# rung's root relaxation (BenchmarkLPRung in short mode skips the dense
-# reference) and fails if it regresses >2x over the committed
-# BENCH_lp.json snapshot. Regenerate the snapshot with
-# `go test -bench BenchmarkLPRung -benchtime 3x ./internal/placement/`.
-bench-lp:
-	PESTO_BENCH_LP=1 $(GO) test -short -run TestLPRungRegression \
-		-bench BenchmarkLPRung -benchtime 3x -count=1 -v ./internal/placement/
 
 # The incremental-placement gate: re-times the warm re-place over the
 # benchmark edit trace and fails if it regresses >2x over the committed

@@ -151,10 +151,11 @@ type node struct {
 }
 
 // maxWarmFrontier bounds how many open nodes may carry a basis
-// snapshot. A Basis holds an m×m inverse, so an adversarial frontier
-// could otherwise pin unbounded memory; beyond the cap children solve
-// cold, which affects speed but not the search trajectory's
-// correctness.
+// snapshot. A Basis holds its basic set, a status per column and an
+// eta file (shared with the solves that import it, but kept alive by
+// it), so an adversarial frontier could otherwise pin unbounded
+// memory; beyond the cap children solve cold, which affects speed but
+// not the search trajectory's correctness.
 const maxWarmFrontier = 512
 
 // Solve runs branch and bound and returns the best solution found. The

@@ -157,3 +157,71 @@ func FuzzRevisedSimplex(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWarmResolve is the branch-and-bound child case under fuzzing:
+// solve a small random LP, tighten a random subset of its bounds at
+// random cut points, and re-solve the child warm from the parent basis
+// and cold. Both must report the same status, optimal objectives must
+// agree within 1e-6·max(1,|obj|), and the warm X must satisfy every
+// bound and constraint. The instances are small, so the dual simplex
+// reaches its terminal checks, and their refactorizations, quickly.
+func FuzzWarmResolve(f *testing.F) {
+	for _, seed := range []int64{1, 7, 42, -3, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		p := randomLP(rng)
+		parent, err := Solve(p)
+		if err != nil {
+			return
+		}
+		child := p.Clone()
+		for v := 0; v < child.NumVars(); v++ {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			lo, hi := child.Bounds(v)
+			cut := lo + rng.Float64()*(hi-lo)
+			if rng.Intn(2) == 0 {
+				cut = math.Min(hi, math.Max(lo, math.Round(cut)))
+			}
+			if rng.Intn(2) == 0 {
+				hi = cut
+			} else {
+				lo = cut
+			}
+			if err := child.SetBounds(v, lo, hi); err != nil {
+				t.Fatal(err)
+			}
+		}
+		warm, werr := SolveWarm(child, parent.Basis)
+		cold, cerr := Solve(child)
+		if (werr == nil) != (cerr == nil) || warm.Status != cold.Status {
+			t.Fatalf("seed %d: warm %v/%v, cold %v/%v", seed, warm.Status, werr, cold.Status, cerr)
+		}
+		if cold.Status != Optimal {
+			return
+		}
+		if d := math.Abs(warm.Objective - cold.Objective); d > 1e-6*math.Max(1, math.Abs(cold.Objective)) {
+			t.Fatalf("seed %d: warm objective %.12g, cold %.12g", seed, warm.Objective, cold.Objective)
+		}
+		const tol = 1e-6
+		for v, x := range warm.X {
+			if lo, hi := child.Bounds(v); x < lo-tol || x > hi+tol {
+				t.Fatalf("seed %d: warm x%d = %g outside [%g, %g]", seed, v, x, lo, hi)
+			}
+		}
+		for i := 0; i < child.NumConstraints(); i++ {
+			c := child.ConstraintAt(i)
+			lhs, mag := 0.0, 1.0
+			for _, tm := range c.Terms {
+				lhs += tm.Coef * warm.X[tm.Var]
+				mag += math.Abs(tm.Coef * warm.X[tm.Var])
+			}
+			if (c.Rel != GE && lhs > c.RHS+tol*mag) || (c.Rel != LE && lhs < c.RHS-tol*mag) {
+				t.Fatalf("seed %d: warm X violates row %d: %g %v %g", seed, i, lhs, c.Rel, c.RHS)
+			}
+		}
+	})
+}

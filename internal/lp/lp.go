@@ -69,6 +69,9 @@ type Problem struct {
 	lower   []float64
 	upper   []float64 // math.Inf(1) when unbounded above
 	cons    []Constraint
+	// form is the standard-form structure of cons, built by the first
+	// solve and shared by clones; AddConstraint replaces it.
+	form *shape
 }
 
 // NewProblem creates a problem with n variables, zero objective, lower
@@ -79,6 +82,7 @@ func NewProblem(n int) *Problem {
 		obj:     make([]float64, n),
 		lower:   make([]float64, n),
 		upper:   make([]float64, n),
+		form:    &shape{},
 	}
 	for i := range p.upper {
 		p.upper[i] = math.Inf(1)
@@ -128,6 +132,7 @@ func (p *Problem) AddConstraint(c Constraint) error {
 		}
 	}
 	p.cons = append(p.cons, c)
+	p.form = &shape{}
 	return nil
 }
 
@@ -138,8 +143,11 @@ func (p *Problem) ConstraintAt(i int) Constraint { return p.cons[i] }
 // ObjectiveCoef returns the objective coefficient of variable v.
 func (p *Problem) ObjectiveCoef(v int) float64 { return p.obj[v] }
 
-// Clone returns a deep copy; the branch-and-bound layer clones the root
-// problem to apply branching bounds.
+// Clone returns a copy whose objective and bounds are independent of
+// p's; the branch-and-bound layer clones the root problem to apply
+// branching bounds. Constraint term slices are never mutated after
+// AddConstraint, so the clone shares them, and with them the standard
+// form its solves build, until either problem adds a constraint.
 func (p *Problem) Clone() *Problem {
 	c := &Problem{
 		numVars: p.numVars,
@@ -147,9 +155,8 @@ func (p *Problem) Clone() *Problem {
 		lower:   append([]float64(nil), p.lower...),
 		upper:   append([]float64(nil), p.upper...),
 		cons:    make([]Constraint, len(p.cons)),
+		form:    p.form,
 	}
-	// Constraint term slices are never mutated after AddConstraint, so
-	// sharing them is safe and avoids O(nnz) copying per B&B node.
 	copy(c.cons, p.cons)
 	return c
 }

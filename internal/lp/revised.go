@@ -3,7 +3,9 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -27,8 +29,9 @@ const (
 	stFree       // nonbasic free (value 0)
 )
 
-// spCol is one sparse column of the standard-form matrix.
-type spCol struct {
+// spVec is one sparse column (row indices) or row (column indices) of
+// the standard-form matrix, in ascending index order.
+type spVec struct {
 	idx []int32
 	val []float64
 }
@@ -38,40 +41,70 @@ type spCol struct {
 // shift lower bounds or flip row signs, so the structure depends only on
 // the constraint pattern — a parent and a child that differ only in
 // variable bounds share the same standard form shape, which is what
-// makes basis reuse across B&B nodes valid.
+// makes basis reuse across B&B nodes valid. Only cost and bounds are
+// per solve; the rest is the shared *shape.
 //
 // The dense solver's anti-degeneracy RHS perturbation (loosen inequality
 // i by delta_i = 1e-9*(i+1)) is reproduced here as slack bounds:
 // LE rows get slack ∈ [−delta, +inf), GE rows slack ∈ (−inf, +delta],
 // EQ rows slack ∈ [0, 0]. Row equilibration matches the dense rule.
 type stdForm struct {
-	m, n    int // rows, total columns (structural + slacks)
-	nStruct int
-	cols    []spCol
-	cost    []float64
-	lo, hi  []float64
-	b       []float64
+	*shape
+	cost   []float64
+	lo, hi []float64
 }
 
-func buildStdForm(p *Problem) (*stdForm, error) {
-	m := len(p.cons)
-	n := p.numVars + m
+// shape is the part of the standard form that depends only on the
+// constraints: the equilibrated matrix by column and by row (each row
+// ending in its slack's +1), b, and the slack bounds. A Problem and its
+// clones share one shape, built by the first solve that needs it, until
+// AddConstraint gives the adding problem a new one.
+type shape struct {
+	once    sync.Once
+	err     error
+	m, n    int // rows, total columns (structural + slacks)
+	nStruct int
+	cols    []spVec
+	rows    []spVec
+	b       []float64
+	// slackLo/slackHi are the bounds of slack column nStruct+i.
+	slackLo, slackHi []float64
+}
+
+// newStdForm pairs p's shared shape with a copy of its cost and bounds.
+func newStdForm(p *Problem) (*stdForm, error) {
+	for v := 0; v < p.numVars; v++ {
+		if p.lower[v] > p.upper[v] {
+			return nil, fmt.Errorf("var %d: inverted bounds", v)
+		}
+	}
+	sh := p.form
+	sh.once.Do(func() { sh.err = sh.build(p) })
+	if sh.err != nil {
+		return nil, sh.err
+	}
 	f := &stdForm{
-		m: m, n: n, nStruct: p.numVars,
-		cols: make([]spCol, n),
-		cost: make([]float64, n),
-		lo:   make([]float64, n),
-		hi:   make([]float64, n),
-		b:    make([]float64, m),
+		shape: sh,
+		cost:  make([]float64, sh.n),
+		lo:    make([]float64, sh.n),
+		hi:    make([]float64, sh.n),
 	}
 	copy(f.cost, p.obj)
 	copy(f.lo, p.lower)
 	copy(f.hi, p.upper)
-	for v := 0; v < p.numVars; v++ {
-		if f.lo[v] > f.hi[v] {
-			return nil, fmt.Errorf("var %d: inverted bounds", v)
-		}
-	}
+	copy(f.lo[sh.nStruct:], sh.slackLo)
+	copy(f.hi[sh.nStruct:], sh.slackHi)
+	return f, nil
+}
+
+func (f *shape) build(p *Problem) error {
+	m := len(p.cons)
+	f.m, f.n, f.nStruct = m, p.numVars+m, p.numVars
+	f.cols = make([]spVec, f.n)
+	f.rows = make([]spVec, m)
+	f.b = make([]float64, m)
+	f.slackLo = make([]float64, m)
+	f.slackHi = make([]float64, m)
 	// Aggregate duplicate terms per row deterministically with a dense
 	// scratch vector + touched list (no map iteration).
 	scratch := make([]float64, p.numVars)
@@ -102,6 +135,7 @@ func buildStdForm(p *Problem) (*stdForm, error) {
 		// visited in index order so each column's row indices arrive
 		// already sorted.
 		insertionSortInts(touched)
+		row := spVec{idx: make([]int32, 0, len(touched)+1), val: make([]float64, 0, len(touched)+1)}
 		for _, v := range touched {
 			coef := scratch[v] * scale
 			scratch[v] = 0
@@ -110,26 +144,29 @@ func buildStdForm(p *Problem) (*stdForm, error) {
 			}
 			f.cols[v].idx = append(f.cols[v].idx, int32(i))
 			f.cols[v].val = append(f.cols[v].val, coef)
+			row.idx = append(row.idx, int32(v))
+			row.val = append(row.val, coef)
 		}
 		// Slack column: +1 entry in row i (the row is scaled, the slack
 		// is not — equivalent to scaling the slack's bounds, which are
 		// the perturbation deltas; keep coefficient 1 and scale deltas).
 		sj := p.numVars + i
-		f.cols[sj] = spCol{idx: []int32{int32(i)}, val: []float64{1}}
+		f.cols[sj] = spVec{idx: []int32{int32(i)}, val: []float64{1}}
+		f.rows[i] = spVec{idx: append(row.idx, int32(sj)), val: append(row.val, 1)}
 		f.b[i] = c.RHS * scale
 		delta := 1e-9 * float64(i+1) * scale
 		switch c.Rel {
 		case LE:
-			f.lo[sj], f.hi[sj] = -delta, math.Inf(1)
+			f.slackLo[i], f.slackHi[i] = -delta, math.Inf(1)
 		case GE:
-			f.lo[sj], f.hi[sj] = math.Inf(-1), delta
+			f.slackLo[i], f.slackHi[i] = math.Inf(-1), delta
 		case EQ:
-			f.lo[sj], f.hi[sj] = 0, 0
+			f.slackLo[i], f.slackHi[i] = 0, 0
 		default:
-			return nil, fmt.Errorf("unknown relation %v", c.Rel)
+			return fmt.Errorf("unknown relation %v", c.Rel)
 		}
 	}
-	return f, nil
+	return nil
 }
 
 func insertionSortInts(a []int) {
@@ -194,14 +231,24 @@ type revised struct {
 	nnzBase  int       // etaNnz right after the last refactorization
 	xB       []float64 // values of basic variables
 
-	deadline    time.Time
-	iters       int // total pivots (primal + dual)
-	dualIters   int
-	refactors   int
-	maxIters    int
-	work        []float64 // FTRAN scratch, len m
+	deadline  time.Time
+	iters     int // total pivots (primal + dual)
+	dualIters int
+	refactors int
+	maxIters  int
+	// work holds the last FTRAN result and pat its possibly nonzero
+	// rows; patDense records that pat was read off a dense pass, so the
+	// next FTRAN clears all of work. inPat is ftran's mark scratch.
+	work        []float64
+	pat         []int32
+	patDense    bool
+	inPat       []bool
+	etaIdx      []int32   // appendEta scratch, len m
+	etaVal      []float64 // appendEta scratch, len m
 	ybuf        []float64 // dual-price scratch, len m
 	rbuf        []float64 // dual-simplex row scratch, len m
+	alpha       []float64 // dual-simplex pivot row ρ·A, len n
+	d           []float64 // reduced costs c − y·A of nonbasic columns, len n
 	deadlineHit bool
 }
 
@@ -230,8 +277,14 @@ func newRevised(f *stdForm, deadline time.Time) *revised {
 		status:   make([]int8, f.n),
 		xB:       make([]float64, f.m),
 		work:     make([]float64, f.m),
+		pat:      make([]int32, 0, f.m),
+		inPat:    make([]bool, f.m),
+		etaIdx:   make([]int32, 0, f.m),
+		etaVal:   make([]float64, 0, f.m),
 		ybuf:     make([]float64, f.m),
 		rbuf:     make([]float64, f.m),
+		alpha:    make([]float64, f.n),
+		d:        make([]float64, f.n),
 		deadline: deadline,
 	}
 	s.maxIters = 2000 + 50*(f.m+f.n)
@@ -281,10 +334,10 @@ func (s *revised) nbValue(j int) float64 {
 	}
 }
 
-// ftranInPlace applies B^{-1} to x (len m) through the eta file.
-func (s *revised) ftranInPlace(x []float64) {
-	for k := range s.etas {
-		e := &s.etas[k]
+// ftranEtas applies the product of etas, in order, to x (len m).
+func ftranEtas(x []float64, etas []eta) {
+	for k := range etas {
+		e := &etas[k]
 		t := x[e.r]
 		if t == 0 {
 			continue
@@ -329,47 +382,87 @@ func (s *revised) computeXB() {
 			bt[r] -= c.val[k] * v
 		}
 	}
-	s.ftranInPlace(bt)
+	ftranEtas(bt, s.etas)
 }
 
-// ftran computes w = B^{-1} A_q into s.work and returns it.
+// ftran computes w = B^{-1} A_q into s.work and returns it, with s.pat
+// listing in ascending order a superset of its nonzero rows. Callers
+// visit only those: every row outside holds zero, and an ascending walk
+// meets the nonzeros in the order a dense scan would, so every sum and
+// tie-break is unchanged. A sparse result tracks the rows it writes,
+// sorts them, and is cleared through them next time. Once the pattern
+// reaches m/16 rows, sorting would cost more than a scan: tracking
+// stops, and the pattern is read off w by one pass over all m rows.
 func (s *revised) ftran(q int) []float64 {
-	w := s.work
-	for i := range w {
-		w[i] = 0
+	w, inPat := s.work, s.inPat
+	if s.patDense {
+		clear(w)
+	} else {
+		for _, i := range s.pat {
+			w[i] = 0
+		}
 	}
+	limit := s.f.m / 16
+	pat := s.pat[:0]
 	c := &s.f.cols[q]
 	for t, r := range c.idx {
-		w[r] = c.val[t]
+		w[r], inPat[r] = c.val[t], true
+		pat = append(pat, r)
 	}
-	s.ftranInPlace(w)
+	k := 0
+	for ; k < len(s.etas) && len(pat) < limit; k++ {
+		e := &s.etas[k]
+		t := w[e.r]
+		if t == 0 {
+			continue
+		}
+		t *= e.invDiag
+		w[e.r] = t
+		for p, i := range e.idx {
+			if !inPat[i] {
+				inPat[i] = true
+				pat = append(pat, i)
+			}
+			w[i] -= e.val[p] * t
+		}
+	}
+	for _, i := range pat {
+		inPat[i] = false
+	}
+	s.patDense = len(pat) >= limit
+	if s.patDense {
+		ftranEtas(w, s.etas[k:])
+		pat = pat[:0]
+		for i, v := range w {
+			if v != 0 {
+				pat = append(pat, int32(i))
+			}
+		}
+	} else {
+		slices.Sort(pat)
+	}
+	s.pat = pat
 	return w
 }
 
 // appendEta records the product-form update for entering column q
-// replacing the basic column of row r, where w = B^{-1} A_q.
+// replacing the basic column of row r, where w = B^{-1} A_q is the last
+// FTRAN result.
 func (s *revised) appendEta(r int, w []float64) {
-	m := s.f.m
-	nnz := 0
-	for i := 0; i < m; i++ {
-		if i != r && math.Abs(w[i]) > 1e-12 {
-			nnz++
+	idx, val := s.etaIdx[:0], s.etaVal[:0]
+	for _, i := range s.pat {
+		if int(i) != r && math.Abs(w[i]) > 1e-12 {
+			idx = append(idx, i)
+			val = append(val, w[i])
 		}
 	}
-	e := eta{
+	s.etas = append(s.etas, eta{
 		r:       int32(r),
 		invDiag: 1 / w[r],
-		idx:     make([]int32, 0, nnz),
-		val:     make([]float64, 0, nnz),
-	}
-	for i := 0; i < m; i++ {
-		if i != r && math.Abs(w[i]) > 1e-12 {
-			e.idx = append(e.idx, int32(i))
-			e.val = append(e.val, w[i])
-		}
-	}
-	s.etas = append(s.etas, e)
-	s.etaNnz += nnz
+		idx:     append(make([]int32, 0, len(idx)), idx...),
+		val:     append(make([]float64, 0, len(val)), val...),
+	})
+	s.etaNnz += len(idx)
 }
 
 // etaUpdate applies the basis bookkeeping and the eta append for
@@ -429,12 +522,12 @@ func (s *revised) refactorize() error {
 		for _, j := range pending {
 			w := s.ftran(j)
 			r, piv := -1, 1e-10
-			for i := 0; i < f.m; i++ {
+			for _, i := range s.pat {
 				if assigned[i] {
 					continue
 				}
 				if a := math.Abs(w[i]); a > piv {
-					r, piv = i, a
+					r, piv = int(i), a
 				}
 			}
 			if r < 0 {
@@ -627,13 +720,8 @@ func (s *revised) primalFeasible() bool {
 // dualFeasible reports whether the current basis satisfies the
 // reduced-cost sign conditions for the phase-2 objective.
 func (s *revised) dualFeasible() bool {
-	y := s.duals(false)
-	f := s.f
-	for j := 0; j < f.n; j++ {
-		if s.status[j] == stBasic {
-			continue
-		}
-		d := f.cost[j] - s.colDot(y, j)
+	s.reducedCosts()
+	for j, d := range s.d {
 		switch s.status[j] {
 		case stLower:
 			if d < -feasTol {
@@ -676,16 +764,41 @@ func (s *revised) duals(phase1 bool) []float64 {
 	return y
 }
 
-// basisRow computes rho = e_r · B^{-1} (row r of the basis inverse) by
-// BTRAN into the dual scratch buffer.
-func (s *revised) basisRow(r int) []float64 {
-	rho := s.rbuf
-	for i := range rho {
-		rho[i] = 0
+// reducedCosts sets d_j = c_j − y·A_j for every nonbasic column from a
+// fresh BTRAN of the basic costs, and d_j = 0 for basic ones.
+func (s *revised) reducedCosts() {
+	y := s.duals(false)
+	for j := range s.d {
+		if s.status[j] == stBasic {
+			s.d[j] = 0
+		} else {
+			s.d[j] = s.f.cost[j] - s.colDot(y, j)
+		}
 	}
+}
+
+// pivotRow computes alpha = ρ·A for rho = e_r · B^{-1} (row r of the
+// basis inverse, by BTRAN) row-wise over the rows where ρ ≠ 0. Each
+// alpha_j gathers its terms in ascending row order, so it is bit-equal
+// to colDot(ρ, j): the zero terms skipped would each add ±0 to a sum
+// that starts at +0.
+func (s *revised) pivotRow(r int) []float64 {
+	rho := s.rbuf
+	clear(rho)
 	rho[r] = 1
 	s.btranInPlace(rho)
-	return rho
+	alpha := s.alpha
+	clear(alpha)
+	for i, ri := range rho {
+		if ri == 0 {
+			continue
+		}
+		row := &s.f.rows[i]
+		for t, j := range row.idx {
+			alpha[j] += ri * row.val[t]
+		}
+	}
+	return alpha
 }
 
 // colDot computes y · A_j over the sparse column j.

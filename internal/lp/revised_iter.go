@@ -143,7 +143,8 @@ func (s *revised) primal(phase1 bool) Status {
 		r := -1
 		wr := 0.0
 		rUp := false // leaving variable exits at its upper bound
-		for i := 0; i < f.m; i++ {
+		for _, pi := range s.pat {
+			i := int(pi)
 			wi := w[i]
 			if wi > -eps && wi < eps {
 				continue
@@ -192,7 +193,7 @@ func (s *revised) primal(phase1 bool) Status {
 		// limit, in which case it flips bounds without a basis change.
 		span := f.hi[q] - f.lo[q]
 		if s.status[q] != stFree && !math.IsInf(span, 1) && span < tRow-eps {
-			for i := 0; i < f.m; i++ {
+			for _, i := range s.pat {
 				s.xB[i] -= sigma * span * w[i]
 			}
 			if s.status[q] == stLower {
@@ -209,19 +210,11 @@ func (s *revised) primal(phase1 bool) Status {
 			}
 			return Unbounded
 		}
-		if math.Abs(wr) < 1e-9 {
-			// Unusably small pivot: rebuild the inverse and retry the
-			// iteration with fresh numbers.
-			if err := s.refactorize(); err != nil {
-				return IterLimit
-			}
-			s.computeXB()
-			continue
-		}
+		// The ratio test admits only |w_r| ≥ eps, so the pivot is usable.
 		t := tRow
 		enterVal := s.nbValue(q) + sigma*t
-		for i := 0; i < f.m; i++ {
-			if i == r {
+		for _, i := range s.pat {
+			if int(i) == r {
 				continue
 			}
 			s.xB[i] -= sigma * t * w[i]
@@ -250,6 +243,10 @@ func (s *revised) dual() Status {
 	f := s.f
 	lastObj := math.Inf(-1)
 	stall := 0
+	// s.d is fresh for the factorization counted by dFactor: it is
+	// computed from a BTRAN again after every rebuild and updated from
+	// the pivot row in between.
+	dFactor := -1
 	for iter := 0; iter < s.maxIters; iter++ {
 		if iter%32 == 0 && s.deadlineExpired() {
 			return IterLimit
@@ -300,16 +297,18 @@ func (s *revised) dual() Status {
 		// Entering column: dual ratio test over row r of B^{-1}A. The
 		// min ratio keeps every reduced cost on its feasible side; ties
 		// prefer the larger |alpha| for stability.
-		y := s.duals(false)
-		rho := s.basisRow(r)
+		if dFactor != s.refactors {
+			s.reducedCosts()
+			dFactor = s.refactors
+		}
+		alphas := s.pivotRow(r)
 		q := -1
 		var alphaQ, ratioBest float64
-		for j := 0; j < f.n; j++ {
-			if s.status[j] == stBasic || f.hi[j]-f.lo[j] < 1e-12 {
+		for j, alpha := range alphas {
+			if alpha < eps && alpha > -eps {
 				continue
 			}
-			alpha := s.colDot(rho, j)
-			if alpha < eps && alpha > -eps {
+			if s.status[j] == stBasic || f.hi[j]-f.lo[j] < 1e-12 {
 				continue
 			}
 			ok := false
@@ -324,7 +323,7 @@ func (s *revised) dual() Status {
 			if !ok {
 				continue
 			}
-			d := f.cost[j] - s.colDot(y, j)
+			d := s.d[j]
 			var ratio float64
 			if below {
 				ratio = -d / alpha
@@ -347,6 +346,13 @@ func (s *revised) dual() Status {
 		}
 		w := s.ftran(q)
 		if math.Abs(w[r]) < 1e-11 {
+			// FTRAN and the pivot row disagree on α_q. A rebuild may
+			// settle it, but on a basis factored fresh since the last
+			// pivot the retry would pick the same (r, q) forever: give
+			// up, and solveRevised falls back to a cold solve.
+			if len(s.etas) == s.etasBase {
+				return IterLimit
+			}
 			if err := s.refactorize(); err != nil {
 				return IterLimit
 			}
@@ -369,9 +375,10 @@ func (s *revised) dual() Status {
 			if deltaQ < 0 {
 				step = -span
 			}
-			for i := 0; i < f.m; i++ {
+			for _, i := range s.pat {
 				s.xB[i] -= step * w[i]
 			}
+			// A bound flip moves no reduced cost.
 			if s.status[q] == stLower {
 				s.status[q] = stUpper
 			} else {
@@ -382,13 +389,22 @@ func (s *revised) dual() Status {
 			continue
 		}
 		enterVal := s.nbValue(q) + deltaQ
-		for i := 0; i < f.m; i++ {
-			if i == r {
+		for _, i := range s.pat {
+			if int(i) == r {
 				continue
 			}
 			s.xB[i] -= deltaQ * w[i]
 		}
+		// Update the reduced costs along the pivot row: the entering
+		// column's drops to zero and the leaving column (α = 1) takes −θ.
+		theta := s.d[q] / alphaQ
+		for j, a := range alphas {
+			if a != 0 && s.status[j] != stBasic {
+				s.d[j] -= theta * a
+			}
+		}
 		leave := s.basis[r]
+		s.d[q], s.d[leave] = 0, -theta
 		if below {
 			s.status[leave] = stLower
 		} else {
@@ -408,7 +424,7 @@ func (s *revised) dual() Status {
 // two-phase solve. countWarm controls whether warm-start hit/miss
 // counters are emitted (true only for the SolveWarm* entry points).
 func solveRevised(p *Problem, warm *Basis, countWarm bool, deadline time.Time, o Observer) (sol Solution, err error) {
-	f, ferr := buildStdForm(p)
+	f, ferr := newStdForm(p)
 	if ferr != nil {
 		return Solution{}, ferr
 	}

@@ -224,3 +224,137 @@ func TestWarmStartBasisSharedAcrossChildren(t *testing.T) {
 		t.Fatalf("re-solve from shared basis drifted: %g vs %g (err %v)", lAgain.Objective, lWarm.Objective, err)
 	}
 }
+
+// TestDualTinyPivotOnFreshFactorization builds a nearly singular basis
+// on which the pivot row (BTRAN) prices the only entering candidate at
+// α_q ≈ 4.8e-7 while FTRAN computes w_r = 0 exactly. Rebuilding the
+// inverse reproduces the same numbers, so dual simplex must give up at
+// once rather than refactorize until its stall limit; the warm solve
+// then falls back to a cold one, counted as a miss, that matches Solve.
+func TestDualTinyPivotOnFreshFactorization(t *testing.T) {
+	p := NewProblem(3)
+	_ = p.SetBounds(0, math.Inf(-1), math.Inf(1))
+	_ = p.SetBounds(1, 0, 1)
+	_ = p.SetBounds(2, 0, 10)
+	_ = p.AddConstraint(Constraint{Terms: []Term{{0, 0.5296712812748865}, {1, 0.5019038945142367}, {2, 0.5772538691487273}}, Rel: EQ, RHS: 1.8154051709333605})
+	_ = p.AddConstraint(Constraint{Terms: []Term{{0, 0.5028430411748626}, {1, 0.4764820931358264}, {2, 0.5480155359642015}}, Rel: EQ, RHS: 1.8780117586523999})
+
+	f, err := newStdForm(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newRevised(f, time.Time{})
+	// x0 and x1 basic, x2 and both (fixed) slacks nonbasic: x2 is the only
+	// column dual simplex may bring in.
+	err = s.importBasis(&Basis{rows: 2, cols: 5, basic: []int32{0, 1}, status: []int8{stBasic, stBasic, stLower, stLower, stLower}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.refactorize(); err != nil {
+		t.Fatal(err)
+	}
+	s.computeXB()
+	if s.primalFeasible() || !s.dualFeasible() {
+		t.Fatal("set-up basis must be dual but not primal feasible")
+	}
+	if st := s.dual(); st != IterLimit || s.refactors != 1 || s.iters != 0 {
+		t.Fatalf("dual = %v after %d rebuilds and %d pivots, want IterLimit after the set-up rebuild alone", st, s.refactors, s.iters)
+	}
+
+	obsv := newCountObs()
+	warm, werr := SolveWarmDeadlineObs(p, s.exportBasis(), time.Time{}, obsv)
+	cold, cerr := Solve(p)
+	if (werr == nil) != (cerr == nil) || warm.Status != cold.Status || warm.Objective != cold.Objective {
+		t.Fatalf("warm %v/%v obj %g vs cold %v/%v obj %g", warm.Status, werr, warm.Objective, cold.Status, cerr, cold.Objective)
+	}
+	if obsv.get("lp.warmstart.misses") != 1 {
+		t.Fatalf("warm start with a dead-end pivot: misses=%d, want 1", obsv.get("lp.warmstart.misses"))
+	}
+}
+
+// TestSharedFormConcurrentChildren solves warm children of one problem
+// from eight goroutines at once. The children are clones, so they share
+// one standard form, which none of them has built yet: the first solve
+// builds it while the others wait. Each child must match a solve of the
+// same child on a problem that shares nothing. A clone that adds a
+// constraint gets a form of its own, leaving the original's answers
+// unchanged.
+func TestSharedFormConcurrentChildren(t *testing.T) {
+	build := func() *Problem {
+		rng := rand.New(rand.NewSource(3))
+		const n, m = 24, 40
+		p := NewProblem(n)
+		for v := 0; v < n; v++ {
+			_ = p.SetObjective(v, -rng.Float64())
+			_ = p.SetBounds(v, 0, 1)
+		}
+		for i := 0; i < m; i++ {
+			var terms []Term
+			for v := 0; v < n; v++ {
+				if rng.Intn(4) == 0 {
+					terms = append(terms, Term{Var: v, Coef: 1 + 3*rng.Float64()})
+				}
+			}
+			_ = p.AddConstraint(Constraint{Terms: terms, Rel: LE, RHS: 2 + 4*rng.Float64()})
+		}
+		return p
+	}
+	child := func(p *Problem, k int) *Problem {
+		c := p.Clone()
+		_ = c.SetBounds(k, float64(k%2), float64(k%2))
+		return c
+	}
+	donor, err := Solve(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Solution, 8)
+	for k := range want {
+		want[k], _ = SolveWarm(child(build(), k), donor.Basis)
+	}
+
+	shared := build()
+	got := make([]Solution, len(want))
+	var wg sync.WaitGroup
+	for k := range got {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			got[k], _ = SolveWarm(child(shared, k), donor.Basis)
+		}(k)
+	}
+	wg.Wait()
+	for k := range got {
+		if got[k].Status != want[k].Status || got[k].Objective != want[k].Objective || got[k].Iters != want[k].Iters {
+			t.Fatalf("child %d on the shared form: %v obj %.17g in %d pivots, alone: %v obj %.17g in %d",
+				k, got[k].Status, got[k].Objective, got[k].Iters, want[k].Status, want[k].Objective, want[k].Iters)
+		}
+	}
+
+	before, err := Solve(shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := shared.Clone()
+	var terms []Term
+	for v := 0; v < cut.NumVars(); v++ {
+		terms = append(terms, Term{Var: v, Coef: 1})
+	}
+	if err := cut.AddConstraint(Constraint{Terms: terms, Rel: LE, RHS: 1}); err != nil {
+		t.Fatal(err)
+	}
+	cutSol, err := Solve(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := Solve(shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Objective != before.Objective || after.Iters != before.Iters {
+		t.Fatalf("a clone's AddConstraint moved the original: obj %.17g -> %.17g", before.Objective, after.Objective)
+	}
+	if cutSol.Objective <= before.Objective+1e-6 {
+		t.Fatalf("the clone's cut Σx ≤ 1 left its optimum at %g (original %g)", cutSol.Objective, before.Objective)
+	}
+}

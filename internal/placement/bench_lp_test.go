@@ -1,11 +1,9 @@
 package placement
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
+	"errors"
+	"math"
 	"testing"
-	"time"
 
 	"pesto/internal/coarsen"
 	"pesto/internal/gen"
@@ -13,11 +11,9 @@ import (
 	"pesto/internal/sim"
 )
 
-// benchRungModel builds the exact model the BENCH_service graph's
-// ilp-exact rung solves: gen.Layered seed=7, 96 nodes, coarsened to the
-// default ILPMaxSize. This is the workload BENCH_service.json's
-// ns_per_cold_solve is dominated by, so it is the one BENCH_lp.json
-// tracks.
+// benchRungModel builds the exact model the ilp-exact rung solves for
+// the repository's canonical graph: gen.Layered seed=7, 96 nodes,
+// coarsened to the default ILPMaxSize.
 func benchRungModel(tb testing.TB) *model {
 	tb.Helper()
 	g, err := gen.Generate(gen.Config{Family: gen.Layered, Seed: 7, Nodes: 96})
@@ -37,104 +33,61 @@ func benchRungModel(tb testing.TB) *model {
 }
 
 // BenchmarkLPRung times a cold solve of the ILP rung's root relaxation
-// on both engines and snapshots the comparison to BENCH_lp.json (repo
-// root). The dense reference is skipped in -short mode so the CI gate
-// (make bench-lp) only pays for the engine it guards; run without
-// -short to regenerate the snapshot.
+// on both engines. The dense reference takes seconds per solve and is
+// skipped in -short mode.
 func BenchmarkLPRung(b *testing.B) {
 	m := benchRungModel(b)
-	var nsRevised, nsDense int64
-	var itersRevised, itersDense int
-	b.Run("revised", func(b *testing.B) {
-		var total time.Duration
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			sol, err := lp.Solve(m.lp)
-			total += time.Since(start)
-			if err != nil || sol.Status != lp.Optimal {
-				b.Fatalf("revised: %v (%v)", sol.Status, err)
+	for _, solver := range []struct {
+		name  string
+		solve func(*lp.Problem) (lp.Solution, error)
+	}{{"revised", lp.Solve}, {"dense", lp.SolveDense}} {
+		b.Run(solver.name, func(b *testing.B) {
+			if solver.name == "dense" && testing.Short() {
+				b.Skip("dense reference takes seconds per solve")
 			}
-			itersRevised = sol.Iters
-		}
-		nsRevised = int64(total) / int64(b.N)
-	})
-	b.Run("dense", func(b *testing.B) {
-		if testing.Short() {
-			b.Skip("dense reference takes seconds per solve")
-		}
-		var total time.Duration
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			sol, err := lp.SolveDense(m.lp)
-			total += time.Since(start)
-			if err != nil || sol.Status != lp.Optimal {
-				b.Fatalf("dense: %v (%v)", sol.Status, err)
+			for i := 0; i < b.N; i++ {
+				if sol, err := solver.solve(m.lp); err != nil || sol.Status != lp.Optimal {
+					b.Fatalf("%s: %v (%v)", solver.name, sol.Status, err)
+				}
 			}
-			itersDense = sol.Iters
-		}
-		nsDense = int64(total) / int64(b.N)
-	})
-	if nsRevised == 0 || nsDense == 0 {
-		return // short mode: no snapshot without the dense half
-	}
-	snapshot := map[string]any{
-		"graph":                   "gen.Layered seed=7 nodes=96",
-		"model":                   fmt.Sprintf("ilp-exact rung root LP: %d rows x %d vars (%d binaries)", m.lp.NumConstraints(), m.lp.NumVars(), len(m.binary)),
-		"ns_per_cold_solve":       nsRevised,
-		"ns_per_cold_solve_dense": nsDense,
-		"speedup":                 float64(nsDense) / float64(nsRevised),
-		"pivots_revised":          itersRevised,
-		"pivots_dense":            itersDense,
-		"note":                    "cold root-relaxation solve of the exact rung's model, revised simplex vs the dense-tableau reference; TestLPRungRegression holds ns_per_cold_solve to <=2x of this snapshot",
-	}
-	buf, err := json.MarshalIndent(snapshot, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_lp.json", append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
+		})
 	}
 }
 
-// TestLPRungRegression is the CI gate behind make bench-lp: re-times
-// the revised-simplex cold solve of the rung model and fails if it
-// regresses more than 2x over the committed BENCH_lp.json snapshot.
-// Wall-clock gates are noisy on shared runners, so it takes the best of
-// three solves and only the PESTO_BENCH_LP=1 environment opts in.
-func TestLPRungRegression(t *testing.T) {
-	if os.Getenv("PESTO_BENCH_LP") == "" {
-		t.Skip("set PESTO_BENCH_LP=1 to run the LP-rung regression gate")
-	}
-	raw, err := os.ReadFile("../../BENCH_lp.json")
+// BenchmarkChildResolve times the branch-and-bound child case on the
+// same model: clone the root problem, fix one binary that is fractional
+// at the root, and re-solve warm from the root basis, which dual simplex
+// repairs. One op is one child, cycling over both values of up to 8
+// such binaries.
+func BenchmarkChildResolve(b *testing.B) {
+	m := benchRungModel(b)
+	root, err := lp.Solve(m.lp)
 	if err != nil {
-		t.Fatalf("no committed snapshot: %v", err)
+		b.Fatal(err)
 	}
-	var snap struct {
-		NsPerColdSolve int64 `json:"ns_per_cold_solve"`
+	type fix struct {
+		v   int
+		val float64
 	}
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.NsPerColdSolve <= 0 {
-		t.Fatal("committed BENCH_lp.json has no ns_per_cold_solve")
-	}
-	m := benchRungModel(t)
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		sol, err := lp.Solve(m.lp)
-		if d := time.Since(start); d < best {
-			best = d
-		}
-		if err != nil || sol.Status != lp.Optimal {
-			t.Fatalf("cold solve %d: %v (%v)", i, sol.Status, err)
+	var fixes []fix
+	for _, v := range m.binary {
+		if f := root.X[v] - math.Floor(root.X[v]); f > 1e-6 && f < 1-1e-6 && len(fixes) < 16 {
+			fixes = append(fixes, fix{v, 0}, fix{v, 1})
 		}
 	}
-	limit := time.Duration(2 * snap.NsPerColdSolve)
-	t.Logf("cold solve best-of-3: %v (committed %v, limit %v)",
-		best, time.Duration(snap.NsPerColdSolve), limit)
-	if best > limit {
-		t.Fatalf("ILP-rung cold solve regressed: %v > 2x committed %v",
-			best, time.Duration(snap.NsPerColdSolve))
+	if len(fixes) == 0 {
+		b.Fatal("root relaxation is integral; no child to re-solve")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fx := fixes[i%len(fixes)]
+		child := m.lp.Clone()
+		if err := child.SetBounds(fx.v, fx.val, fx.val); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := lp.SolveWarm(child, root.Basis); err != nil && !errors.Is(err, lp.ErrNoSolution) {
+			b.Fatal(err)
+		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"pesto/internal/graph"
+	"pesto/internal/ilp"
 	"pesto/internal/lp"
 	"pesto/internal/sim"
 )
@@ -531,6 +532,16 @@ func buildModel(g *graph.Graph, sys sim.System, opts Options) (*model, error) {
 	}
 	m.lp = prob
 	return m, nil
+}
+
+// ExactModel returns the 0-1 ILP the exact rung hands to branch and
+// bound for g on sys, without coarsening g first.
+func ExactModel(g *graph.Graph, sys sim.System, opts Options) (ilp.Problem, error) {
+	m, err := buildModel(g, sys, opts.withDefaults())
+	if err != nil {
+		return ilp.Problem{}, err
+	}
+	return ilp.Problem{LP: m.lp, Binary: m.binary}, nil
 }
 
 // addHostLinkCongestion emits non-overlap constraints for CPU↔GPU
