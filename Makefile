@@ -6,7 +6,7 @@ GO ?= go
 # `make verify` runs the full population.
 SWEEP ?= 1000
 
-.PHONY: build test check bench bench-ab bench-incr bench-pipeline fmt vet verify smoke obs-smoke fleet-smoke trace-smoke chaos bench-fleet
+.PHONY: build test check bench bench-ab bench-incr bench-pipeline fmt vet verify smoke obs-smoke fleet-smoke trace-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -99,12 +99,6 @@ CHAOS ?= 10000
 chaos:
 	PESTO_CHAOS_REQUESTS=$(CHAOS) $(GO) test ./internal/fleet/ \
 		-run TestFleetChaosDeterministicZeroFailures -count=1 -v -timeout 20m
-
-# Regenerate the committed BENCH_fleet.json (100k-request chaos run
-# recording latency percentiles, throughput and hit-rate recovery).
-bench-fleet:
-	PESTO_BENCH_FLEET=1 $(GO) test ./internal/fleet/ \
-		-run TestFleetChaosBench -count=1 -v -timeout 30m
 
 fmt:
 	gofmt -w .

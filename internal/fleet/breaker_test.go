@@ -117,57 +117,75 @@ func TestBreakerHealthyTrafficStaysClosed(t *testing.T) {
 	}
 }
 
+// TestLatencyTrackerP95: the hedge delay is the p95 of the router's
+// latency window, HedgeMax while the window holds fewer than 8 samples,
+// and clamped up to HedgeMin.
 func TestLatencyTrackerP95(t *testing.T) {
-	var lt latencyTracker
 	min, max := 10*time.Millisecond, time.Second
-	// Cold tracker: no evidence, hedge waits the max.
-	if got := lt.p95(min, max); got != max {
+	mk := func() *Router {
+		rt, err := New(Config{HedgeMin: min, HedgeMax: max}, &fakeBackend{id: "a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt
+	}
+	rt := mk()
+	// Cold window: no evidence, hedge waits the max.
+	if got := rt.hedgeDelay(); got != max {
 		t.Fatalf("cold p95 = %v, want %v", got, max)
 	}
 	for i := 0; i < 100; i++ {
-		lt.observe(time.Duration(i+1) * time.Millisecond)
+		rt.lat.Add(time.Duration(i+1) * time.Millisecond)
 	}
-	got := lt.p95(min, max)
-	if got < 90*time.Millisecond || got > 100*time.Millisecond {
-		t.Fatalf("p95 of 1..100ms = %v, want ~95ms", got)
+	if got := rt.hedgeDelay(); got != 95*time.Millisecond {
+		t.Fatalf("p95 of 1..100ms = %v, want 95ms", got)
 	}
 	// Clamping: a uniformly fast window clamps up to min.
-	var fast latencyTracker
+	fast := mk()
 	for i := 0; i < 50; i++ {
-		fast.observe(time.Microsecond)
+		fast.lat.Add(time.Microsecond)
 	}
-	if got := fast.p95(min, max); got != min {
+	if got := fast.hedgeDelay(); got != min {
 		t.Fatalf("fast p95 = %v, want clamp to %v", got, min)
 	}
 }
 
-// TestLatencyTrackerP95Exact holds p95 to the copy-and-sort it
-// replaced, on random windows from empty through partly filled to
-// wrapped, and to sorting without allocating.
+// TestLatencyTrackerP95Exact holds the hedge delay to a copy-and-sort
+// of the router's window, on random windows from empty through partly
+// filled to wrapped, and to computing it without allocating. The rule
+// is the former index ⌊0.95·n⌋ except where 20 divides n, where nearest
+// rank takes the sample one lower.
 func TestLatencyTrackerP95Exact(t *testing.T) {
 	min, max := 10*time.Millisecond, 900*time.Millisecond
 	rng := rand.New(rand.NewSource(1))
 	for _, fill := range []int{0, 7, 8, 9, 20, 100, 255, 256, 257, 1000} {
-		var lt latencyTracker
+		rt, err := New(Config{HedgeMin: min, HedgeMax: max}, &fakeBackend{id: "a"})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < fill; i++ {
-			lt.observe(time.Duration(rng.Int63n(int64(time.Second))))
+			rt.lat.Add(time.Duration(rng.Int63n(int64(time.Second))))
 		}
 		want := max
-		if n := lt.n; n >= 8 {
-			ref := append([]time.Duration(nil), lt.samples[:n]...)
+		if ref := rt.lat.Snapshot(nil); len(ref) >= 8 {
+			n := len(ref)
 			sort.Slice(ref, func(a, b int) bool { return ref[a] < ref[b] })
-			want = ref[(n*95)/100]
+			idx := (n * 95) / 100
+			if n%20 == 0 {
+				idx--
+			}
+			want = ref[idx]
 			if want < min {
 				want = min
 			} else if want > max {
 				want = max
 			}
 		}
-		if got := lt.p95(min, max); got != want {
-			t.Errorf("fill %d: p95 = %v, want %v", fill, got, want)
+		if got := rt.hedgeDelay(); got != want {
+			t.Errorf("fill %d: hedge delay = %v, want %v", fill, got, want)
 		}
-		if allocs := testing.AllocsPerRun(20, func() { lt.p95(min, max) }); allocs != 0 {
-			t.Errorf("fill %d: p95 allocates %v times", fill, allocs)
+		if allocs := testing.AllocsPerRun(20, func() { rt.hedgeDelay() }); allocs != 0 {
+			t.Errorf("fill %d: hedgeDelay allocates %v times", fill, allocs)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -43,8 +42,6 @@ type chaosStats struct {
 	postHits, postTotal        int
 	retries, hedges, failovers int64
 	warmKeys                   int64
-	latencies                  []time.Duration
-	elapsed                    time.Duration
 	// Per-trace tallies rebuilt from the router's hop records; the
 	// test asserts they equal the router's own counters, tying every
 	// retry/hedge/failover the metrics claim to a span in a trace.
@@ -158,7 +155,6 @@ func runChaos(t *testing.T, requests int) chaosStats {
 	if stitchEvery < 1 {
 		stitchEvery = 1
 	}
-	start := time.Now()
 	for i := 0; i < requests; i++ {
 		vt := chaosSpan * time.Duration(i) / time.Duration(requests)
 		clockNs.Store(int64(vt))
@@ -175,10 +171,8 @@ func runChaos(t *testing.T, requests int) chaosStats {
 		}
 		rank := tr.Seq[i]
 		traceID := fmt.Sprintf("req-%06d", i)
-		reqStart := time.Now()
 		resp, _, err := rt.DoTraced(ctx, http.MethodPost, "/v1/place", bodies[rank], fps[rank],
 			obs.TraceContext{TraceID: traceID})
-		stats.latencies = append(stats.latencies, time.Since(reqStart))
 		if err != nil || resp.Status != http.StatusOK {
 			stats.failed++
 			if stats.failed <= 5 {
@@ -213,7 +207,6 @@ func runChaos(t *testing.T, requests int) chaosStats {
 			}
 		}
 	}
-	stats.elapsed = time.Since(start)
 	stats.retries, stats.hedges, stats.failovers, stats.warmKeys = rt.Stats()
 	return stats
 }
@@ -330,56 +323,4 @@ func TestFleetChaosDeterministicZeroFailures(t *testing.T) {
 	}
 	t.Logf("chaos: %d requests, 0 failed, hit rate pre %.3f post %.3f, %d failovers, %d retries, %d warm-synced keys, %d stitched traces",
 		stats.requests, pre, post, stats.failovers, stats.retries, stats.warmKeys, stats.stitched)
-}
-
-// TestFleetChaosBench is the committed-benchmark producer: a large
-// chaos run (default 100k requests) recording latency percentiles,
-// throughput and hit-rate recovery into BENCH_fleet.json at the repo
-// root. Wall-clock numbers are machine-dependent, so only
-// PESTO_BENCH_FLEET=1 opts in.
-func TestFleetChaosBench(t *testing.T) {
-	if os.Getenv("PESTO_BENCH_FLEET") == "" {
-		t.Skip("set PESTO_BENCH_FLEET=1 to run the fleet chaos benchmark")
-	}
-	requests := 100000
-	if v := os.Getenv("PESTO_CHAOS_REQUESTS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 100 {
-			requests = n
-		}
-	}
-	stats := runChaos(t, requests)
-	if stats.failed != 0 {
-		t.Fatalf("%d requests failed", stats.failed)
-	}
-	lat := append([]time.Duration(nil), stats.latencies...)
-	sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
-	pct := func(p int) time.Duration { return lat[(len(lat)-1)*p/100] }
-	pre := stats.hitRate(stats.preHits, stats.preTotal)
-	post := stats.hitRate(stats.postHits, stats.postTotal)
-	snapshot := map[string]any{
-		"requests":            stats.requests,
-		"replicas":            3,
-		"corpus":              24,
-		"zipf_skew":           1.2,
-		"fault_spec":          chaosSpec,
-		"seed":                chaosSeed,
-		"failed_requests":     stats.failed,
-		"p50_us":              pct(50).Microseconds(),
-		"p99_us":              pct(99).Microseconds(),
-		"throughput_rps":      int64(float64(stats.requests) / stats.elapsed.Seconds()),
-		"hit_rate_prekill":    fmt.Sprintf("%.4f", pre),
-		"hit_rate_postrejoin": fmt.Sprintf("%.4f", post),
-		"failovers":           stats.failovers,
-		"retries":             stats.retries,
-		"warmsync_keys":       stats.warmKeys,
-		"note":                "3 in-process replicas under the chaos schedule (2 kills + cold rejoins, 1 probe blackhole); every response byte-identical to a single-replica oracle; latencies are full router round-trips",
-	}
-	buf, err := json.MarshalIndent(snapshot, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_fleet.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_fleet.json: p50 %v p99 %v, %.0f rps", pct(50), pct(99), float64(stats.requests)/stats.elapsed.Seconds())
 }

@@ -1,18 +1,19 @@
 package fleet
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
 	"time"
+
+	"pesto/internal/obs"
 )
 
 // fleetMetrics instruments the router: counters behind a mutex plus
-// per-replica gauges read live at scrape time. Exposition is the same
-// hand-rolled Prometheus text format as internal/service, with every
-// label set emitted in sorted order so consecutive scrapes of an idle
-// router are byte-identical (the golden test holds this).
+// per-replica gauges read live at scrape time, exposed through the same
+// obs.PromWriter as internal/service with every label set in sorted
+// order, so consecutive scrapes of an idle router are byte-identical
+// (the golden test holds this).
 type fleetMetrics struct {
 	mu sync.Mutex
 	// requests[endpoint][outcome] counts finished router requests.
@@ -35,7 +36,7 @@ type fleetMetrics struct {
 	// hopHist is the per-attempt latency histogram, split by why the
 	// hop happened (first | retry | hedge | last-resort). All kinds are
 	// pre-registered so an idle scrape is complete and byte-stable.
-	hopHist map[string]*hopHistogram
+	hopHist map[string]*obs.Histogram
 
 	// replicaStates reads live per-replica liveness and breaker state,
 	// sorted by replica ID.
@@ -49,52 +50,30 @@ type replicaState struct {
 	breaker int
 }
 
-// hopBuckets are the upper bounds (seconds) of the hop-latency
-// histogram; one hop is a full replica round trip, so the range matches
-// the replicas' own solve histogram.
-var hopBuckets = [...]float64{0.001, 0.005, 0.025, 0.1, 0.25, 1, 2.5, 10, 30}
-
-// hopHistogram is one cumulative-bucket hop-latency histogram.
-type hopHistogram struct {
-	bucketN [len(hopBuckets) + 1]int64 // + 1 for +Inf
-	sum     float64
-	count   int64
-}
-
 // hopKinds pre-registers every hop kind the router emits.
 var hopKinds = [...]string{"first", "retry", "hedge", "last-resort"}
 
 func newFleetMetrics() *fleetMetrics {
 	m := &fleetMetrics{
 		requests: make(map[string]map[string]int64),
-		hopHist:  make(map[string]*hopHistogram),
+		hopHist:  make(map[string]*obs.Histogram),
 	}
 	for _, k := range hopKinds {
-		m.hopHist[k] = &hopHistogram{}
+		m.hopHist[k] = new(obs.Histogram)
 	}
 	return m
 }
 
 // observeHop records one finished backend attempt of the given kind.
 func (m *fleetMetrics) observeHop(kind string, d time.Duration) {
-	s := d.Seconds()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	h := m.hopHist[kind]
 	if h == nil {
-		h = &hopHistogram{}
+		h = new(obs.Histogram)
 		m.hopHist[kind] = h
 	}
-	idx := len(hopBuckets) // +Inf
-	for i, ub := range hopBuckets {
-		if s <= ub {
-			idx = i
-			break
-		}
-	}
-	h.bucketN[idx]++
-	h.sum += s
-	h.count++
+	h.Observe(d)
 }
 
 func (m *fleetMetrics) request(endpoint, outcome string) {
@@ -142,81 +121,38 @@ func (m *fleetMetrics) snapshot() (retries, hedges, failovers, warmsync int64) {
 func (m *fleetMetrics) write(w io.Writer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	p := obs.PromWriter{W: w}
 
-	fmt.Fprintln(w, "# HELP pestod_fleet_requests_total Finished fleet-router requests by endpoint and outcome.")
-	fmt.Fprintln(w, "# TYPE pestod_fleet_requests_total counter")
-	for _, ep := range sortedKeys(m.requests) {
-		byOutcome := m.requests[ep]
-		for _, oc := range sortedKeys(byOutcome) {
-			fmt.Fprintf(w, "pestod_fleet_requests_total{endpoint=%q,outcome=%q} %d\n", ep, oc, byOutcome[oc])
+	p.Family("pestod_fleet_requests_total", "counter", "Finished fleet-router requests by endpoint and outcome.")
+	for _, ep := range obs.ScrapeOrder(m.requests) {
+		for _, oc := range obs.ScrapeOrder(m.requests[ep]) {
+			p.Sample("pestod_fleet_requests_total", m.requests[ep][oc], "endpoint", ep, "outcome", oc)
 		}
 	}
-
-	fmt.Fprintln(w, "# HELP pestod_fleet_retries_total Failed full ring passes that backed off and retried.")
-	fmt.Fprintln(w, "# TYPE pestod_fleet_retries_total counter")
-	fmt.Fprintf(w, "pestod_fleet_retries_total %d\n", m.retries)
-	fmt.Fprintln(w, "# HELP pestod_fleet_hedges_total Hedge requests fired at the next ring replica.")
-	fmt.Fprintln(w, "# TYPE pestod_fleet_hedges_total counter")
-	fmt.Fprintf(w, "pestod_fleet_hedges_total %d\n", m.hedges)
-	fmt.Fprintln(w, "# HELP pestod_fleet_hedge_wins_total Hedge requests whose answer was served.")
-	fmt.Fprintln(w, "# TYPE pestod_fleet_hedge_wins_total counter")
-	fmt.Fprintf(w, "pestod_fleet_hedge_wins_total %d\n", m.hedgeWins)
-	fmt.Fprintln(w, "# HELP pestod_fleet_failovers_total Requests answered by a replica other than the ring owner.")
-	fmt.Fprintln(w, "# TYPE pestod_fleet_failovers_total counter")
-	fmt.Fprintf(w, "pestod_fleet_failovers_total %d\n", m.failovers)
-	fmt.Fprintln(w, "# HELP pestod_fleet_warmsync_keys_total Cache entries installed into rejoining replicas.")
-	fmt.Fprintln(w, "# TYPE pestod_fleet_warmsync_keys_total counter")
-	fmt.Fprintf(w, "pestod_fleet_warmsync_keys_total %d\n", m.warmsyncKeys)
-	fmt.Fprintln(w, "# HELP pestod_fleet_batch_entries_total Batch entries received by POST /v1/place/batch.")
-	fmt.Fprintln(w, "# TYPE pestod_fleet_batch_entries_total counter")
-	fmt.Fprintf(w, "pestod_fleet_batch_entries_total %d\n", m.batchRequests)
-	fmt.Fprintln(w, "# HELP pestod_fleet_batch_deduped_total Batch entries answered by another identical entry's solve.")
-	fmt.Fprintln(w, "# TYPE pestod_fleet_batch_deduped_total counter")
-	fmt.Fprintf(w, "pestod_fleet_batch_deduped_total %d\n", m.batchDeduped)
-
-	fmt.Fprintln(w, "# HELP pestod_fleet_hop_latency_seconds Latency of one backend attempt, by hop kind (first/retry/hedge/last-resort).")
-	fmt.Fprintln(w, "# TYPE pestod_fleet_hop_latency_seconds histogram")
-	for _, kind := range sortedKeys(m.hopHist) {
-		h := m.hopHist[kind]
-		cum := int64(0)
-		for i, ub := range hopBuckets {
-			cum += h.bucketN[i]
-			fmt.Fprintf(w, "pestod_fleet_hop_latency_seconds_bucket{kind=%q,le=%q} %d\n", kind, trimHopFloat(ub), cum)
-		}
-		cum += h.bucketN[len(hopBuckets)]
-		fmt.Fprintf(w, "pestod_fleet_hop_latency_seconds_bucket{kind=%q,le=\"+Inf\"} %d\n", kind, cum)
-		fmt.Fprintf(w, "pestod_fleet_hop_latency_seconds_sum{kind=%q} %g\n", kind, h.sum)
-		fmt.Fprintf(w, "pestod_fleet_hop_latency_seconds_count{kind=%q} %d\n", kind, h.count)
-	}
+	p.Counter("pestod_fleet_retries_total", "Failed full ring passes that backed off and retried.", m.retries)
+	p.Counter("pestod_fleet_hedges_total", "Hedge requests fired at the next ring replica.", m.hedges)
+	p.Counter("pestod_fleet_hedge_wins_total", "Hedge requests whose answer was served.", m.hedgeWins)
+	p.Counter("pestod_fleet_failovers_total", "Requests answered by a replica other than the ring owner.", m.failovers)
+	p.Counter("pestod_fleet_warmsync_keys_total", "Cache entries installed into rejoining replicas.", m.warmsyncKeys)
+	p.Counter("pestod_fleet_batch_entries_total", "Batch entries received by POST /v1/place/batch.", m.batchRequests)
+	p.Counter("pestod_fleet_batch_deduped_total", "Batch entries answered by another identical entry's solve.", m.batchDeduped)
+	p.Histograms("pestod_fleet_hop_latency_seconds", "Latency of one backend attempt, by hop kind (first/retry/hedge/last-resort).", "kind", m.hopHist)
 
 	var states []replicaState
 	if m.replicaStates != nil {
 		states = m.replicaStates()
 	}
 	sort.Slice(states, func(a, b int) bool { return states[a].id < states[b].id })
-	fmt.Fprintln(w, "# HELP pestod_fleet_replica_up Replica liveness as seen by the router (1 = taking traffic).")
-	fmt.Fprintln(w, "# TYPE pestod_fleet_replica_up gauge")
+	p.Family("pestod_fleet_replica_up", "gauge", "Replica liveness as seen by the router (1 = taking traffic).")
 	for _, st := range states {
 		up := 0
 		if st.up {
 			up = 1
 		}
-		fmt.Fprintf(w, "pestod_fleet_replica_up{replica=%q} %d\n", st.id, up)
+		p.Sample("pestod_fleet_replica_up", up, "replica", st.id)
 	}
-	fmt.Fprintln(w, "# HELP pestod_fleet_breaker_state Circuit-breaker state per replica (0 closed, 1 half-open, 2 open).")
-	fmt.Fprintln(w, "# TYPE pestod_fleet_breaker_state gauge")
+	p.Family("pestod_fleet_breaker_state", "gauge", "Circuit-breaker state per replica (0 closed, 1 half-open, 2 open).")
 	for _, st := range states {
-		fmt.Fprintf(w, "pestod_fleet_breaker_state{replica=%q} %d\n", st.id, st.breaker)
+		p.Sample("pestod_fleet_breaker_state", st.breaker, "replica", st.id)
 	}
-}
-
-func trimHopFloat(f float64) string { return fmt.Sprintf("%g", f) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

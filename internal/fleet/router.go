@@ -125,6 +125,9 @@ func (c Config) withDefaults(replicas int) Config {
 	if c.BatchParallel <= 0 {
 		c.BatchParallel = 2 * replicas
 	}
+	if c.TraceHistory <= 0 {
+		c.TraceHistory = 1024
+	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
@@ -177,9 +180,9 @@ type Router struct {
 	repByID map[string]*replica
 	mux     *http.ServeMux
 	met     *fleetMetrics
-	lat     *latencyTracker
+	lat     *obs.Ring[time.Duration] // answered attempts' latencies, for hedgeDelay
 	pool    *engine.Pool
-	traces  *traceStore
+	traces  *obs.Store[*liveTrace]
 }
 
 // New builds a Router over the backends. Backend IDs must be non-empty
@@ -203,10 +206,10 @@ func New(cfg Config, backends ...Backend) (*Router, error) {
 		cfg:     cfg,
 		ring:    newRing(ids, cfg.VNodes),
 		met:     newFleetMetrics(),
-		lat:     &latencyTracker{},
+		lat:     obs.NewRing[time.Duration](hedgeWindow),
 		mux:     http.NewServeMux(),
 		pool:    engine.New(cfg.BatchParallel),
-		traces:  newTraceStore(cfg.TraceHistory),
+		traces:  obs.NewStore[*liveTrace](cfg.TraceHistory),
 		repByID: make(map[string]*replica, len(backends)),
 	}
 	for _, b := range backends {
@@ -306,9 +309,9 @@ func (rt *Router) warmSync(ctx context.Context, target *replica) int {
 	// Warm-sync is traced like client traffic: every export/import call
 	// is a hop of one synthetic trace, so a rejoin's data movement is
 	// reconstructable the same way a request's failover is.
-	lt := newLiveTrace(obs.TraceContext{TraceID: "warmsync-" + obs.NewTraceID()},
-		target.b.ID(), http.MethodPost, "/v1/cache/import")
-	rt.traces.put(lt)
+	tc := obs.TraceContext{TraceID: "warmsync-" + obs.NewTraceID()}
+	lt := newLiveTrace(tc, target.b.ID(), http.MethodPost, "/v1/cache/import")
+	rt.traces.Put(tc.TraceID, lt)
 	installed := 0
 	for _, a := range rt.ring.arcs(idx) {
 		for _, peer := range rt.reps {
@@ -382,7 +385,7 @@ func (rt *Router) DoTraced(ctx context.Context, method, path string, body []byte
 	}
 	order := rt.ring.successors(service.RingPoint(fp))
 	lt := newLiveTrace(tc, rt.reps[order[0]].b.ID(), method, path)
-	rt.traces.put(lt)
+	rt.traces.Put(tc.TraceID, lt)
 	var lastErr error
 	var retryAfter time.Duration
 	for pass := 0; pass < rt.cfg.Passes; pass++ {
@@ -426,7 +429,7 @@ func (rt *Router) DoTraced(ctx context.Context, method, path string, body []byte
 
 // Trace reads back the router's hop record of a recent trace.
 func (rt *Router) Trace(id string) (TraceRecord, bool) {
-	lt, ok := rt.traces.get(id)
+	lt, ok := rt.traces.Get(id)
 	if !ok {
 		return TraceRecord{}, false
 	}
@@ -537,7 +540,7 @@ func (rt *Router) attempt(ctx context.Context, prim, hedge *replica, method, pat
 		rt.observeLatency(res)
 		return res.resp, res.rep, res.seq, res.err
 	}
-	timer := time.NewTimer(rt.lat.p95(rt.cfg.HedgeMin, rt.cfg.HedgeMax))
+	timer := time.NewTimer(rt.hedgeDelay())
 	defer timer.Stop()
 	pending := 1
 	select {
@@ -556,8 +559,7 @@ func (rt *Router) attempt(ctx context.Context, prim, hedge *replica, method, pat
 		res := <-ch
 		pending--
 		last = res
-		if res.err == nil && res.resp.Status < 500 &&
-			res.resp.Status != http.StatusTooManyRequests {
+		if answered(res) {
 			break
 		}
 	}
@@ -568,10 +570,39 @@ func (rt *Router) attempt(ctx context.Context, prim, hedge *replica, method, pat
 	return last.resp, last.rep, last.seq, last.err
 }
 
+// answered reports whether an attempt produced an answer the router
+// can serve: no transport error, no 5xx and no 429 refusal.
+func answered(res attemptResult) bool {
+	return res.err == nil && res.resp.Status < 500 && res.resp.Status != http.StatusTooManyRequests
+}
+
+// observeLatency admits an answered attempt's latency to the hedge
+// window. Refusals are left out: a saturated replica's fast 429s would
+// otherwise pull the hedge delay down exactly when replicas refuse work.
 func (rt *Router) observeLatency(res attemptResult) {
-	if res.err == nil && res.resp != nil && res.resp.Status < 500 {
-		rt.lat.observe(res.dur)
+	if answered(res) {
+		rt.lat.Add(res.dur)
 	}
+}
+
+// hedgeWindow bounds the hedge-delay latency window: enough history
+// for a stable p95, small enough that the fleet adapts to a latency
+// regime change within a few hundred requests.
+const hedgeWindow = 256
+
+// hedgeDelay is how long an attempt runs before it is hedged: the
+// nearest-rank p95 of recent answered attempts, clamped to
+// [HedgeMin, HedgeMax]. With fewer than 8 samples it is HedgeMax —
+// hedging waits until there is evidence of what "slow" means.
+func (rt *Router) hedgeDelay() time.Duration {
+	p, n := obs.Quantile(rt.lat, 95)
+	switch {
+	case n < 8:
+		return rt.cfg.HedgeMax
+	case p < rt.cfg.HedgeMin:
+		return rt.cfg.HedgeMin
+	}
+	return min(p, rt.cfg.HedgeMax)
 }
 
 // backoffJitterSalt versions the jitter hash.
@@ -812,7 +843,7 @@ func countNeg(xs []int) int64 {
 // itself always survives at the router.
 func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	lt, ok := rt.traces.get(id)
+	lt, ok := rt.traces.Get(id)
 	if !ok {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusNotFound)
@@ -820,14 +851,8 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := lt.snapshot()
-	hops := make([]trace.FleetHop, len(rec.Hops))
-	dumps := make([][]trace.FleetSpanRecord, len(rec.Hops))
+	dumps := make([][]obs.SpanRecord, len(rec.Hops))
 	for i, h := range rec.Hops {
-		hops[i] = trace.FleetHop{
-			Seq: h.Seq, Replica: h.Replica, Pass: h.Pass, Kind: h.Kind,
-			RequestID: h.RequestID, StartNs: h.StartNs, EndNs: h.EndNs,
-			Status: h.Status, Err: h.Err, Served: h.Served,
-		}
 		rep := rt.repByID[h.Replica]
 		if rep == nil {
 			continue
@@ -837,7 +862,7 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		var dump struct {
-			Records []trace.FleetSpanRecord `json:"records"`
+			Records []obs.SpanRecord `json:"records"`
 		}
 		if json.Unmarshal(resp.Body, &dump) != nil {
 			continue
@@ -846,7 +871,7 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="pesto-fleet-trace.json"`)
-	trace.WriteChromeTraceFleet(w, id, hops, dumps)
+	trace.WriteChromeTraceFleet(w, id, rec.Hops, dumps)
 }
 
 // handleHealth reports the router's view of the fleet. 200 while at

@@ -286,6 +286,49 @@ func TestRouterHedgesSlowReplica(t *testing.T) {
 	}
 }
 
+// TestHedgeWindowSkipsRefusals: a 429 is no answer, so it never enters
+// the hedge window. A replica refusing instantly leaves the delay at
+// HedgeMax, and refusals mixed into a stream of answers leave the delay
+// where the answers alone put it.
+func TestHedgeWindowSkipsRefusals(t *testing.T) {
+	refuse := &fakeBackend{id: "solo", fn: func(ctx context.Context, method, path string, body []byte) (*Response, error) {
+		return &Response{Status: http.StatusTooManyRequests, Header: make(http.Header), Body: []byte(`{}`)}, nil
+	}}
+	cfg := Config{HedgeMin: time.Microsecond, HedgeMax: time.Second, Passes: 1,
+		Sleep: func(ctx context.Context, d time.Duration) error { return nil }}
+	rt, err := New(cfg, refuse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fp := placeBody(t, 1)
+	for i := 0; i < 50; i++ {
+		if _, err := rt.Do(context.Background(), http.MethodPost, "/v1/place", nil, fp); err == nil {
+			t.Fatal("a refused request succeeded")
+		}
+	}
+	if got := rt.hedgeDelay(); got != cfg.HedgeMax {
+		t.Fatalf("hedge delay after 50 instant 429s = %v, want HedgeMax %v", got, cfg.HedgeMax)
+	}
+
+	mixed, err := New(cfg, refuse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answersOnly, err := New(cfg, refuse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		ok := attemptResult{resp: ok200(`{}`), dur: time.Duration(10+i) * time.Millisecond}
+		mixed.observeLatency(ok)
+		answersOnly.observeLatency(ok)
+		mixed.observeLatency(attemptResult{resp: &Response{Status: http.StatusTooManyRequests}, dur: time.Microsecond})
+	}
+	if got, want := mixed.hedgeDelay(), answersOnly.hedgeDelay(); got != want {
+		t.Fatalf("hedge delay over 200s mixed with 429s = %v, over the 200s alone = %v", got, want)
+	}
+}
+
 // TestRouterLastResortIgnoresGates: when detection says everything is
 // down but a replica actually works (probe blackhole), requests still
 // get through via the gate-free last-resort sweep.

@@ -4,36 +4,21 @@ import (
 	"sync"
 
 	"pesto/internal/obs"
+	"pesto/internal/trace"
 )
-
-// Hop is one backend attempt the router made on behalf of a traced
-// request: which replica, which failover pass, and why the attempt
-// happened (first try, retry, hedge, last resort, warm-sync). Seq is
-// the hop's position in the trace — the router derives the attempt's
-// X-Request-ID from it (`<traceID>.h<seq>`), which is the key under
-// which the serving replica retains the attempt's span dump.
-type Hop struct {
-	Seq       int    `json:"seq"`
-	Replica   string `json:"replica"`
-	Pass      int    `json:"pass"`
-	Kind      string `json:"kind"` // first | retry | hedge | last-resort | warm-sync
-	RequestID string `json:"requestId"`
-	StartNs   int64  `json:"startNs"`
-	EndNs     int64  `json:"endNs"`
-	Status    int    `json:"status,omitempty"` // 0 = transport failure
-	Err       string `json:"err,omitempty"`
-	Served    bool   `json:"served,omitempty"` // this hop's response was returned to the client
-}
 
 // TraceRecord is the router's account of one traced request: the trace
 // identity, the ring owner the first attempt targeted, and every hop
-// in begin order.
+// in begin order. A hop's Seq is its position in the trace — the
+// router derives the attempt's X-Request-ID from it
+// (`<traceID>.h<seq>`), the key under which the serving replica
+// retains the attempt's span dump.
 type TraceRecord struct {
-	TraceID string `json:"traceId"`
-	Owner   string `json:"owner"`
-	Method  string `json:"method"`
-	Path    string `json:"path"`
-	Hops    []Hop  `json:"hops"`
+	TraceID string           `json:"traceId"`
+	Owner   string           `json:"owner"`
+	Method  string           `json:"method"`
+	Path    string           `json:"path"`
+	Hops    []trace.FleetHop `json:"hops"`
 }
 
 // liveTrace is a TraceRecord under construction. Hops begin and end on
@@ -63,7 +48,7 @@ func (lt *liveTrace) beginHop(kind, replica string, pass int, startNs int64) (se
 	lt.next++
 	reqID = lt.tc.HopRequestID(seq)
 	header = obs.TraceContext{TraceID: lt.tc.TraceID, Hop: seq, Parent: lt.tc.Parent}.Header()
-	lt.rec.Hops = append(lt.rec.Hops, Hop{
+	lt.rec.Hops = append(lt.rec.Hops, trace.FleetHop{
 		Seq:       seq,
 		Replica:   replica,
 		Pass:      pass,
@@ -107,45 +92,7 @@ func (lt *liveTrace) snapshot() TraceRecord {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	rec := lt.rec
-	rec.Hops = make([]Hop, len(lt.rec.Hops))
+	rec.Hops = make([]trace.FleetHop, len(lt.rec.Hops))
 	copy(rec.Hops, lt.rec.Hops)
 	return rec
-}
-
-// traceStore retains the router's view of the last N traces, keyed by
-// trace ID. Same ring discipline as the replicas' span stores: a new
-// trace evicts the oldest, a repeated ID overwrites in place.
-type traceStore struct {
-	mu    sync.Mutex
-	byID  map[string]*liveTrace
-	order []string
-	limit int
-}
-
-func newTraceStore(limit int) *traceStore {
-	if limit <= 0 {
-		limit = 1024
-	}
-	return &traceStore{byID: make(map[string]*liveTrace), limit: limit}
-}
-
-func (ts *traceStore) put(lt *liveTrace) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	id := lt.rec.TraceID
-	if _, ok := ts.byID[id]; !ok {
-		for len(ts.order) >= ts.limit {
-			delete(ts.byID, ts.order[0])
-			ts.order = ts.order[1:]
-		}
-		ts.order = append(ts.order, id)
-	}
-	ts.byID[id] = lt
-}
-
-func (ts *traceStore) get(id string) (*liveTrace, bool) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	lt, ok := ts.byID[id]
-	return lt, ok
 }

@@ -8,8 +8,8 @@
 // `pesto -replay-bundle` re-runs byte-deterministically.
 //
 // Like internal/obs it is stdlib-only and safe for concurrent use;
-// the ring is an obs.Sink, so it taps the same per-request recorder
-// the span store uses.
+// the recorder is an obs.Sink over an obs.Ring, so it taps the same
+// per-request recorder the span store uses.
 package flight
 
 import (
@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"time"
 
@@ -26,108 +25,6 @@ import (
 
 // Schema versions the bundle wire format.
 const Schema = "pesto/flight-bundle/v1"
-
-// Ring is a bounded ring buffer of telemetry records: the newest
-// RingSize records of the process, overwriting the oldest. It
-// implements obs.Sink so per-request recorders can tee into it.
-type Ring struct {
-	mu    sync.Mutex
-	buf   []obs.Record
-	next  int
-	full  bool
-	total uint64
-}
-
-// NewRing builds a ring holding size records (<=0 means 4096).
-func NewRing(size int) *Ring {
-	if size <= 0 {
-		size = 4096
-	}
-	return &Ring{buf: make([]obs.Record, size)}
-}
-
-// Record implements obs.Sink.
-func (r *Ring) Record(rec obs.Record) {
-	r.mu.Lock()
-	r.buf[r.next] = rec
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.total++
-	r.mu.Unlock()
-}
-
-// Snapshot copies the buffered records, oldest first.
-func (r *Ring) Snapshot() []obs.Record {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		out := make([]obs.Record, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
-	out := make([]obs.Record, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Len reports how many records the ring currently holds.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}
-
-// Total reports how many records have ever been recorded.
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// SpanRecord is the bundle's wire form of one telemetry record — the
-// same shape the span-dump endpoint uses, so bundles and span dumps
-// read identically.
-type SpanRecord struct {
-	Kind   string            `json:"kind"`
-	Name   string            `json:"name"`
-	TsNs   int64             `json:"tsNs"`
-	DurNs  int64             `json:"durNs,omitempty"`
-	Span   uint64            `json:"span,omitempty"`
-	Parent uint64            `json:"parent,omitempty"`
-	Value  float64           `json:"value,omitempty"`
-	Attrs  map[string]string `json:"attrs,omitempty"`
-}
-
-// FromObsRecords converts telemetry records to the bundle wire form.
-func FromObsRecords(recs []obs.Record) []SpanRecord {
-	out := make([]SpanRecord, 0, len(recs))
-	for _, rec := range recs {
-		sr := SpanRecord{
-			Kind:   rec.Kind.String(),
-			Name:   rec.Name,
-			TsNs:   int64(rec.Ts),
-			DurNs:  int64(rec.Dur),
-			Span:   rec.ID,
-			Parent: rec.Parent,
-			Value:  rec.Value,
-		}
-		if len(rec.Attrs) > 0 {
-			sr.Attrs = make(map[string]string, len(rec.Attrs))
-			for _, a := range rec.Attrs {
-				sr.Attrs[a.Key] = a.Value
-			}
-		}
-		out = append(out, sr)
-	}
-	return out
-}
 
 // Bundle is one self-contained repro capture. Graph, Options and
 // Response are the exact request/response bytes (already normalized by
@@ -148,7 +45,7 @@ type Bundle struct {
 	Graph         json.RawMessage  `json:"graph,omitempty"`
 	Options       json.RawMessage  `json:"options,omitempty"`
 	Response      json.RawMessage  `json:"response,omitempty"`
-	Spans         []SpanRecord     `json:"spans,omitempty"`
+	Spans         []obs.SpanRecord `json:"spans,omitempty"`
 	Counters      map[string]int64 `json:"counters,omitempty"`
 	// Replayable marks bundles carrying a complete (graph, options)
 	// pair whose solve is expected to reproduce byte-identically.
@@ -170,9 +67,6 @@ func ReadBundleFile(path string) (Bundle, error) {
 	}
 	return b, nil
 }
-
-// defaultBaselineWindow is Config.BaselineWindow's default.
-const defaultBaselineWindow = 512
 
 // Config sizes a Recorder. Zero values mean defaults.
 type Config struct {
@@ -206,7 +100,7 @@ func (c Config) withDefaults() Config {
 		c.RingSize = 4096
 	}
 	if c.BaselineWindow <= 0 {
-		c.BaselineWindow = defaultBaselineWindow
+		c.BaselineWindow = 512
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 32
@@ -227,16 +121,16 @@ func (c Config) withDefaults() Config {
 }
 
 // Recorder is the per-process flight recorder: the always-on ring, the
-// rolling latency baseline, and the bundle writer. All methods are
-// safe for concurrent use; no goroutines are spawned.
+// rolling latency baseline, and the bundle writer. It implements
+// obs.Sink by admitting records to the ring, so per-request recorders
+// tee into it. All methods are safe for concurrent use; no goroutines
+// are spawned.
 type Recorder struct {
 	cfg  Config
-	ring *Ring
+	ring *obs.Ring[obs.Record]
+	lat  *obs.Ring[time.Duration]
 
 	mu      sync.Mutex
-	lat     []time.Duration
-	latNext int
-	latFull bool
 	seq     int
 	written int
 	dropped int64
@@ -245,11 +139,19 @@ type Recorder struct {
 // New builds a recorder.
 func New(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
-	return &Recorder{cfg: cfg, ring: NewRing(cfg.RingSize)}
+	return &Recorder{
+		cfg:  cfg,
+		ring: obs.NewRing[obs.Record](cfg.RingSize),
+		lat:  obs.NewRing[time.Duration](cfg.BaselineWindow),
+	}
 }
 
-// Ring is the always-on record ring; register it as an obs sink.
-func (r *Recorder) Ring() *Ring { return r.ring }
+// Record implements obs.Sink.
+func (r *Recorder) Record(rec obs.Record) { r.ring.Add(rec) }
+
+// Ring is the always-on record ring: the newest RingSize records of
+// the process, oldest first.
+func (r *Recorder) Ring() *obs.Ring[obs.Record] { return r.ring }
 
 // SlowSolve checks d against the rolling p99 baseline and then admits
 // it into the window (check-then-record: a latency never competes with
@@ -259,48 +161,12 @@ func (r *Recorder) Ring() *Ring { return r.ring }
 func (r *Recorder) SlowSolve(d time.Duration) (slow bool, p99 time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.lat == nil {
-		r.lat = make([]time.Duration, r.cfg.BaselineWindow)
+	if q, n := obs.Quantile(r.lat, 99); n >= r.cfg.MinSamples {
+		p99 = q
+		slow = d >= r.cfg.SlowFloor && float64(d) > float64(p99)*r.cfg.SlowFactor
 	}
-	n := r.latNext
-	if r.latFull {
-		n = r.cfg.BaselineWindow
-	}
-	if n >= r.cfg.MinSamples {
-		p99 = latP99(r.lat, n)
-		if d >= r.cfg.SlowFloor && float64(d) > float64(p99)*r.cfg.SlowFactor {
-			slow = true
-		}
-	}
-	r.lat[r.latNext] = d
-	r.latNext++
-	if r.latNext == r.cfg.BaselineWindow {
-		r.latNext = 0
-		r.latFull = true
-	}
+	r.lat.Add(d)
 	return slow, p99
-}
-
-// latP99 computes the 99th percentile of the window's first n entries
-// (the live region: the whole buffer once the ring has wrapped).
-func latP99(buf []time.Duration, n int) time.Duration {
-	if n == 0 {
-		return 0
-	}
-	// The default window sorts on the stack; only a larger configured
-	// one allocates.
-	var stack [defaultBaselineWindow]time.Duration
-	tmp := stack[:0]
-	if n > len(stack) {
-		tmp = make([]time.Duration, 0, n)
-	}
-	tmp = append(tmp, buf[:n]...)
-	slices.Sort(tmp)
-	idx := (99*n + 99) / 100 // ceil(0.99 n)
-	if idx > n {
-		idx = n
-	}
-	return tmp[idx-1]
 }
 
 // Capture stamps and persists a bundle, returning the file path
@@ -310,7 +176,7 @@ func (r *Recorder) Capture(b Bundle) (Bundle, string, error) {
 	b.Schema = Schema
 	b.CapturedAtNs = r.cfg.Clock().UnixNano()
 	if b.Spans == nil {
-		b.Spans = FromObsRecords(r.ring.Snapshot())
+		b.Spans = obs.SpanRecords(r.ring.Snapshot(nil))
 	}
 	r.mu.Lock()
 	seq := r.seq

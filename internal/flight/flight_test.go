@@ -19,12 +19,14 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// TestRingWrapsOldestFirst: the recorder's ring keeps the newest
+// RingSize records, oldest first, and counts every record.
 func TestRingWrapsOldestFirst(t *testing.T) {
-	r := NewRing(4)
+	r := New(Config{RingSize: 4})
 	for i := 0; i < 6; i++ {
 		r.Record(obs.Record{Kind: obs.KindPoint, Name: fmt.Sprintf("p%d", i)})
 	}
-	snap := r.Snapshot()
+	snap := r.Ring().Snapshot(nil)
 	if len(snap) != 4 {
 		t.Fatalf("len = %d, want 4", len(snap))
 	}
@@ -33,15 +35,15 @@ func TestRingWrapsOldestFirst(t *testing.T) {
 			t.Fatalf("snap[%d] = %q, want %q", i, rec.Name, want)
 		}
 	}
-	if r.Total() != 6 || r.Len() != 4 {
-		t.Fatalf("Total = %d Len = %d, want 6 and 4", r.Total(), r.Len())
+	if got := r.Ring().Total(); got != 6 {
+		t.Fatalf("Total = %d, want 6", got)
 	}
 }
 
 // TestRingConcurrent races writers against snapshots; the race
 // detector is the assertion.
 func TestRingConcurrent(t *testing.T) {
-	r := NewRing(64)
+	r := New(Config{RingSize: 64})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -56,7 +58,7 @@ func TestRingConcurrent(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			snap := r.Snapshot()
+			snap := r.Ring().Snapshot(nil)
 			if len(snap) > 64 {
 				t.Errorf("snapshot overflow: %d", len(snap))
 				return
@@ -65,7 +67,7 @@ func TestRingConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if got := r.Total(); got != 8*500 {
+	if got := r.Ring().Total(); got != 8*500 {
 		t.Fatalf("Total = %d, want %d", got, 8*500)
 	}
 }
@@ -110,7 +112,7 @@ func TestCaptureWritesBundle(t *testing.T) {
 	dir := t.TempDir()
 	clock := func() time.Time { return time.Unix(1754550000, 123) }
 	r := New(Config{Dir: dir, Clock: clock})
-	r.Ring().Record(obs.Record{Kind: obs.KindSpan, Name: "solve", Ts: 10, Dur: 20, ID: 1})
+	r.Record(obs.Record{Kind: obs.KindSpan, Name: "solve", Ts: 10, Dur: 20, ID: 1})
 	b, path, err := r.Capture(Bundle{Trigger: "slow-solve", RequestID: "rid1", Stage: "ilp-exact"})
 	if err != nil {
 		t.Fatalf("Capture: %v", err)
@@ -139,7 +141,7 @@ func TestCaptureMaxBundles(t *testing.T) {
 	r := New(Config{Dir: dir, MaxBundles: 2, Clock: func() time.Time { return time.Unix(0, 0) }})
 	paths := 0
 	for i := 0; i < 5; i++ {
-		_, p, err := r.Capture(Bundle{Trigger: "degraded-fallback", Spans: []SpanRecord{}})
+		_, p, err := r.Capture(Bundle{Trigger: "degraded-fallback", Spans: []obs.SpanRecord{}})
 		if err != nil {
 			t.Fatalf("Capture %d: %v", i, err)
 		}
@@ -177,7 +179,7 @@ func TestCaptureNoGoroutineLeak(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				r.SlowSolve(time.Duration(i) * time.Millisecond)
-				r.Capture(Bundle{Trigger: "slow-solve", Spans: []SpanRecord{}})
+				r.Capture(Bundle{Trigger: "slow-solve", Spans: []obs.SpanRecord{}})
 			}
 		}()
 	}
@@ -210,7 +212,7 @@ func TestBundleGolden(t *testing.T) {
 		Graph:         json.RawMessage(`{"nodes":[]}`),
 		Options:       json.RawMessage(`{"seed":42}`),
 		Response:      json.RawMessage(`{"stage":"ilp-exact"}`),
-		Spans: []SpanRecord{
+		Spans: []obs.SpanRecord{
 			{Kind: "span", Name: "solve", TsNs: 1000, DurNs: 2000, Span: 1, Attrs: map[string]string{"stage": "ilp-exact"}},
 			{Kind: "sample", Name: "counter.lp.pivots", TsNs: 3000, Value: 17},
 		},
@@ -243,30 +245,32 @@ func TestBundleGolden(t *testing.T) {
 	}
 }
 
-// TestLatP99Exact holds latP99 to the copy-and-sort it replaced, on
-// random windows of the default size and a larger one, partly filled
-// and full, and to sorting the default window without allocating.
+// TestLatP99Exact holds the slow-solve baseline to the ⌈0.99·n⌉-th
+// smallest of a copy-and-sort of the window, on random windows of the
+// default size and a larger one, partly filled and full, and to
+// computing the default window's baseline without allocating.
 func TestLatP99Exact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, c := range []struct{ window, n int }{
 		{512, 1}, {512, 31}, {512, 32}, {512, 300}, {512, 511}, {512, 512}, {600, 17}, {600, 600},
 	} {
-		buf := make([]time.Duration, c.window)
-		for i := range buf {
-			buf[i] = time.Duration(rng.Int63n(int64(time.Second)))
+		r := New(Config{BaselineWindow: c.window, MinSamples: 1})
+		ref := make([]time.Duration, c.n)
+		for i := range ref {
+			ref[i] = time.Duration(rng.Int63n(int64(time.Second)))
+			r.lat.Add(ref[i])
 		}
-		ref := append([]time.Duration(nil), buf[:c.n]...)
 		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
 		idx := (99*c.n + 99) / 100
 		if idx > c.n {
 			idx = c.n
 		}
-		if got, want := latP99(buf, c.n), ref[idx-1]; got != want {
-			t.Errorf("window %d, n %d: p99 = %v, want %v", c.window, c.n, got, want)
+		if _, got := r.SlowSolve(0); got != ref[idx-1] {
+			t.Errorf("window %d, n %d: p99 = %v, want %v", c.window, c.n, got, ref[idx-1])
 		}
-		if c.window == defaultBaselineWindow {
-			if allocs := testing.AllocsPerRun(20, func() { latP99(buf, c.n) }); allocs != 0 {
-				t.Errorf("window %d, n %d: latP99 allocates %v times", c.window, c.n, allocs)
+		if c.window == 512 {
+			if allocs := testing.AllocsPerRun(20, func() { obs.Quantile(r.lat, 99) }); allocs != 0 {
+				t.Errorf("window %d, n %d: baseline allocates %v times", c.window, c.n, allocs)
 			}
 		}
 	}

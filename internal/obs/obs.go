@@ -9,7 +9,7 @@
 // a return. Start on a context without a recorder returns the context
 // unchanged and a nil *Span whose End is equally free. The overhead of
 // the disabled path is held to <2% of the placement pipeline by
-// BenchmarkObsOverhead (BENCH_obs.json).
+// BenchmarkObsOverhead, which reports it as disabled_overhead_pct.
 //
 // Recorders travel by context (Into/From), so the solver layers —
 // placement ladder, branch and bound, LP simplex, worker engine,
@@ -92,6 +92,37 @@ type Record struct {
 	Parent uint64        // spans only; 0 = root
 	Value  float64       // samples only
 	Attrs  []Attr
+}
+
+// SpanRecord is the JSON wire form of a Record — kinds by name, times
+// in nanoseconds, attributes folded into an object. The span dump, the
+// flight ring and bundles, and the fleet trace stitcher all read and
+// write this one shape.
+type SpanRecord struct {
+	Kind   string            `json:"kind"`
+	Name   string            `json:"name"`
+	TsNs   int64             `json:"tsNs"`
+	DurNs  int64             `json:"durNs,omitempty"`
+	Span   uint64            `json:"span,omitempty"`
+	Parent uint64            `json:"parent,omitempty"`
+	Value  float64           `json:"value,omitempty"`
+	Attrs  map[string]string `json:"attrs,omitempty"`
+}
+
+// SpanRecords converts records to their wire form.
+func SpanRecords(recs []Record) []SpanRecord {
+	out := make([]SpanRecord, len(recs))
+	for i, rec := range recs {
+		out[i] = SpanRecord{Kind: rec.Kind.String(), Name: rec.Name, TsNs: int64(rec.Ts),
+			DurNs: int64(rec.Dur), Span: rec.ID, Parent: rec.Parent, Value: rec.Value}
+		if len(rec.Attrs) > 0 {
+			out[i].Attrs = make(map[string]string, len(rec.Attrs))
+			for _, a := range rec.Attrs {
+				out[i].Attrs[a.Key] = a.Value
+			}
+		}
+	}
+	return out
 }
 
 // Sink consumes records. Implementations must be safe for concurrent

@@ -169,11 +169,9 @@ func TestBoundedMemorySink(t *testing.T) {
 	rec.Point("a")
 	rec.Point("b")
 	rec.Point("c")
-	if sink.Len() != 2 {
-		t.Errorf("Len = %d, want 2", sink.Len())
-	}
-	if sink.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1", sink.Dropped())
+	recs := sink.Records()
+	if len(recs) != 2 || recs[0].Name != "a" || recs[1].Name != "b" {
+		t.Errorf("records = %+v, want the first two, a and b", recs)
 	}
 }
 
@@ -277,8 +275,8 @@ func TestConcurrentSpansAndSinks(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if sink.Len() != 400 {
-		t.Errorf("records = %d, want 400", sink.Len())
+	if n := len(sink.Records()); n != 400 {
+		t.Errorf("records = %d, want 400", n)
 	}
 	if rec.Counter("engine.tasks") != 400 {
 		t.Errorf("engine.tasks = %d, want 400", rec.Counter("engine.tasks"))

@@ -15,14 +15,13 @@ type MemorySink struct {
 	mu      sync.Mutex
 	records []Record
 	limit   int // 0 = unbounded
-	dropped int
 }
 
 // NewMemorySink builds an unbounded memory sink.
 func NewMemorySink() *MemorySink { return &MemorySink{} }
 
-// NewBoundedMemorySink builds a memory sink keeping at most limit
-// records; further records are counted as dropped, not stored.
+// NewBoundedMemorySink builds a memory sink keeping the first limit
+// records; later records are discarded.
 func NewBoundedMemorySink(limit int) *MemorySink { return &MemorySink{limit: limit} }
 
 // Record implements Sink.
@@ -30,7 +29,6 @@ func (m *MemorySink) Record(rec Record) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.limit > 0 && len(m.records) >= m.limit {
-		m.dropped++
 		return
 	}
 	m.records = append(m.records, rec)
@@ -43,20 +41,6 @@ func (m *MemorySink) Records() []Record {
 	out := make([]Record, len(m.records))
 	copy(out, m.records)
 	return out
-}
-
-// Dropped reports how many records the bound discarded.
-func (m *MemorySink) Dropped() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dropped
-}
-
-// Len reports the number of buffered records.
-func (m *MemorySink) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.records)
 }
 
 // SlogSink delivers records as structured log lines. Combined with

@@ -16,7 +16,7 @@ import (
 const benchIncrGPUMem = int64(16) << 30
 
 // benchIncrWorkload builds the incremental benchmark's edit trace: the
-// BENCH_service graph (gen.Layered seed=7, 96 nodes) mutated by a
+// layered-96 (gen.Layered seed 7, 96 nodes) mutated by a
 // 48-step seeded trace, with every intermediate graph and node map
 // materialized up front so the timed loops pay for placement only.
 func benchIncrWorkload(tb testing.TB) (base *graph.Graph, graphs []*graph.Graph, maps [][]graph.NodeID) {

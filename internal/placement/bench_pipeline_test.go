@@ -15,7 +15,7 @@ import (
 const benchPipelineGPUMem = int64(16) << 30
 
 // benchPipelineWorkload is the pipeline benchmark's fixed input: the
-// layered BENCH_service graph (gen.Layered seed=7, 96 nodes) on a
+// layered-96 (gen.Layered seed 7, 96 nodes) on a
 // 2-GPU box — large enough that the exact ILP rung works for its
 // answer, small enough that the gate's repeated DP solves stay in the
 // milliseconds.

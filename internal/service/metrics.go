@@ -1,24 +1,17 @@
 package service
 
 import (
-	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
+
+	"pesto/internal/obs"
 )
 
-// solveBuckets are the upper bounds (seconds) of the solve-latency
-// histogram. They bracket the serving regimes: cache hits and
-// heuristic-rung solves (≤ 25ms), refinement-rung solves (≤ 1s), and
-// ILP-rung solves (seconds to tens of seconds).
-var solveBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.25, 1, 2.5, 10, 30}
-
 // metrics is the daemon's instrumentation: counters and one histogram
-// behind a mutex, plus live gauges read at scrape time. The exposition
-// is the Prometheus text format, hand-rolled — no dependencies — with
-// every label set emitted in sorted order so consecutive scrapes of an
-// idle server are byte-identical.
+// behind a mutex, plus live gauges read at scrape time, exposed through
+// obs.PromWriter with every label set in sorted order so consecutive
+// scrapes of an idle server are byte-identical.
 type metrics struct {
 	mu sync.Mutex
 	// requests[endpoint][outcome] counts finished requests.
@@ -30,7 +23,7 @@ type metrics struct {
 	planStages map[string]int64
 	// solveHist[stage] is the solve-latency histogram split by the
 	// ladder rung that served the plan ("error" for failed solves).
-	solveHist map[string]*solveHistogram
+	solveHist map[string]*obs.Histogram
 	// incrSolves[path] counts /v1/place/delta solves by how they were
 	// answered: "warm" (partial re-place), "cold" (fallback solve),
 	// "near-hit" (an exact cold solve of the edited graph was already
@@ -69,19 +62,12 @@ type metrics struct {
 	flightStats func() (captured int, droppedFiles int64, ringTotal uint64)
 }
 
-// solveHistogram is one cumulative-bucket latency histogram.
-type solveHistogram struct {
-	bucketN [10]int64 // len(solveBuckets) + 1 for +Inf
-	sum     float64
-	count   int64
-}
-
 func newMetrics() *metrics {
 	return &metrics{
 		requests:      make(map[string]map[string]int64),
 		cacheEvents:   make(map[string]int64),
 		planStages:    make(map[string]int64),
-		solveHist:     make(map[string]*solveHistogram),
+		solveHist:     make(map[string]*obs.Histogram),
 		incrSolves:    make(map[string]int64),
 		pipelinePlans: make(map[string]int64),
 	}
@@ -132,24 +118,14 @@ func (m *metrics) planServed(stage string) {
 }
 
 func (m *metrics) observeSolve(d time.Duration, stage string) {
-	s := d.Seconds()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	h := m.solveHist[stage]
 	if h == nil {
-		h = &solveHistogram{}
+		h = new(obs.Histogram)
 		m.solveHist[stage] = h
 	}
-	idx := len(solveBuckets) // +Inf
-	for i, ub := range solveBuckets {
-		if s <= ub {
-			idx = i
-			break
-		}
-	}
-	h.bucketN[idx]++
-	h.sum += s
-	h.count++
+	h.Observe(d)
 }
 
 // solverProgress folds one request's solver counters into the totals.
@@ -173,138 +149,74 @@ func (m *metrics) solverProgress(nodes, pivots, incumbents, solves, warmHits, wa
 func (m *metrics) write(w io.Writer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	p := obs.PromWriter{W: w}
 
-	fmt.Fprintln(w, "# HELP pestod_requests_total Finished HTTP requests by endpoint and outcome.")
-	fmt.Fprintln(w, "# TYPE pestod_requests_total counter")
-	for _, ep := range sortedKeys(m.requests) {
-		byOutcome := m.requests[ep]
-		for _, oc := range sortedKeys(byOutcome) {
-			fmt.Fprintf(w, "pestod_requests_total{endpoint=%q,outcome=%q} %d\n", ep, oc, byOutcome[oc])
+	p.Family("pestod_requests_total", "counter", "Finished HTTP requests by endpoint and outcome.")
+	for _, ep := range obs.ScrapeOrder(m.requests) {
+		for _, oc := range obs.ScrapeOrder(m.requests[ep]) {
+			p.Sample("pestod_requests_total", m.requests[ep][oc], "endpoint", ep, "outcome", oc)
 		}
 	}
+	p.CounterVec("pestod_cache_events_total", "Plan-cache events (hit, miss, evict).", "event", m.cacheEvents)
+	p.CounterVec("pestod_plans_total", "Served plans by degradation-ladder rung.", "stage", m.planStages)
 
-	fmt.Fprintln(w, "# HELP pestod_cache_events_total Plan-cache events (hit, miss, evict).")
-	fmt.Fprintln(w, "# TYPE pestod_cache_events_total counter")
-	for _, ev := range sortedKeys(m.cacheEvents) {
-		fmt.Fprintf(w, "pestod_cache_events_total{event=%q} %d\n", ev, m.cacheEvents[ev])
-	}
+	p.CounterVec("pestod_incremental_solves_total", "Delta solves by path (warm, cold, near-hit).", "path", m.incrSolves)
+	p.Counter("pestod_incremental_dirty_groups_total", "Coarse groups re-solved by delta solves.", m.incrDirtyGroups)
+	p.Counter("pestod_incremental_groups_total", "Coarse groups processed by delta solves.", m.incrGroups)
 
-	fmt.Fprintln(w, "# HELP pestod_plans_total Served plans by degradation-ladder rung.")
-	fmt.Fprintln(w, "# TYPE pestod_plans_total counter")
-	for _, st := range sortedKeys(m.planStages) {
-		fmt.Fprintf(w, "pestod_plans_total{stage=%q} %d\n", st, m.planStages[st])
-	}
+	p.CounterVec("pestod_pipeline_plans_total", "Pipeline-regime plans by winning microbatch schedule.", "schedule", m.pipelinePlans)
+	p.Counter("pestod_pipeline_stages_total", "Pipeline stages across served pipeline plans.", m.pipelineStages)
+	p.Family("pestod_pipeline_bubble_fraction", "summary", "Bubble fractions of served pipeline plans.")
+	p.Sample("pestod_pipeline_bubble_fraction_sum", m.pipelineBubbleSum)
+	p.Sample("pestod_pipeline_bubble_fraction_count", m.pipelineBubbleCount)
 
-	fmt.Fprintln(w, "# HELP pestod_incremental_solves_total Delta solves by path (warm, cold, near-hit).")
-	fmt.Fprintln(w, "# TYPE pestod_incremental_solves_total counter")
-	for _, p := range sortedKeys(m.incrSolves) {
-		fmt.Fprintf(w, "pestod_incremental_solves_total{path=%q} %d\n", p, m.incrSolves[p])
-	}
-	fmt.Fprintln(w, "# HELP pestod_incremental_dirty_groups_total Coarse groups re-solved by delta solves.")
-	fmt.Fprintln(w, "# TYPE pestod_incremental_dirty_groups_total counter")
-	fmt.Fprintf(w, "pestod_incremental_dirty_groups_total %d\n", m.incrDirtyGroups)
-	fmt.Fprintln(w, "# HELP pestod_incremental_groups_total Coarse groups processed by delta solves.")
-	fmt.Fprintln(w, "# TYPE pestod_incremental_groups_total counter")
-	fmt.Fprintf(w, "pestod_incremental_groups_total %d\n", m.incrGroups)
+	p.Gauge("pestod_queue_depth", "Requests waiting for a solver slot.", gauge(m.queueDepth))
+	p.Gauge("pestod_inflight_solves", "Solves currently running.", gauge(m.inFlight))
+	p.Gauge("pestod_cache_entries", "Live plan-cache entries.", gauge(m.cacheEntries))
 
-	fmt.Fprintln(w, "# HELP pestod_pipeline_plans_total Pipeline-regime plans by winning microbatch schedule.")
-	fmt.Fprintln(w, "# TYPE pestod_pipeline_plans_total counter")
-	for _, sc := range sortedKeys(m.pipelinePlans) {
-		fmt.Fprintf(w, "pestod_pipeline_plans_total{schedule=%q} %d\n", sc, m.pipelinePlans[sc])
-	}
-	fmt.Fprintln(w, "# HELP pestod_pipeline_stages_total Pipeline stages across served pipeline plans.")
-	fmt.Fprintln(w, "# TYPE pestod_pipeline_stages_total counter")
-	fmt.Fprintf(w, "pestod_pipeline_stages_total %d\n", m.pipelineStages)
-	fmt.Fprintln(w, "# HELP pestod_pipeline_bubble_fraction Bubble fractions of served pipeline plans.")
-	fmt.Fprintln(w, "# TYPE pestod_pipeline_bubble_fraction summary")
-	fmt.Fprintf(w, "pestod_pipeline_bubble_fraction_sum %g\n", m.pipelineBubbleSum)
-	fmt.Fprintf(w, "pestod_pipeline_bubble_fraction_count %d\n", m.pipelineBubbleCount)
+	p.Histograms("pestod_solve_duration_seconds", "Wall-clock latency of cache-miss solves by degradation-ladder rung.", "stage", m.solveHist)
 
-	fmt.Fprintln(w, "# HELP pestod_queue_depth Requests waiting for a solver slot.")
-	fmt.Fprintln(w, "# TYPE pestod_queue_depth gauge")
-	fmt.Fprintf(w, "pestod_queue_depth %d\n", gauge(m.queueDepth))
-	fmt.Fprintln(w, "# HELP pestod_inflight_solves Solves currently running.")
-	fmt.Fprintln(w, "# TYPE pestod_inflight_solves gauge")
-	fmt.Fprintf(w, "pestod_inflight_solves %d\n", gauge(m.inFlight))
-	fmt.Fprintln(w, "# HELP pestod_cache_entries Live plan-cache entries.")
-	fmt.Fprintln(w, "# TYPE pestod_cache_entries gauge")
-	fmt.Fprintf(w, "pestod_cache_entries %d\n", gauge(m.cacheEntries))
-
-	fmt.Fprintln(w, "# HELP pestod_solve_duration_seconds Wall-clock latency of cache-miss solves by degradation-ladder rung.")
-	fmt.Fprintln(w, "# TYPE pestod_solve_duration_seconds histogram")
-	for _, stage := range sortedKeys(m.solveHist) {
-		h := m.solveHist[stage]
-		cum := int64(0)
-		for i, ub := range solveBuckets {
-			cum += h.bucketN[i]
-			fmt.Fprintf(w, "pestod_solve_duration_seconds_bucket{stage=%q,le=%q} %d\n", stage, trimFloat(ub), cum)
-		}
-		cum += h.bucketN[len(solveBuckets)]
-		fmt.Fprintf(w, "pestod_solve_duration_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", stage, cum)
-		fmt.Fprintf(w, "pestod_solve_duration_seconds_sum{stage=%q} %g\n", stage, h.sum)
-		fmt.Fprintf(w, "pestod_solve_duration_seconds_count{stage=%q} %d\n", stage, h.count)
-	}
-
-	fmt.Fprintln(w, "# HELP pestod_bnb_nodes_total Branch-and-bound nodes expanded by solves.")
-	fmt.Fprintln(w, "# TYPE pestod_bnb_nodes_total counter")
-	fmt.Fprintf(w, "pestod_bnb_nodes_total %d\n", m.bnbNodes)
-	fmt.Fprintln(w, "# HELP pestod_lp_pivots_total Simplex pivots performed by solves.")
-	fmt.Fprintln(w, "# TYPE pestod_lp_pivots_total counter")
-	fmt.Fprintf(w, "pestod_lp_pivots_total %d\n", m.lpPivots)
-	fmt.Fprintln(w, "# HELP pestod_lp_solves_total LP relaxations solved (cold and warm-started).")
-	fmt.Fprintln(w, "# TYPE pestod_lp_solves_total counter")
-	fmt.Fprintf(w, "pestod_lp_solves_total %d\n", m.lpSolves)
-	fmt.Fprintln(w, "# HELP pestod_lp_warmstart_hits_total Warm-started LP solves where the imported basis drove the result.")
-	fmt.Fprintln(w, "# TYPE pestod_lp_warmstart_hits_total counter")
-	fmt.Fprintf(w, "pestod_lp_warmstart_hits_total %d\n", m.warmHits)
-	fmt.Fprintln(w, "# HELP pestod_lp_warmstart_misses_total Warm-start attempts that fell back to a cold solve.")
-	fmt.Fprintln(w, "# TYPE pestod_lp_warmstart_misses_total counter")
-	fmt.Fprintf(w, "pestod_lp_warmstart_misses_total %d\n", m.warmMisses)
-	fmt.Fprintln(w, "# HELP pestod_lp_pivots_per_solve Mean simplex pivots per LP solve since startup.")
-	fmt.Fprintln(w, "# TYPE pestod_lp_pivots_per_solve gauge")
+	p.Counter("pestod_bnb_nodes_total", "Branch-and-bound nodes expanded by solves.", m.bnbNodes)
+	p.Counter("pestod_lp_pivots_total", "Simplex pivots performed by solves.", m.lpPivots)
+	p.Counter("pestod_lp_solves_total", "LP relaxations solved (cold and warm-started).", m.lpSolves)
+	p.Counter("pestod_lp_warmstart_hits_total", "Warm-started LP solves where the imported basis drove the result.", m.warmHits)
+	p.Counter("pestod_lp_warmstart_misses_total", "Warm-start attempts that fell back to a cold solve.", m.warmMisses)
 	pps := 0.0
 	if m.lpSolves > 0 {
 		pps = float64(m.lpPivots) / float64(m.lpSolves)
 	}
-	fmt.Fprintf(w, "pestod_lp_pivots_per_solve %g\n", pps)
-	fmt.Fprintln(w, "# HELP pestod_incumbent_improvements_total Branch-and-bound incumbent improvements found by solves.")
-	fmt.Fprintln(w, "# TYPE pestod_incumbent_improvements_total counter")
-	fmt.Fprintf(w, "pestod_incumbent_improvements_total %d\n", m.incumbents)
+	p.Gauge("pestod_lp_pivots_per_solve", "Mean simplex pivots per LP solve since startup.", pps)
+	p.Counter("pestod_incumbent_improvements_total", "Branch-and-bound incumbent improvements found by solves.", m.incumbents)
 
 	var slos []sloSnapshot
 	if m.sloSnapshot != nil {
 		slos = m.sloSnapshot()
 	}
-	fmt.Fprintln(w, "# HELP pestod_slo_events_total Events classified against each SLO (good within objective, bad burning budget).")
-	fmt.Fprintln(w, "# TYPE pestod_slo_events_total counter")
+	p.Family("pestod_slo_events_total", "counter", "Events classified against each SLO (good within objective, bad burning budget).")
 	for _, s := range slos {
-		fmt.Fprintf(w, "pestod_slo_events_total{result=\"bad\",slo=%q} %d\n", s.name, s.bad)
-		fmt.Fprintf(w, "pestod_slo_events_total{result=\"good\",slo=%q} %d\n", s.name, s.good)
+		p.Sample("pestod_slo_events_total", s.bad, "result", "bad", "slo", s.name)
+		p.Sample("pestod_slo_events_total", s.good, "result", "good", "slo", s.name)
 	}
-	fmt.Fprintln(w, "# HELP pestod_slo_error_budget_used_fraction Lifetime bad fraction over the error budget (1.0 = budget exactly spent).")
-	fmt.Fprintln(w, "# TYPE pestod_slo_error_budget_used_fraction gauge")
+	p.Family("pestod_slo_error_budget_used_fraction", "gauge", "Lifetime bad fraction over the error budget (1.0 = budget exactly spent).")
 	for _, s := range slos {
-		fmt.Fprintf(w, "pestod_slo_error_budget_used_fraction{slo=%q} %g\n", s.name, s.budgetUsed)
+		p.Sample("pestod_slo_error_budget_used_fraction", s.budgetUsed, "slo", s.name)
 	}
-	fmt.Fprintln(w, "# HELP pestod_slo_burn_rate Windowed bad fraction over the error budget (multiwindow: 5m and 1h).")
-	fmt.Fprintln(w, "# TYPE pestod_slo_burn_rate gauge")
+	p.Family("pestod_slo_burn_rate", "gauge", "Windowed bad fraction over the error budget (multiwindow: 5m and 1h).")
 	for _, s := range slos {
-		fmt.Fprintf(w, "pestod_slo_burn_rate{slo=%q,window=\"1h\"} %g\n", s.name, s.slowRate)
-		fmt.Fprintf(w, "pestod_slo_burn_rate{slo=%q,window=\"5m\"} %g\n", s.name, s.fastRate)
+		p.Sample("pestod_slo_burn_rate", s.slowRate, "slo", s.name, "window", "1h")
+		p.Sample("pestod_slo_burn_rate", s.fastRate, "slo", s.name, "window", "5m")
 	}
-	fmt.Fprintln(w, "# HELP pestod_slo_fast_burn_active Whether the SLO is currently in a fast-burn episode (both windows over 14.4x).")
-	fmt.Fprintln(w, "# TYPE pestod_slo_fast_burn_active gauge")
+	p.Family("pestod_slo_fast_burn_active", "gauge", "Whether the SLO is currently in a fast-burn episode (both windows over 14.4x).")
 	for _, s := range slos {
 		active := 0
 		if s.fastBurnActive {
 			active = 1
 		}
-		fmt.Fprintf(w, "pestod_slo_fast_burn_active{slo=%q} %d\n", s.name, active)
+		p.Sample("pestod_slo_fast_burn_active", active, "slo", s.name)
 	}
-	fmt.Fprintln(w, "# HELP pestod_slo_fast_burn_events_total Fast-burn episodes entered since startup (edge-triggered).")
-	fmt.Fprintln(w, "# TYPE pestod_slo_fast_burn_events_total counter")
+	p.Family("pestod_slo_fast_burn_events_total", "counter", "Fast-burn episodes entered since startup (edge-triggered).")
 	for _, s := range slos {
-		fmt.Fprintf(w, "pestod_slo_fast_burn_events_total{slo=%q} %d\n", s.name, s.fastBurnEvents)
+		p.Sample("pestod_slo_fast_burn_events_total", s.fastBurnEvents, "slo", s.name)
 	}
 
 	var bundles int
@@ -313,15 +225,9 @@ func (m *metrics) write(w io.Writer) {
 	if m.flightStats != nil {
 		bundles, droppedFiles, ringTotal = m.flightStats()
 	}
-	fmt.Fprintln(w, "# HELP pestod_flight_bundles_total Flight-recorder repro bundles captured (persisted or not).")
-	fmt.Fprintln(w, "# TYPE pestod_flight_bundles_total counter")
-	fmt.Fprintf(w, "pestod_flight_bundles_total %d\n", bundles)
-	fmt.Fprintln(w, "# HELP pestod_flight_bundle_files_dropped_total Bundle files not written because the per-process cap was reached.")
-	fmt.Fprintln(w, "# TYPE pestod_flight_bundle_files_dropped_total counter")
-	fmt.Fprintf(w, "pestod_flight_bundle_files_dropped_total %d\n", droppedFiles)
-	fmt.Fprintln(w, "# HELP pestod_flight_ring_records_total Telemetry records ever admitted to the flight-recorder ring.")
-	fmt.Fprintln(w, "# TYPE pestod_flight_ring_records_total counter")
-	fmt.Fprintf(w, "pestod_flight_ring_records_total %d\n", ringTotal)
+	p.Counter("pestod_flight_bundles_total", "Flight-recorder repro bundles captured (persisted or not).", bundles)
+	p.Counter("pestod_flight_bundle_files_dropped_total", "Bundle files not written because the per-process cap was reached.", droppedFiles)
+	p.Counter("pestod_flight_ring_records_total", "Telemetry records ever admitted to the flight-recorder ring.", ringTotal)
 }
 
 func gauge(f func() int64) int64 {
@@ -329,15 +235,4 @@ func gauge(f func() int64) int64 {
 		return 0
 	}
 	return f()
-}
-
-func trimFloat(f float64) string { return fmt.Sprintf("%g", f) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
-	"sync"
 
 	"pesto/internal/obs"
 )
@@ -68,64 +67,12 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// spanStore retains the telemetry records of the last N requests,
-// keyed by request ID, for GET /v1/requests/{id}/spans. It is a ring:
-// admitting request N+1 evicts the oldest. IDs are client-influenced,
-// so a repeated ID simply overwrites its previous entry.
-type spanStore struct {
-	mu    sync.Mutex
-	byID  map[string][]obs.Record
-	order []string
-	limit int
-}
-
-func newSpanStore(limit int) *spanStore {
-	if limit <= 0 {
-		limit = 64
-	}
-	return &spanStore{byID: make(map[string][]obs.Record), limit: limit}
-}
-
-func (st *spanStore) put(id string, recs []obs.Record) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, ok := st.byID[id]; !ok {
-		for len(st.order) >= st.limit {
-			delete(st.byID, st.order[0])
-			st.order = st.order[1:]
-		}
-		st.order = append(st.order, id)
-	}
-	st.byID[id] = recs
-}
-
-func (st *spanStore) get(id string) ([]obs.Record, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	recs, ok := st.byID[id]
-	return recs, ok
-}
-
-// spanDumpRecord is the wire form of one telemetry record in the span
-// dump: kinds by name, durations in nanoseconds, attributes folded
-// into an object.
-type spanDumpRecord struct {
-	Kind   string            `json:"kind"`
-	Name   string            `json:"name"`
-	TsNs   int64             `json:"tsNs"`
-	DurNs  int64             `json:"durNs,omitempty"`
-	Span   uint64            `json:"span,omitempty"`
-	Parent uint64            `json:"parent,omitempty"`
-	Value  float64           `json:"value,omitempty"`
-	Attrs  map[string]string `json:"attrs,omitempty"`
-}
-
 // handleSpans serves GET /v1/requests/{id}/spans: the retained
 // telemetry of one recent request — the span tree, counter flushes and
 // solver progress samples — as JSON. Unknown or evicted IDs are 404.
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	recs, ok := s.spans.get(id)
+	recs, ok := s.spans.Get(id)
 	if !ok {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusNotFound)
@@ -134,48 +81,24 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	}
 	out := struct {
 		RequestID string           `json:"requestId"`
-		Records   []spanDumpRecord `json:"records"`
-	}{RequestID: id, Records: dumpRecords(recs)}
+		Records   []obs.SpanRecord `json:"records"`
+	}{RequestID: id, Records: obs.SpanRecords(recs)}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
-}
-
-// dumpRecords converts telemetry records to the span-dump wire form.
-func dumpRecords(recs []obs.Record) []spanDumpRecord {
-	out := make([]spanDumpRecord, 0, len(recs))
-	for _, rec := range recs {
-		dr := spanDumpRecord{
-			Kind:   rec.Kind.String(),
-			Name:   rec.Name,
-			TsNs:   int64(rec.Ts),
-			DurNs:  int64(rec.Dur),
-			Span:   rec.ID,
-			Parent: rec.Parent,
-			Value:  rec.Value,
-		}
-		if len(rec.Attrs) > 0 {
-			dr.Attrs = make(map[string]string, len(rec.Attrs))
-			for _, a := range rec.Attrs {
-				dr.Attrs[a.Key] = a.Value
-			}
-		}
-		out = append(out, dr)
-	}
-	return out
 }
 
 // handleFlight serves GET /debug/flight: the flight recorder's
 // always-on ring (the process's most recent telemetry across all
 // requests, oldest first) plus the capture counters.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	recs := s.flight.Ring().Snapshot()
+	recs := s.flight.Ring().Snapshot(nil)
 	captured, dropped, total := s.flight.Stats()
 	out := struct {
-		Records            []spanDumpRecord `json:"records"`
+		Records            []obs.SpanRecord `json:"records"`
 		TotalRecords       uint64           `json:"totalRecords"`
 		BundlesCaptured    int              `json:"bundlesCaptured"`
 		BundleFilesDropped int64            `json:"bundleFilesDropped"`
-	}{Records: dumpRecords(recs), TotalRecords: total, BundlesCaptured: captured, BundleFilesDropped: dropped}
+	}{Records: obs.SpanRecords(recs), TotalRecords: total, BundlesCaptured: captured, BundleFilesDropped: dropped}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
 }

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"pesto/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -73,7 +75,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 	var dump struct {
 		RequestID string           `json:"requestId"`
-		Records   []spanDumpRecord `json:"records"`
+		Records   []obs.SpanRecord `json:"records"`
 	}
 	if err := json.Unmarshal(data, &dump); err != nil {
 		t.Fatalf("span dump not JSON: %v", err)
@@ -177,26 +179,30 @@ func TestSpansUnknownID(t *testing.T) {
 	}
 }
 
-// TestSpanStoreEviction: the store is a ring of SpanHistory entries.
+// TestSpanStoreEviction: the span store keeps the dumps of the last
+// SpanHistory requests.
 func TestSpanStoreEviction(t *testing.T) {
-	st := newSpanStore(3)
+	st := New(Config{SpanHistory: 3}).spans
 	for i := 0; i < 5; i++ {
-		st.put(fmt.Sprintf("r%d", i), nil)
+		st.Put(fmt.Sprintf("r%d", i), nil)
 	}
 	for i := 0; i < 2; i++ {
-		if _, ok := st.get(fmt.Sprintf("r%d", i)); ok {
+		if _, ok := st.Get(fmt.Sprintf("r%d", i)); ok {
 			t.Errorf("r%d survived eviction", i)
 		}
 	}
 	for i := 2; i < 5; i++ {
-		if _, ok := st.get(fmt.Sprintf("r%d", i)); !ok {
+		if _, ok := st.Get(fmt.Sprintf("r%d", i)); !ok {
 			t.Errorf("r%d evicted too early", i)
 		}
 	}
 	// A repeated ID overwrites in place without consuming a slot.
-	st.put("r4", nil)
-	if _, ok := st.get("r2"); !ok {
+	st.Put("r4", []obs.Record{{Name: "again"}})
+	if _, ok := st.Get("r2"); !ok {
 		t.Error("overwriting r4 evicted r2")
+	}
+	if recs, _ := st.Get("r4"); len(recs) != 1 || recs[0].Name != "again" {
+		t.Errorf("r4 = %+v, want the overwriting records", recs)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pesto/internal/flight"
+	"pesto/internal/obs"
 )
 
 // hairTriggerFlight swaps in a flight recorder that flags every solve
@@ -88,7 +89,7 @@ func TestDebugFlightEndpoint(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	var out struct {
-		Records      []spanDumpRecord `json:"records"`
+		Records      []obs.SpanRecord `json:"records"`
 		TotalRecords uint64           `json:"totalRecords"`
 	}
 	if err := json.Unmarshal(body, &out); err != nil {
@@ -122,7 +123,7 @@ func TestTraceHeaderTagging(t *testing.T) {
 
 	dump := readAll(t, mustGet(t, ts.URL+"/v1/requests/trace-abc.h2/spans"))
 	var out struct {
-		Records []spanDumpRecord `json:"records"`
+		Records []obs.SpanRecord `json:"records"`
 	}
 	if err := json.Unmarshal(dump, &out); err != nil {
 		t.Fatalf("decode span dump: %v", err)

@@ -132,6 +132,9 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
+	if c.SpanHistory <= 0 {
+		c.SpanHistory = 64
+	}
 	if c.BaseGraphEntries <= 0 {
 		c.BaseGraphEntries = 128
 	}
@@ -147,7 +150,7 @@ type Server struct {
 	admit  *admission
 	met    *metrics
 	mux    *http.ServeMux
-	spans  *spanStore
+	spans  *obs.Store[[]obs.Record]
 	flight *flight.Recorder
 	slo    *sloTracker
 
@@ -195,7 +198,7 @@ func New(cfg Config) *Server {
 		admit: newAdmission(cfg.MaxConcurrentSolves, cfg.QueueDepth),
 		met:   newMetrics(),
 		mux:   http.NewServeMux(),
-		spans: newSpanStore(cfg.SpanHistory),
+		spans: obs.NewStore[[]obs.Record](cfg.SpanHistory),
 		flight: flight.New(flight.Config{
 			Dir:        cfg.FlightDir,
 			RingSize:   cfg.FlightRingSize,
@@ -271,7 +274,7 @@ func (s *Server) beginTelemetry(w http.ResponseWriter, r *http.Request, endpoint
 	// process-wide flight-recorder ring (always on), and optionally the
 	// structured logger.
 	sink := obs.NewBoundedMemorySink(requestSinkLimit)
-	sinks := []obs.Sink{sink, s.flight.Ring()}
+	sinks := []obs.Sink{sink, s.flight}
 	var logger *slog.Logger
 	if s.cfg.Logger != nil {
 		logger = s.cfg.Logger.With("requestId", rid, "endpoint", endpoint)
@@ -294,7 +297,7 @@ func (s *Server) beginTelemetry(w http.ResponseWriter, r *http.Request, endpoint
 	start := time.Now()
 	finish = func(outcome string) {
 		rec.FlushCounters()
-		s.spans.put(rid, sink.Records())
+		s.spans.Put(rid, sink.Records())
 		s.met.solverProgress(rec.Counter("ilp.nodes"), rec.Counter("lp.pivots"), rec.Counter("ilp.incumbents"),
 			rec.Counter("lp.solves"), rec.Counter("lp.warmstart.hits"), rec.Counter("lp.warmstart.misses"))
 		if logger != nil {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+
+	"pesto/internal/obs"
 )
 
 // Fleet-trace process IDs: the router's hop lane sits at 3000, each
@@ -17,48 +19,35 @@ const (
 	fleetReplicaCat = "replica"
 )
 
-// FleetHop is one router attempt in a stitched trace, on the router's
-// clock (absolute nanoseconds). It mirrors the fleet package's hop
-// record; the types are duplicated here so the trace package stays
-// importable by fleet.
+// FleetHop is one backend attempt the fleet router made on behalf of a
+// traced request, on the router's clock (absolute nanoseconds): which
+// replica, which failover pass, and why the attempt happened. The
+// router records hops in this type and serves them as JSON.
 type FleetHop struct {
-	Seq       int
-	Replica   string
-	Pass      int
-	Kind      string // first | retry | hedge | last-resort | warm-sync
-	RequestID string
-	StartNs   int64
-	EndNs     int64
-	Status    int
-	Err       string
-	Served    bool
-}
-
-// FleetSpanRecord is one record of a replica's span dump, matching the
-// JSON the service's GET /v1/requests/{id}/spans emits — the stitcher
-// decodes replica responses straight into it. Timestamps are offsets
-// from the replica request's own start.
-type FleetSpanRecord struct {
-	Kind   string            `json:"kind"`
-	Name   string            `json:"name"`
-	TsNs   int64             `json:"tsNs"`
-	DurNs  int64             `json:"durNs"`
-	Span   uint64            `json:"span"`
-	Parent uint64            `json:"parent"`
-	Value  float64           `json:"value"`
-	Attrs  map[string]string `json:"attrs"`
+	Seq       int    `json:"seq"`
+	Replica   string `json:"replica"`
+	Pass      int    `json:"pass"`
+	Kind      string `json:"kind"` // first | retry | hedge | last-resort | warm-sync
+	RequestID string `json:"requestId"`
+	StartNs   int64  `json:"startNs"`
+	EndNs     int64  `json:"endNs"`
+	Status    int    `json:"status,omitempty"` // 0 = transport failure
+	Err       string `json:"err,omitempty"`
+	Served    bool   `json:"served,omitempty"` // this hop's response was returned to the client
 }
 
 // WriteChromeTraceFleet stitches one fleet trace into a Chrome Trace
 // Event file: the router's hops as complete events on a "fleet router"
 // process (greedily lane-packed, so a hedge racing its primary renders
-// on its own line), and each replica's span dump as its own process,
-// shifted onto the router's clock by its hop's start time. dumps is
+// on its own line), and each replica's span dump (GET
+// /v1/requests/{id}/spans, timestamps relative to the replica request's
+// start) as its own process, shifted onto the router's clock by its
+// hop's start time. dumps is
 // indexed like hops; a nil entry (dead replica, evicted dump) just
 // leaves that hop without replica-side detail. Output is deterministic
 // for fixed input: hops sort by (StartNs, Seq), replicas by ID, and
 // within a replica records keep dump order per hop.
-func WriteChromeTraceFleet(w io.Writer, traceID string, hops []FleetHop, dumps [][]FleetSpanRecord) error {
+func WriteChromeTraceFleet(w io.Writer, traceID string, hops []FleetHop, dumps [][]obs.SpanRecord) error {
 	out := chromeFile{Metadata: map[string]string{
 		"generator": "pesto fleet router",
 		"traceId":   traceID,
@@ -172,7 +161,7 @@ func WriteChromeTraceFleet(w io.Writer, traceID string, hops []FleetHop, dumps [
 		})
 	}
 	type placed struct {
-		rec    FleetSpanRecord
+		rec    obs.SpanRecord
 		baseNs int64
 		hopSeq int
 	}

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pesto/internal/obs"
 )
 
 // fleetScenario is a synthetic but structurally faithful failover
@@ -13,7 +15,7 @@ import (
 // a retry to r0, and r0's serving hop carries a replica span dump
 // (solver spans, a counter sample, a point). Fixed absolute
 // nanoseconds exercise the t0 rebase.
-func fleetScenario() ([]FleetHop, [][]FleetSpanRecord) {
+func fleetScenario() ([]FleetHop, [][]obs.SpanRecord) {
 	const base = int64(1_754_550_000_000_000_000)
 	ms := func(n int) int64 { return int64(n) * 1_000_000 }
 	hops := []FleetHop{
@@ -24,7 +26,7 @@ func fleetScenario() ([]FleetHop, [][]FleetSpanRecord) {
 		{Seq: 2, Replica: "r0", Pass: 1, Kind: "retry", RequestID: "trace-golden.h2",
 			StartNs: base + ms(3), EndNs: base + ms(15), Status: 200, Served: true},
 	}
-	dumps := [][]FleetSpanRecord{
+	dumps := [][]obs.SpanRecord{
 		nil, // dead replica: no dump, lane omitted
 		{
 			{Kind: "point", Name: "admission.shed", TsNs: ms(1),
