@@ -16,10 +16,7 @@ package pesto
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sync"
 	"syscall"
 	"testing"
@@ -348,62 +345,6 @@ func BenchmarkExtendedBaselines(b *testing.B) {
 			b.Fatal(err)
 		}
 		printOnce("extended", res)
-	}
-}
-
-// BenchmarkPlaceParallel measures the placement pipeline at one worker
-// versus GOMAXPROCS workers on the same workload and seed. The plans
-// are byte-identical by construction (the engine merges in submission
-// order), so the only thing that may differ is wall clock — the
-// speedup is the engine's whole value proposition. Running it writes a
-// BENCH_engine.json snapshot so the trajectory is tracked across
-// machines; on a single-core host both variants degenerate to the
-// inline path and the ratio is ~1.
-func BenchmarkPlaceParallel(b *testing.B) {
-	g, err := BuildModel("RNNLM-2-2048")
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys := NewSystem(2, 16<<30)
-	opts := PlaceOptions{
-		CoarsenTarget: 48, ILPMaxSize: 16, ILPMaxNodes: 8,
-		ILPTimeLimit: 120 * time.Second, ScheduleFromILP: true, Seed: 1,
-	}
-	variants := []struct {
-		name    string
-		workers int
-	}{
-		{"workers=1", 1},
-		{fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), runtime.GOMAXPROCS(0)},
-	}
-	snapshot := map[string]any{"gomaxprocs": runtime.GOMAXPROCS(0), "model": "RNNLM-2-2048"}
-	for _, v := range variants {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			o := opts
-			o.Parallel = v.workers
-			var total time.Duration
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				if _, err := Place(context.Background(), g, sys, o); err != nil {
-					b.Fatal(err)
-				}
-				total += time.Since(start)
-			}
-			snapshot[fmt.Sprintf("ns_per_place_workers_%d", v.workers)] = int64(total) / int64(b.N)
-		})
-	}
-	if one, ok := snapshot["ns_per_place_workers_1"].(int64); ok {
-		if max, ok := snapshot[fmt.Sprintf("ns_per_place_workers_%d", runtime.GOMAXPROCS(0))].(int64); ok && max > 0 {
-			snapshot["speedup"] = float64(one) / float64(max)
-		}
-	}
-	buf, err := json.MarshalIndent(snapshot, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_engine.json", append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }
 

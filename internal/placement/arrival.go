@@ -52,8 +52,8 @@ func ReplanArrival(ctx context.Context, g *graph.Graph, sys sim.System, plan sim
 	}
 
 	var prevMk time.Duration
-	if r, err := sim.Run(g, sys, plan); err == nil {
-		prevMk = r.Makespan
+	if mk, err := sim.Makespan(g, sys, plan); err == nil {
+		prevMk = mk
 	}
 
 	dev, migrated := migrateOnto(g, sys, plan.Device, arrived)
@@ -94,7 +94,7 @@ func ReplanArrival(ctx context.Context, g *graph.Graph, sys sim.System, plan sim
 	if h.bestDev == nil {
 		return nil, fmt.Errorf("replan-arrival: no candidate plan simulates: %w", ErrNoPlacement)
 	}
-	newPlan, mk, err := finalizePlan(ctx, g, h, h.bestDev, opts, len(sys.Devices))
+	newPlan, mk, err := h.finalizePlan(ctx, h.bestDev)
 	if err != nil {
 		return nil, fmt.Errorf("replan-arrival: %w", err)
 	}

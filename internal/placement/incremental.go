@@ -316,8 +316,8 @@ func incrementalAttempt(ctx context.Context, g *graph.Graph, sys sim.System, pri
 	// hide real drift behind its own bad luck.
 	anchor := prior.AnchorQuality
 	if anchor == 0 {
-		if r, rerr := sim.Run(prior.Graph, sys, prior.Plan); rerr == nil {
-			anchor = float64(r.Makespan) / float64(qualityLowerBound(prior.Graph, sys))
+		if mk, rerr := sim.Makespan(prior.Graph, sys, prior.Plan); rerr == nil {
+			anchor = float64(mk) / float64(qualityLowerBound(prior.Graph, sys))
 		}
 	}
 	var plan sim.Plan
@@ -329,7 +329,7 @@ func incrementalAttempt(ctx context.Context, g *graph.Graph, sys sim.System, pri
 		}
 		if h.bestObj <= etfObj*incrQualityMargin {
 			var ferr error
-			plan, mk, ferr = finalizePlan(ctx, g, h, h.bestDev, opts, len(sys.Devices))
+			plan, mk, ferr = h.finalizePlan(ctx, h.bestDev)
 			if ferr != nil {
 				return incrementalCold(ctx, g, sys, opts, "finalize-failed", prior.AnchorQuality)
 			}

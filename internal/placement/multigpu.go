@@ -132,7 +132,7 @@ func placeRefine(ctx context.Context, g *graph.Graph, sys sim.System, opts Optio
 		CoarsenIterations: cres.Iterations,
 		PredictedMakespan: time.Duration(h.bestObj * float64(h.horizon)),
 	}
-	plan, mk, err := finalizePlan(ctx, g, h, h.bestDev, opts, len(sys.Devices))
+	plan, mk, err := h.finalizePlan(ctx, h.bestDev)
 	if err != nil {
 		return nil, err
 	}
@@ -156,14 +156,24 @@ func horizonFor(g *graph.Graph, sys sim.System) time.Duration {
 	return h
 }
 
-// finalizePlan evaluates a device vector under both schedule policies,
-// materializes an explicit order when the options ask for one, and
-// returns the better plan with its simulated makespan. The candidates
-// simulate concurrently; the winner is reduced in candidate order so
-// the result is independent of worker count.
-func finalizePlan(ctx context.Context, g *graph.Graph, h *heuristic, dev []sim.DeviceID, opts Options, numDevices int) (sim.Plan, time.Duration, error) {
-	simSys := h.simSystem()
-	cands := h.candidatePlans(dev)
+// finalizePlan realizes a device vector under the heuristic's schedule
+// disciplines and returns the better plan with its simulated makespan.
+func (h *heuristic) finalizePlan(ctx context.Context, dev []sim.DeviceID) (sim.Plan, time.Duration, error) {
+	plan, mk, _, err := h.finalize(ctx, h.candidatePlans(dev))
+	return plan, mk, err
+}
+
+// finalize realizes candidate original-graph plans and returns the one
+// with the lowest simulated makespan, the makespan and its index in
+// cands. With ScheduleFromILP a candidate without an explicit order
+// first gets one from its simulated start times, so downstream
+// consumers (e.g. the runtime executor) get control dependencies
+// either way; without it the winner is returned placement-only. The
+// candidates are realized concurrently and the winner is reduced in
+// candidate order (first wins ties), so the result is independent of
+// worker count.
+func (h *heuristic) finalize(ctx context.Context, cands []sim.Plan) (sim.Plan, time.Duration, int, error) {
+	simSys, sc := h.simSystem(), h.scorer()
 	type finalized struct {
 		plan sim.Plan
 		mk   time.Duration
@@ -171,42 +181,41 @@ func finalizePlan(ctx context.Context, g *graph.Graph, h *heuristic, dev []sim.D
 	}
 	outs, err := engine.Map(ctx, h.pool, len(cands), func(_ context.Context, i int) (finalized, error) {
 		cand := cands[i]
-		if cand.Order == nil && opts.ScheduleFromILP {
-			r, err := sim.Run(g, simSys, cand)
+		if cand.Order == nil && h.opts.ScheduleFromILP {
+			r, err := sim.Run(h.orig, simSys, cand)
 			if err != nil {
 				return finalized{}, nil
 			}
-			oc, err := orderPlanByStarts(g, cand, r.Start, numDevices)
+			oc, err := orderPlanByStarts(h.orig, cand, r.Start, len(h.sys.Devices))
 			if err != nil {
 				return finalized{}, nil
 			}
 			cand = oc
 		}
-		r, err := sim.Run(g, simSys, cand)
+		mk, err := sc.Makespan(cand)
 		if err != nil {
 			return finalized{}, nil
 		}
-		return finalized{plan: cand, mk: r.Makespan, ok: true}, nil
+		return finalized{plan: cand, mk: mk, ok: true}, nil
 	})
 	if err != nil {
-		return sim.Plan{}, 0, fmt.Errorf("pesto: cancelled during candidate evaluation: %w", err)
+		return sim.Plan{}, 0, -1, fmt.Errorf("pesto: cancelled during candidate evaluation: %w", err)
 	}
-	var bestPlan sim.Plan
-	bestMk := time.Duration(-1)
-	for _, o := range outs {
+	best := -1
+	for i, o := range outs {
 		if o.Err != nil || !o.Value.ok {
 			continue
 		}
-		if bestMk < 0 || o.Value.mk < bestMk {
-			bestMk = o.Value.mk
-			bestPlan = o.Value.plan
+		if best < 0 || o.Value.mk < outs[best].Value.mk {
+			best = i
 		}
 	}
-	if bestMk < 0 {
-		return sim.Plan{}, 0, fmt.Errorf("pesto: no candidate plan simulates: %w", ErrNoPlacement)
+	if best < 0 {
+		return sim.Plan{}, 0, -1, fmt.Errorf("pesto: no candidate plan simulates: %w", ErrNoPlacement)
 	}
-	if !opts.ScheduleFromILP {
-		bestPlan = sim.Plan{Device: bestPlan.Device, Policy: sim.PolicyFIFO}
+	plan := outs[best].Value.plan
+	if !h.opts.ScheduleFromILP {
+		plan = sim.Plan{Device: plan.Device, Policy: sim.PolicyFIFO}
 	}
-	return bestPlan, bestMk, nil
+	return plan, outs[best].Value.mk, best, nil
 }

@@ -77,7 +77,7 @@ func placePipelineDP(ctx context.Context, g *graph.Graph, sys sim.System, opts O
 	if h.bestDev == nil {
 		return nil, fmt.Errorf("pesto pipeline-dp: %w", ErrNoPlacement)
 	}
-	plan, mk, err := finalizePlan(ctx, g, h, h.bestDev, opts, len(sys.Devices))
+	plan, mk, err := h.finalizePlan(ctx, h.bestDev)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +171,7 @@ func placePipeline(ctx context.Context, g *graph.Graph, sys sim.System, opts Opt
 	if _, ok := h.evalAssign(assign); !ok {
 		return nil, fmt.Errorf("pesto pipeline: stage placement does not simulate: %w", ErrNoPlacement)
 	}
-	plan, fifoMk, err := finalizePlan(ctx, g, h, h.bestDev, opts, len(sys.Devices))
+	plan, fifoMk, err := h.finalizePlan(ctx, h.bestDev)
 	if err != nil {
 		return nil, err
 	}

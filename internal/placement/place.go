@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"pesto/internal/baselines"
@@ -427,16 +428,10 @@ func placeILP(ctx context.Context, g *graph.Graph, sys sim.System, opts Options)
 		return nil, fmt.Errorf("pesto: ilp %v and no heuristic incumbent: %w", sol.Status, ErrNoPlacement)
 	}
 
-	// Enumerate all variants sequentially (cheap), then simulate them
-	// concurrently. Each task is pure — its own sim.Run calls against
-	// the shared read-only graph and system — and the winner is picked
-	// by reducing the merged results in submission order, so the
-	// chosen plan does not depend on the worker count.
-	type variantCand struct {
-		plan   sim.Plan
-		coarse sim.Plan
-	}
-	var variants []variantCand
+	// Every candidate expands to its variants, each remembering the
+	// coarse plan it came from; finalize realizes them and picks the
+	// winner.
+	var variants, coarseOf []sim.Plan
 	for _, c := range candidates {
 		cp := c.plan
 		expanded := cp.Device
@@ -444,7 +439,7 @@ func placeILP(ctx context.Context, g *graph.Graph, sys sim.System, opts Options)
 			expanded = c.lvl.expandDevices(cp.Device)
 		}
 		for _, v := range h.candidatePlans(expanded) {
-			variants = append(variants, variantCand{plan: v, coarse: cp})
+			variants, coarseOf = append(variants, v), append(coarseOf, cp)
 		}
 		if c.lvl != nil && cp.Order != nil {
 			// Strict blob order implied by the coarse ILP schedule.
@@ -452,62 +447,16 @@ func placeILP(ctx context.Context, g *graph.Graph, sys sim.System, opts Options)
 			if err != nil {
 				return nil, err
 			}
-			variants = append(variants, variantCand{plan: ordered, coarse: cp})
+			variants, coarseOf = append(variants, ordered), append(coarseOf, cp)
 		}
-	}
-	simSys := h.simSystem()
-	type variantOut struct {
-		plan sim.Plan
-		mk   time.Duration
-		ok   bool
 	}
 	_, candSpan := obs.Start(ctx, "placement.candidates", obs.Int("variants", int64(len(variants))))
-	outs, mapErr := engine.Map(ctx, pool, len(variants), func(_ context.Context, i int) (variantOut, error) {
-		cand := variants[i].plan
-		if cand.Order == nil && opts.ScheduleFromILP {
-			// Materialize ready-queue schedules as explicit orders
-			// so downstream consumers (e.g. the runtime executor)
-			// get control dependencies either way.
-			r, err := sim.Run(g, simSys, cand)
-			if err != nil {
-				return variantOut{}, nil
-			}
-			oc, err := orderPlanByStarts(g, cand, r.Start, len(sys.Devices))
-			if err != nil {
-				return variantOut{}, nil
-			}
-			cand = oc
-		}
-		r, err := sim.Run(g, simSys, cand)
-		if err != nil {
-			return variantOut{}, nil
-		}
-		return variantOut{plan: cand, mk: r.Makespan, ok: true}, nil
-	})
+	bestPlan, bestMk, best, err := h.finalize(ctx, variants)
 	candSpan.End()
-	if mapErr != nil {
-		return nil, fmt.Errorf("pesto: cancelled during candidate evaluation: %w", mapErr)
+	if err != nil {
+		return nil, err
 	}
-	var bestPlan sim.Plan
-	var bestCoarse sim.Plan
-	bestMk := time.Duration(-1)
-	for i, o := range outs {
-		if o.Err != nil || !o.Value.ok {
-			continue
-		}
-		if bestMk < 0 || o.Value.mk < bestMk {
-			bestMk = o.Value.mk
-			bestPlan = o.Value.plan
-			bestCoarse = variants[i].coarse
-		}
-	}
-	if bestMk < 0 {
-		return nil, fmt.Errorf("pesto: no candidate plan simulates: %w", ErrNoPlacement)
-	}
-	if !opts.ScheduleFromILP {
-		bestPlan = sim.Plan{Device: bestPlan.Device, Policy: sim.PolicyFIFO}
-	}
-	res.CoarsePlan = bestCoarse
+	res.CoarsePlan = coarseOf[best]
 	res.Plan = bestPlan
 	res.SimulatedMakespan = bestMk
 	res.PlacementTime = time.Since(start)
@@ -651,6 +600,11 @@ type heuristic struct {
 	orig *graph.Graph
 	cres *coarsen.Result
 	prio []float64 // cost-weighted bottom levels of orig, lazy
+	// scorerOnce builds sc, the simulator tables every candidate of
+	// this heuristic is scored against (orig on simSystem), on first
+	// use.
+	scorerOnce sync.Once
+	sc         *sim.Scorer
 	// pool evaluates independent candidates concurrently. Scoring is
 	// pure (scoreOriginal); all best-so-far recording happens on the
 	// submitting goroutine in submission order, so results are
@@ -671,9 +625,8 @@ type heuristic struct {
 
 	// Global winner at original granularity (any source: seeds, ILP
 	// roundings, list-scheduling warm starts, refinement moves).
-	bestDev    []sim.DeviceID
-	bestObj    float64 // normalized original-graph makespan
-	bestPolicy sim.SchedulePolicy
+	bestDev []sim.DeviceID
+	bestObj float64 // normalized original-graph makespan
 
 	// Refinement state at this heuristic's coarse granularity.
 	coarseBest    []sim.DeviceID
@@ -990,12 +943,17 @@ func (h *heuristic) tryIncumbent(relaxed []float64) ([]float64, float64, bool) {
 }
 
 // scored is the outcome of scoring one device vector: its best
-// normalized makespan over the schedule disciplines tried and the
-// discipline that achieved it.
+// normalized makespan over the schedule disciplines tried.
 type scored struct {
-	obj    float64
-	policy sim.SchedulePolicy
-	ok     bool
+	obj float64
+	ok  bool
+}
+
+// scorer returns the heuristic's simulator tables, building them on
+// first use.
+func (h *heuristic) scorer() *sim.Scorer {
+	h.scorerOnce.Do(func() { h.sc = sim.NewScorer(h.orig, h.simSystem()) })
+	return h.sc
 }
 
 // scoreOriginal simulates an original-granularity device vector under
@@ -1004,17 +962,16 @@ type scored struct {
 // provided bottomLevels has been warmed first (it backs the priority
 // plan and is itself lazily cached).
 func (h *heuristic) scoreOriginal(dev []sim.DeviceID) scored {
-	sys := h.simSystem()
+	sc := h.scorer()
 	out := scored{obj: math.Inf(1)}
 	for _, plan := range h.candidatePlans(dev) {
 		h.rec.Add("placement.sims", 1)
-		res, err := sim.Run(h.orig, sys, plan)
+		mk, err := sc.Makespan(plan)
 		if err != nil {
 			continue
 		}
-		if o := float64(res.Makespan) / float64(h.horizon); o < out.obj {
+		if o := float64(mk) / float64(h.horizon); o < out.obj {
 			out.obj = o
-			out.policy = plan.Policy
 		}
 		out.ok = true
 	}
@@ -1031,7 +988,6 @@ func (h *heuristic) recordOriginal(dev []sim.DeviceID, s scored) {
 	if h.bestDev == nil || s.obj < h.bestObj {
 		h.bestDev = append([]sim.DeviceID(nil), dev...)
 		h.bestObj = s.obj
-		h.bestPolicy = s.policy
 	}
 }
 
@@ -1194,28 +1150,41 @@ func (h *heuristic) refine(ctx context.Context) {
 
 	h.bottomLevels() // warm the lazy priority cache before fanning out
 
+	// A neighbour is moves[move] flipped to target. Workers expand it
+	// into a pooled buffer: the current best's expansion with the moved
+	// coarse nodes' members overwritten.
 	type neighbour struct {
-		assign   []sim.DeviceID
-		expanded []sim.DeviceID
+		move   int
+		target sim.DeviceID
 	}
+	bufs := sync.Pool{New: func() any {
+		buf := make([]sim.DeviceID, h.orig.NumNodes())
+		return &buf
+	}}
+	var cands []neighbour
 	for {
 		h.rec.Add("placement.refine.rounds", 1)
 		// Enumerate every single-move neighbour of the current best.
-		var cands []neighbour
-		for _, mv := range moves {
+		cands = cands[:0]
+		for i, mv := range moves {
 			for _, target := range gpus {
-				if h.coarseBest[mv[0]] == target {
-					continue
+				if h.coarseBest[mv[0]] != target {
+					cands = append(cands, neighbour{move: i, target: target})
 				}
-				cand := append([]sim.DeviceID(nil), h.coarseBest...)
-				for _, id := range mv {
-					cand[id] = target
-				}
-				cands = append(cands, neighbour{assign: cand, expanded: h.expandDevices(cand)})
 			}
 		}
+		base := h.expandDevices(h.coarseBest)
 		outs, err := engine.Map(ctx, h.pool, len(cands), func(_ context.Context, i int) (scored, error) {
-			return h.scoreOriginal(cands[i].expanded), nil
+			buf := bufs.Get().(*[]sim.DeviceID)
+			defer bufs.Put(buf)
+			expanded := *buf
+			copy(expanded, base)
+			for _, id := range moves[cands[i].move] {
+				for _, orig := range h.cres.Members[id] {
+					expanded[orig] = cands[i].target
+				}
+			}
+			return h.scoreOriginal(expanded), nil
 		})
 		if err != nil {
 			return // deadline or caller cancellation: keep the best so far
@@ -1233,7 +1202,11 @@ func (h *heuristic) refine(ctx context.Context) {
 		if best < 0 {
 			return
 		}
-		h.adoptScored(cands[best].assign, cands[best].expanded, outs[best].Value)
+		assign := append([]sim.DeviceID(nil), h.coarseBest...)
+		for _, id := range moves[cands[best].move] {
+			assign[id] = cands[best].target
+		}
+		h.adoptScored(assign, h.expandDevices(assign), outs[best].Value)
 	}
 }
 
@@ -1450,8 +1423,8 @@ func finishILPOnly(g *graph.Graph, sys sim.System, m *model, cres *coarsen.Resul
 		return nil, err
 	}
 	res.Plan = plan
-	if r, err := sim.Run(g, sys, plan); err == nil {
-		res.SimulatedMakespan = r.Makespan
+	if mk, err := sim.Makespan(g, sys, plan); err == nil {
+		res.SimulatedMakespan = mk
 	}
 	res.PlacementTime = time.Since(start)
 	return res, nil

@@ -79,8 +79,8 @@ func Replan(ctx context.Context, g *graph.Graph, sys sim.System, plan sim.Plan, 
 	}
 
 	var prevMk time.Duration
-	if r, err := sim.Run(g, sys, plan); err == nil {
-		prevMk = r.Makespan
+	if mk, err := sim.Makespan(g, sys, plan); err == nil {
+		prevMk = mk
 	}
 
 	dev, migrated, err := migrateOff(g, survivors, plan.Device, failed)
@@ -123,7 +123,7 @@ func Replan(ctx context.Context, g *graph.Graph, sys sim.System, plan sim.Plan, 
 	if h.bestDev == nil {
 		return nil, fmt.Errorf("replan: no candidate plan simulates: %w", ErrNoPlacement)
 	}
-	newPlan, mk, err := finalizePlan(ctx, g, h, h.bestDev, opts, len(sys.Devices))
+	newPlan, mk, err := h.finalizePlan(ctx, h.bestDev)
 	if err != nil {
 		return nil, fmt.Errorf("replan: %w", err)
 	}

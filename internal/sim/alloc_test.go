@@ -61,6 +61,35 @@ func TestRunAllocs(t *testing.T) {
 	}
 }
 
+// TestScorerAllocs fails when a warm Scorer.Makespan allocates at all,
+// under FIFO or Priority.
+func TestScorerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomly drops sync.Pool entries")
+	}
+	for _, n := range []int{96, 384} {
+		g, sys, plan := allocCase(t, n)
+		prio := plan
+		prio.Policy, prio.Priority = PolicyPriority, make([]float64, len(plan.Device))
+		for i := range prio.Priority {
+			prio.Priority[i] = float64(i % 7)
+		}
+		sc := NewScorer(g, sys)
+		for _, p := range []Plan{plan, prio} {
+			if _, err := sc.Makespan(p); err != nil {
+				t.Fatal(err)
+			}
+			if a := testing.AllocsPerRun(50, func() {
+				if _, err := sc.Makespan(p); err != nil {
+					t.Fatal(err)
+				}
+			}); a != 0 {
+				t.Errorf("n=%d %v: Makespan allocates %.0f times, want 0", n, p.Policy, a)
+			}
+		}
+	}
+}
+
 func BenchmarkRun(b *testing.B) {
 	g, sys, plan := allocCase(b, 384)
 	b.ReportAllocs()
@@ -68,5 +97,30 @@ func BenchmarkRun(b *testing.B) {
 		if _, err := Run(g, sys, plan); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkScorerMakespan(b *testing.B) {
+	g, sys, plan := allocCase(b, 384)
+	sc := NewScorer(g, sys)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sc.Makespan(plan); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var scorerSink *Scorer
+
+// BenchmarkNewScorer is the one-off cost a Scorer must recoup; it must
+// stay below BenchmarkRun's.
+func BenchmarkNewScorer(b *testing.B) {
+	g, sys, _ := allocCase(b, 384)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scorerSink = NewScorer(g, sys)
 	}
 }

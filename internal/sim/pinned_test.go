@@ -55,25 +55,10 @@ func pinnedListing(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "# sim.Result digests: family/seed/policy/links makespan transfers sha256[:16]\n")
-	for _, fam := range gen.Families() {
-		for seed := int64(1); seed <= 3; seed++ {
-			g, err := gen.Generate(gen.Config{Family: fam, Seed: seed, Nodes: 40, CPUOps: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pinPolicies(&buf, fmt.Sprintf("%v/s%d", fam, seed), g, seed)
-		}
-	}
-	// Equal costs and tensor sizes make simultaneous events common, so
-	// these cases pin the tie order of the event queue and of Transfers.
-	for _, fam := range []gen.Family{gen.Diamond, gen.Layered} {
-		g, err := gen.Generate(gen.Config{Family: fam, Seed: 1, Nodes: 40, CPUOps: 2,
-			MinCost: 10 * time.Microsecond, MaxCost: 10 * time.Microsecond, MinBytes: 64 << 10, MaxBytes: 64 << 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pinPolicies(&buf, fmt.Sprintf("%v/uniform", fam), g, 1)
-	}
+	forPinnedCases(t, func(name string, g *graph.Graph, sys sim.System, plan sim.Plan) {
+		res, err := sim.Run(g, sys, plan)
+		writePinned(&buf, name, res, err)
+	})
 
 	g, err := gen.Generate(gen.Config{Family: gen.Layered, Seed: 7, Nodes: 64, CPUOps: 2})
 	if err != nil {
@@ -94,17 +79,40 @@ func pinnedListing(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// pinPolicies simulates g under every schedule discipline, with
+// forPinnedCases calls f with every case of the listing that runs
+// without fault injection: the gen families × 3 seeds, then two
+// uniform-cost graphs, each under every schedule discipline with
 // congested and congestion-free links.
-func pinPolicies(buf *bytes.Buffer, name string, g *graph.Graph, seed int64) {
-	for _, pol := range []string{"fifo", "priority", "random", "order"} {
-		plan := pinnedPlan(g, seed, pol)
-		for _, links := range []string{"congested", "free"} {
-			sys := sim.NewSystem(pinnedGPUs, 16<<30)
-			sys.CongestionFree = links == "free"
-			res, err := sim.Run(g, sys, plan)
-			writePinned(buf, fmt.Sprintf("%s/%s/%s", name, pol, links), res, err)
+func forPinnedCases(t *testing.T, f func(name string, g *graph.Graph, sys sim.System, plan sim.Plan)) {
+	t.Helper()
+	policies := func(name string, g *graph.Graph, seed int64) {
+		for _, pol := range []string{"fifo", "priority", "random", "order"} {
+			plan := pinnedPlan(g, seed, pol)
+			for _, links := range []string{"congested", "free"} {
+				sys := sim.NewSystem(pinnedGPUs, 16<<30)
+				sys.CongestionFree = links == "free"
+				f(fmt.Sprintf("%s/%s/%s", name, pol, links), g, sys, plan)
+			}
 		}
+	}
+	for _, fam := range gen.Families() {
+		for seed := int64(1); seed <= 3; seed++ {
+			g, err := gen.Generate(gen.Config{Family: fam, Seed: seed, Nodes: 40, CPUOps: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			policies(fmt.Sprintf("%v/s%d", fam, seed), g, seed)
+		}
+	}
+	// Equal costs and tensor sizes make simultaneous events common, so
+	// these cases pin the tie order of the event queue and of Transfers.
+	for _, fam := range []gen.Family{gen.Diamond, gen.Layered} {
+		g, err := gen.Generate(gen.Config{Family: fam, Seed: 1, Nodes: 40, CPUOps: 2,
+			MinCost: 10 * time.Microsecond, MaxCost: 10 * time.Microsecond, MinBytes: 64 << 10, MaxBytes: 64 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		policies(fmt.Sprintf("%v/uniform", fam), g, 1)
 	}
 }
 

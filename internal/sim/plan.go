@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"pesto/internal/graph"
 )
@@ -141,8 +142,17 @@ func (p Plan) Validate(g *graph.Graph, sys System) error {
 			return fmt.Errorf("%w: order covers %d of %d nodes", ErrBadPlacement, covered, nodes)
 		}
 	}
-	if p.Policy == PolicyPriority && len(p.Priority) != nodes {
-		return fmt.Errorf("%w: priority vector covers %d of %d nodes", ErrBadPlacement, len(p.Priority), nodes)
+	if p.Policy == PolicyPriority {
+		if len(p.Priority) != nodes {
+			return fmt.Errorf("%w: priority vector covers %d of %d nodes", ErrBadPlacement, len(p.Priority), nodes)
+		}
+		// NaN compares false both ways, so it leaves no order among the
+		// ready ops; ±Inf still order totally.
+		for i, v := range p.Priority {
+			if math.IsNaN(v) {
+				return fmt.Errorf("%w: node %d has a NaN priority", ErrBadPlacement, i)
+			}
+		}
 	}
 	return nil
 }

@@ -124,15 +124,87 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// readyOp is one op in a device's ready set. Under FIFO and Priority
+// the set is a binary min-heap on (key, id): key is the op's ready time
+// or its negated priority, mapped to an unsigned integer that preserves
+// the order, so the heap pops exactly the op a linear scan for the
+// earliest-ready (highest-priority) op, ties by lowest ID, would pick.
+// Other policies keep the set in insertion order and ignore key.
 type readyOp struct {
-	id      graph.NodeID
-	readyAt time.Duration
+	key uint64
+	id  graph.NodeID
+}
+
+func (a readyOp) before(b readyOp) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.id < b.id
+}
+
+// fifoKey orders ready times ascending.
+func fifoKey(readyAt time.Duration) uint64 { return uint64(readyAt) ^ 1<<63 }
+
+// priorityKey orders priorities descending. -0 ties with +0, as it does
+// under ==; NaN has no place in the order and Validate rejects it.
+func priorityKey(p float64) uint64 {
+	if p == 0 {
+		p = 0
+	}
+	b := math.Float64bits(p)
+	if b>>63 == 0 {
+		b |= 1 << 63
+	} else {
+		b = ^b
+	}
+	return ^b
+}
+
+// readyHeap is a binary min-heap of readyOps; (key, id) is unique, so
+// the pop order does not depend on the heap's layout.
+type readyHeap []readyOp
+
+func (h *readyHeap) push(r readyOp) {
+	q := append(*h, r)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+	*h = q
+}
+
+func (h *readyHeap) pop() readyOp {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && q[r].before(q[m]) {
+			m = r
+		}
+		if !q[m].before(q[i]) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
 }
 
 type deviceState struct {
 	running  graph.NodeID // -1 when idle
 	orderPos int          // cursor into Plan.Order for strict schedules
-	ready    []readyOp    // ready set for policy scheduling
+	ready    readyHeap    // ready set for policy scheduling
 }
 
 // linkState is one directional FCFS link: when it next falls free, its
@@ -144,13 +216,18 @@ type linkState struct {
 
 // scratch is the per-run working state that never escapes into a
 // Result. Runs borrow it from scratchPool, so a warm Run allocates only
-// its Result.
+// its Result and a warm Scorer.Makespan nothing.
 type scratch struct {
 	pendingDeps []int
 	readyAt     []time.Duration // max over dep-arrival times
 	events      eventHeap
 	devs        []deviceState
 	links       []linkState // indexed from*len(devs)+to
+
+	// Scorer.admits' dense Validate and CheckMemory state.
+	colocDev []DeviceID
+	seen     []bool
+	memUse   []int64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -180,16 +257,21 @@ func (s *scratch) reset(nodes, devices int) {
 	}
 }
 
-// simulation is one Run in flight: its inputs, the Result being filled
-// in, and the borrowed scratch.
+// simulation is one Run, RunInjected or Makespan in flight: its inputs,
+// the Result being filled in when recording, and the borrowed scratch.
+// All three drive the same event loop (simulate); they differ only in
+// where op and transfer durations come from and in whether the
+// schedule is recorded.
 type simulation struct {
 	*scratch
 	g        *graph.Graph
 	sys      System
 	plan     Plan
+	sc       *Scorer // durations from sc's tables; nil computes them from g and sys
 	inj      Injector
 	policy   SchedulePolicy
 	rng      *rand.Rand // PolicyRandom only
+	record   bool       // fill res (Run, RunInjected)
 	res      Result
 	seq      int
 	executed int
@@ -226,15 +308,9 @@ func run(g *graph.Graph, sys System, plan Plan, inj Injector) (Result, error) {
 		return Result{}, err
 	}
 	n, nd := g.NumNodes(), len(sys.Devices)
-	s := simulation{scratch: scratchPool.Get().(*scratch), g: g, sys: sys, plan: plan, inj: inj, policy: plan.Policy}
+	s := simulation{scratch: scratchPool.Get().(*scratch), g: g, sys: sys, plan: plan, inj: inj, record: true}
 	defer scratchPool.Put(s.scratch)
 	s.reset(n, nd)
-	if s.policy == 0 {
-		s.policy = PolicyFIFO
-	}
-	if s.policy == PolicyRandom {
-		s.rng = rand.New(rand.NewSource(plan.Seed))
-	}
 	if inj != nil {
 		s.memStarted = make([]int64, nd)
 	}
@@ -260,7 +336,59 @@ func run(g *graph.Graph, sys System, plan Plan, inj Injector) (Result, error) {
 		s.res.Transfers = make([]TransferEvent, 0, crossing)
 	}
 
+	now, err := s.simulate()
+	res := s.res
+	for i, l := range s.links {
+		if l.used {
+			res.LinkBusy[[2]DeviceID{DeviceID(i / nd), DeviceID(i % nd)}] = l.busy
+		}
+	}
+	if err != nil {
+		return res, err
+	}
+	res.Makespan = now
+	sort.Slice(res.Transfers, func(i, j int) bool {
+		if res.Transfers[i].Start != res.Transfers[j].Start {
+			return res.Transfers[i].Start < res.Transfers[j].Start
+		}
+		return res.Transfers[i].Finish < res.Transfers[j].Finish
+	})
+	return res, nil
+}
+
+// Makespan simulates one training step like Run and returns only its
+// makespan, with the same errors. It records no schedule, so it costs
+// less than Run for a caller that scores one plan; a caller scoring
+// many plans against one graph and system should use a Scorer.
+func Makespan(g *graph.Graph, sys System, plan Plan) (time.Duration, error) {
+	if err := plan.Validate(g, sys); err != nil {
+		return 0, err
+	}
+	if err := plan.CheckMemory(g, sys); err != nil {
+		return 0, err
+	}
+	s := simulation{scratch: scratchPool.Get().(*scratch), g: g, sys: sys, plan: plan}
+	defer scratchPool.Put(s.scratch)
+	s.reset(g.NumNodes(), len(sys.Devices))
+	for i := range s.pendingDeps {
+		s.pendingDeps[i] = g.InDegree(graph.NodeID(i))
+	}
+	return s.simulate()
+}
+
+// simulate is the event loop. It expects reset scratch with
+// pendingDeps holding every op's in-degree, and returns the makespan:
+// the time of the last event, or zero when the run fails.
+func (s *simulation) simulate() (time.Duration, error) {
+	s.policy = s.plan.Policy
+	if s.policy == 0 {
+		s.policy = PolicyFIFO
+	}
+	if s.policy == PolicyRandom {
+		s.rng = rand.New(rand.NewSource(s.plan.Seed))
+	}
 	// Seed the roots.
+	n := len(s.pendingDeps)
 	for i := 0; i < n; i++ {
 		if s.pendingDeps[i] == 0 {
 			s.markReady(graph.NodeID(i), 0)
@@ -281,27 +409,13 @@ func run(g *graph.Graph, sys System, plan Plan, inj Injector) (Result, error) {
 			s.depSatisfied(ev.node, now)
 		}
 	}
-
-	res := s.res
-	for i, l := range s.links {
-		if l.used {
-			res.LinkBusy[[2]DeviceID{DeviceID(i / nd), DeviceID(i % nd)}] = l.busy
-		}
-	}
 	if s.injErr != nil {
-		return res, s.injErr
+		return 0, s.injErr
 	}
 	if s.executed != n {
-		return res, fmt.Errorf("simulation deadlocked: executed %d of %d operations (invalid schedule order?): %w", s.executed, n, ErrBadPlacement)
+		return 0, fmt.Errorf("simulation deadlocked: executed %d of %d operations (invalid schedule order?): %w", s.executed, n, ErrBadPlacement)
 	}
-	res.Makespan = now
-	sort.Slice(res.Transfers, func(i, j int) bool {
-		if res.Transfers[i].Start != res.Transfers[j].Start {
-			return res.Transfers[i].Start < res.Transfers[j].Start
-		}
-		return res.Transfers[i].Finish < res.Transfers[j].Finish
-	})
-	return res, nil
+	return now, nil
 }
 
 func (s *simulation) push(t time.Duration, kind eventKind, node graph.NodeID) {
@@ -309,9 +423,29 @@ func (s *simulation) push(t time.Duration, kind eventKind, node graph.NodeID) {
 	s.seq++
 }
 
+// strictOrder returns the explicit order of a device, nil when the
+// device schedules by policy.
+func (s *simulation) strictOrder(devID DeviceID) []graph.NodeID {
+	if order := s.plan.Order; int(devID) < len(order) {
+		return order[devID]
+	}
+	return nil
+}
+
 func (s *simulation) markReady(id graph.NodeID, now time.Duration) {
-	d := &s.devs[s.plan.Device[id]]
-	d.ready = append(d.ready, readyOp{id: id, readyAt: now})
+	devID := s.plan.Device[id]
+	if s.strictOrder(devID) != nil {
+		return // a strict device never consults its ready set
+	}
+	d := &s.devs[devID]
+	switch s.policy {
+	case PolicyFIFO:
+		d.ready.push(readyOp{key: fifoKey(now), id: id})
+	case PolicyPriority:
+		d.ready.push(readyOp{key: priorityKey(s.plan.Priority[id]), id: id})
+	default:
+		d.ready = append(d.ready, readyOp{id: id})
+	}
 }
 
 // pickReady removes and returns the next op for a policy-scheduled
@@ -322,23 +456,10 @@ func (s *simulation) pickReady(d *deviceState) graph.NodeID {
 	}
 	idx := 0
 	switch s.policy {
-	case PolicyFIFO:
-		for i := 1; i < len(d.ready); i++ {
-			a, b := d.ready[i], d.ready[idx]
-			if a.readyAt < b.readyAt || (a.readyAt == b.readyAt && a.id < b.id) {
-				idx = i
-			}
-		}
+	case PolicyFIFO, PolicyPriority:
+		return d.ready.pop().id
 	case PolicyRandom:
 		idx = s.rng.Intn(len(d.ready))
-	case PolicyPriority:
-		for i := 1; i < len(d.ready); i++ {
-			a, b := d.ready[i], d.ready[idx]
-			pa, pb := s.plan.Priority[a.id], s.plan.Priority[b.id]
-			if pa > pb || (pa == pb && a.id < b.id) {
-				idx = i
-			}
-		}
 	}
 	id := d.ready[idx].id
 	d.ready = append(d.ready[:idx], d.ready[idx+1:]...)
@@ -346,38 +467,50 @@ func (s *simulation) pickReady(d *deviceState) graph.NodeID {
 }
 
 func (s *simulation) startOp(devID DeviceID, id graph.NodeID, now time.Duration) {
-	dev := &s.sys.Devices[devID]
-	nd, _ := s.g.Node(id)
-	speed := dev.Speed
+	var dur time.Duration
+	if s.sc != nil {
+		dur = s.sc.dur[int(devID)*len(s.pendingDeps)+int(id)]
+	} else {
+		dev := &s.sys.Devices[devID]
+		nd, _ := s.g.Node(id)
+		dur = opTime(nd.Cost, dev.Speed)
+		if s.inj != nil {
+			dur = s.inj.OpDuration(id, devID, now, dur)
+			if dur < 0 {
+				dur = 0
+			}
+			if ft, ok := s.inj.FailureTime(devID); ok && now+dur >= ft {
+				// The op would start on, or still be running on, a dead
+				// device.
+				s.injErr = &DeviceFailedError{Device: devID, At: ft}
+				return
+			}
+			if dev.Memory > 0 {
+				capNow := s.inj.DeviceCapacity(devID, now, dev.Memory)
+				if s.memStarted[devID]+nd.Memory > capNow {
+					s.injErr = fmt.Errorf("device %s needs %d of %d effective bytes at %v: %w",
+						dev.Name, s.memStarted[devID]+nd.Memory, capNow, now, ErrOOM)
+					return
+				}
+			}
+			s.memStarted[devID] += nd.Memory
+		}
+	}
+	s.devs[devID].running = id
+	if s.record {
+		s.res.Start[id] = now
+		s.res.DeviceBusy[devID] += dur
+	}
+	s.push(now+dur, evOpDone, id)
+}
+
+// opTime is the compute time of an op of the given cost on a device of
+// the given speed; a speed <= 0 counts as 1.
+func opTime(cost time.Duration, speed float64) time.Duration {
 	if speed <= 0 {
 		speed = 1
 	}
-	dur := time.Duration(math.Round(float64(nd.Cost) / speed))
-	if s.inj != nil {
-		dur = s.inj.OpDuration(id, devID, now, dur)
-		if dur < 0 {
-			dur = 0
-		}
-		if ft, ok := s.inj.FailureTime(devID); ok && now+dur >= ft {
-			// The op would start on, or still be running on, a dead
-			// device.
-			s.injErr = &DeviceFailedError{Device: devID, At: ft}
-			return
-		}
-		if dev.Memory > 0 {
-			capNow := s.inj.DeviceCapacity(devID, now, dev.Memory)
-			if s.memStarted[devID]+nd.Memory > capNow {
-				s.injErr = fmt.Errorf("device %s needs %d of %d effective bytes at %v: %w",
-					dev.Name, s.memStarted[devID]+nd.Memory, capNow, now, ErrOOM)
-				return
-			}
-		}
-		s.memStarted[devID] += nd.Memory
-	}
-	s.devs[devID].running = id
-	s.res.Start[id] = now
-	s.res.DeviceBusy[devID] += dur
-	s.push(now+dur, evOpDone, id)
+	return time.Duration(math.Round(float64(cost) / speed))
 }
 
 // dispatch tries to start work on a device at the given time.
@@ -386,11 +519,11 @@ func (s *simulation) dispatch(devID DeviceID, now time.Duration) {
 	if d.running >= 0 {
 		return
 	}
-	if order := s.plan.Order; order != nil && int(devID) < len(order) && order[devID] != nil {
-		if d.orderPos >= len(order[devID]) {
+	if order := s.strictOrder(devID); order != nil {
+		if d.orderPos >= len(order) {
 			return
 		}
-		next := order[devID][d.orderPos]
+		next := order[d.orderPos]
 		if s.pendingDeps[next] > 0 || s.readyAt[next] > now {
 			return // strict schedule: wait for the designated op
 		}
@@ -420,9 +553,11 @@ func (s *simulation) depSatisfied(id graph.NodeID, t time.Duration) {
 func (s *simulation) opDone(id graph.NodeID, now time.Duration) {
 	devID := s.plan.Device[id]
 	s.devs[devID].running = -1
-	s.res.Finish[id] = now
+	if s.record {
+		s.res.Finish[id] = now
+	}
 	s.executed++
-	for _, e := range s.g.Succ(id) {
+	for k, e := range s.g.Succ(id) {
 		target := s.plan.Device[e.To]
 		if target == devID {
 			s.depSatisfied(e.To, now)
@@ -433,19 +568,26 @@ func (s *simulation) opDone(id graph.NodeID, now time.Duration) {
 		if !s.sys.CongestionFree && lk.free > start {
 			start = lk.free
 		}
-		dur := s.sys.TransferTime(devID, target, e.Bytes)
-		if s.inj != nil {
-			dur = s.inj.TransferDuration(devID, target, e.Bytes, start, dur)
-			if dur < 0 {
-				dur = 0
+		var dur time.Duration
+		if s.sc != nil {
+			dur = s.sc.transferTime(s.sc.succOff[id]+k, devID, target)
+		} else {
+			dur = s.sys.TransferTime(devID, target, e.Bytes)
+			if s.inj != nil {
+				dur = s.inj.TransferDuration(devID, target, e.Bytes, start, dur)
+				if dur < 0 {
+					dur = 0
+				}
 			}
 		}
 		finish := start + dur
 		lk.free, lk.busy, lk.used = finish, lk.busy+dur, true
-		s.res.Transfers = append(s.res.Transfers, TransferEvent{
-			Edge: e, From: devID, To: target,
-			Enqueue: now, Start: start, Finish: finish,
-		})
+		if s.record {
+			s.res.Transfers = append(s.res.Transfers, TransferEvent{
+				Edge: e, From: devID, To: target,
+				Enqueue: now, Start: start, Finish: finish,
+			})
+		}
 		s.push(finish, evTransferDone, e.To)
 	}
 	s.dispatch(devID, now)

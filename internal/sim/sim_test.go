@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -186,6 +187,35 @@ func TestPriorityPolicy(t *testing.T) {
 	}
 	if res.Start[lo] != time.Microsecond {
 		t.Fatalf("low-priority op started at %v", res.Start[lo])
+	}
+}
+
+// TestPriorityValidation rejects NaN priorities, which order no ready
+// queue, and keeps ±Inf and signed zeros: -0 ties with +0 and the lower
+// node ID goes first.
+func TestPriorityValidation(t *testing.T) {
+	g := graph.New(3)
+	for i := 0; i < 3; i++ {
+		g.AddNode(gpuNode(time.Microsecond))
+	}
+	sys := NewSystem(1, gpuMem)
+	plan := Plan{Device: []DeviceID{1, 1, 1}, Policy: PolicyPriority, Priority: []float64{1, math.NaN(), 2}}
+	if err := plan.Validate(g, sys); !errors.Is(err, ErrBadPlacement) {
+		t.Fatalf("Validate NaN priority: %v, want ErrBadPlacement", err)
+	}
+	if _, err := Run(g, sys, plan); !errors.Is(err, ErrBadPlacement) {
+		t.Fatalf("Run NaN priority: %v, want ErrBadPlacement", err)
+	}
+	if _, err := NewScorer(g, sys).Makespan(plan); !errors.Is(err, ErrBadPlacement) {
+		t.Fatalf("Makespan NaN priority: %v, want ErrBadPlacement", err)
+	}
+	plan.Priority = []float64{math.Copysign(0, -1), math.Inf(-1), 0}
+	res, err := Run(g, sys, plan)
+	if err != nil {
+		t.Fatalf("Run ±Inf/±0 priorities: %v", err)
+	}
+	if res.Start[0] != 0 || res.Start[2] != time.Microsecond || res.Start[1] != 2*time.Microsecond {
+		t.Fatalf("starts %v, want node 0 (-0, lower ID), then node 2 (+0), then node 1 (-Inf)", res.Start)
 	}
 }
 

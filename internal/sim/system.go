@@ -165,6 +165,14 @@ func (s System) Device(id DeviceID) (Device, bool) {
 	return s.Devices[id], true
 }
 
+// kind is the kind of a device, zero for an unknown ID.
+func (s System) kind(id DeviceID) DeviceKind {
+	if id < 0 || int(id) >= len(s.Devices) {
+		return 0
+	}
+	return s.Devices[id].Kind
+}
+
 // WithComputeSpeed returns a copy of the system with every device's
 // compute speed multiplied by factor (> 1 is faster hardware, the
 // Figure 8a axis).
@@ -195,12 +203,11 @@ func (s System) WithCommSpeed(factor float64) System {
 // LinkTypeBetween classifies the link between two devices for the
 // communication model.
 func (s System) LinkTypeBetween(from, to DeviceID) comm.LinkType {
-	fd, _ := s.Device(from)
-	td, _ := s.Device(to)
+	fk, tk := s.kind(from), s.kind(to)
 	switch {
-	case fd.Kind == CPU && td.Kind == GPU:
+	case fk == CPU && tk == GPU:
 		return comm.CPUToGPU
-	case fd.Kind == GPU && td.Kind == CPU:
+	case fk == GPU && tk == CPU:
 		return comm.GPUToCPU
 	default:
 		return comm.GPUToGPU

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"pesto/internal/gen"
@@ -18,6 +19,7 @@ func FuzzCheckPlanAgreesWithValidate(f *testing.F) {
 	f.Add(int64(1), []byte{1, 2, 1, 2})
 	f.Add(int64(9), []byte{0})
 	f.Add(int64(-3), []byte{7, 7, 7, 7, 7, 7, 7, 7})
+	f.Add(int64(5), []byte{3, 16, 1, 15})
 	f.Fuzz(func(t *testing.T, seed int64, raw []byte) {
 		g, err := gen.Generate(gen.RandomConfig(seed))
 		if err != nil {
@@ -34,6 +36,21 @@ func FuzzCheckPlanAgreesWithValidate(f *testing.F) {
 			plan.Device[i] = sim.DeviceID(b % 4)
 			if nd, ok := g.Node(graph.NodeID(i)); ok && nd.Kind == graph.KindGPU && b%5 != 0 {
 				plan.Device[i] = sim.DeviceID(1 + b%2)
+			}
+		}
+		if len(raw) > 0 && raw[0]%3 == 0 {
+			// Priority schedules, NaN entries included.
+			plan.Policy = sim.PolicyPriority
+			plan.Priority = make([]float64, g.NumNodes())
+			for i := range plan.Priority {
+				switch b := raw[(i+1)%len(raw)]; {
+				case b%17 == 16:
+					plan.Priority[i] = math.NaN()
+				case b%17 == 15:
+					plan.Priority[i] = math.Inf(int(b%2)*2 - 1)
+				default:
+					plan.Priority[i] = float64(b % 4)
+				}
 			}
 		}
 		vErr := plan.Validate(g, sys)

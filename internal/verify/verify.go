@@ -101,8 +101,15 @@ func CheckPlan(g *graph.Graph, sys sim.System, plan sim.Plan) error {
 	if err := checkOrderShape(g, plan); err != nil {
 		return err
 	}
-	if plan.Policy == sim.PolicyPriority && len(plan.Priority) != n {
-		return fmt.Errorf("%w: priority vector covers %d of %d nodes", ErrSchedule, len(plan.Priority), n)
+	if plan.Policy == sim.PolicyPriority {
+		if len(plan.Priority) != n {
+			return fmt.Errorf("%w: priority vector covers %d of %d nodes", ErrSchedule, len(plan.Priority), n)
+		}
+		for i, p := range plan.Priority {
+			if math.IsNaN(p) {
+				return fmt.Errorf("%w: node %d has a NaN priority, which orders no ready queue: %w", ErrSchedule, i, sim.ErrBadPlacement)
+			}
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -150,6 +151,17 @@ func TestCorruptedPlansRejectedWithDistinctErrors(t *testing.T) {
 			static: true,
 			corrupt: func(t *testing.T, g *graph.Graph, sys *sim.System, plan *sim.Plan, res *sim.Result) {
 				plan.Order[2] = []graph.NodeID{3}
+			},
+		},
+		{
+			name:   "schedule/nan-priority",
+			want:   ErrSchedule,
+			static: true,
+			corrupt: func(t *testing.T, g *graph.Graph, sys *sim.System, plan *sim.Plan, res *sim.Result) {
+				plan.Order = nil
+				plan.Policy = sim.PolicyPriority
+				plan.Priority = make([]float64, g.NumNodes())
+				plan.Priority[2] = math.NaN()
 			},
 		},
 		{
