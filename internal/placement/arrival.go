@@ -10,6 +10,7 @@ import (
 	"pesto/internal/coarsen"
 	"pesto/internal/engine"
 	"pesto/internal/graph"
+	"pesto/internal/obs"
 	"pesto/internal/sim"
 )
 
@@ -80,6 +81,7 @@ func ReplanArrival(ctx context.Context, g *graph.Graph, sys sim.System, plan sim
 		orig:    g,
 		cres:    cres,
 		pool:    pool,
+		rec:     obs.From(ctx),
 	}
 	// Both the pre-arrival incumbent and the rebalanced vector seed the
 	// search: if migration was a bad idea the refiner keeps the old

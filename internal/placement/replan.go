@@ -10,6 +10,7 @@ import (
 	"pesto/internal/coarsen"
 	"pesto/internal/engine"
 	"pesto/internal/graph"
+	"pesto/internal/obs"
 	"pesto/internal/sim"
 )
 
@@ -113,6 +114,7 @@ func Replan(ctx context.Context, g *graph.Graph, sys sim.System, plan sim.Plan, 
 		orig:    g,
 		cres:    cres,
 		pool:    pool,
+		rec:     obs.From(ctx),
 	}
 	h.evalOriginal(dev)
 	h.evalAssign(h.projectOriginal(dev))

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"pesto/internal/gen"
 	"pesto/internal/graph"
+	"pesto/internal/obs"
 	"pesto/internal/sim"
 )
 
@@ -169,4 +171,41 @@ func TestReplanKeepsColocGroupsTogether(t *testing.T) {
 	if err := rr.Plan.Validate(g, rr.Survivors); err != nil {
 		t.Fatalf("replanned plan invalid: %v", err)
 	}
+}
+
+// TestReplanCountsSearchWork holds Replan and ReplanArrival to the
+// search telemetry every other entry point reports: a rebalance that
+// seeds and refines must count its simulations and refine rounds.
+func TestReplanCountsSearchWork(t *testing.T) {
+	g, err := gen.Generate(gen.Config{Family: gen.Layered, Seed: 1, Nodes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := sim.NewSystem(3, gpuMem)
+	opts := Options{ILPTimeLimit: 10 * time.Second, StartStage: StageRefine}
+	res, err := PlaceMultiGPU(context.Background(), g, sys, opts)
+	if err != nil {
+		t.Fatalf("PlaceMultiGPU: %v", err)
+	}
+	const lost = sim.DeviceID(3)
+	counted := func(name string, f func(ctx context.Context) (*ReplanResult, error)) *ReplanResult {
+		t.Helper()
+		rec := obs.NewRecorder()
+		rr, err := f(obs.Into(context.Background(), rec))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, c := range []string{"placement.sims", "placement.refine.rounds"} {
+			if rec.Counter(c) <= 0 {
+				t.Errorf("%s: %s = %d, want > 0", name, c, rec.Counter(c))
+			}
+		}
+		return rr
+	}
+	rr := counted("Replan", func(ctx context.Context) (*ReplanResult, error) {
+		return Replan(ctx, g, sys, res.Plan, lost, opts)
+	})
+	counted("ReplanArrival", func(ctx context.Context) (*ReplanResult, error) {
+		return ReplanArrival(ctx, g, sys, rr.Plan, lost, opts)
+	})
 }
