@@ -3,14 +3,10 @@ package placement
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
-	"pesto/internal/coarsen"
-	"pesto/internal/engine"
 	"pesto/internal/graph"
-	"pesto/internal/obs"
 	"pesto/internal/sim"
 )
 
@@ -33,8 +29,6 @@ import (
 // StageReplan but not Degraded — scale-up is an improvement, not a
 // fallback.
 func ReplanArrival(ctx context.Context, g *graph.Graph, sys sim.System, plan sim.Plan, arrived sim.DeviceID, opts Options) (*ReplanResult, error) {
-	start := time.Now()
-	opts = opts.withDefaults()
 	ad, ok := sys.Device(arrived)
 	if !ok {
 		return nil, fmt.Errorf("replan-arrival: unknown device %d: %w", arrived, sim.ErrBadPlacement)
@@ -45,77 +39,15 @@ func ReplanArrival(ctx context.Context, g *graph.Graph, sys sim.System, plan sim
 	if ad.Failed {
 		return nil, fmt.Errorf("replan-arrival: device %s is marked failed; clear the failure before rebalancing onto it: %w", ad.Name, ErrUnsupportedSystem)
 	}
-	if err := plan.Validate(g, sys); err != nil {
-		return nil, fmt.Errorf("replan-arrival: source plan: %w", err)
-	}
-	if plan.Order != nil {
-		opts.ScheduleFromILP = true
-	}
-
-	var prevMk time.Duration
-	if mk, err := sim.Makespan(g, sys, plan); err == nil {
-		prevMk = mk
-	}
-
-	dev, migrated := migrateOnto(g, sys, plan.Device, arrived)
-	migratedPlan := sim.Plan{Device: dev, Policy: sim.PolicyFIFO}
-	if err := migratedPlan.Validate(g, sys); err != nil {
-		return nil, fmt.Errorf("replan-arrival: migrated plan: %w", err)
-	}
-	if err := migratedPlan.CheckMemory(g, sys); err != nil {
-		return nil, fmt.Errorf("replan-arrival: migrated plan: %w", err)
-	}
-
-	pool := engine.New(opts.Parallel)
-	sctx, cancelSearch := context.WithDeadline(ctx, start.Add(opts.ILPTimeLimit))
-	defer cancelSearch()
-	cres, err := coarsen.Coarsen(g, coarsen.Options{Target: opts.CoarsenTarget})
-	if err != nil {
-		return nil, fmt.Errorf("replan-arrival coarsen: %w", err)
-	}
-	h := &heuristic{
-		cg:      cres.Coarse,
-		sys:     sys,
-		horizon: horizonFor(g, sys),
-		opts:    opts,
-		orig:    g,
-		cres:    cres,
-		pool:    pool,
-		rec:     obs.From(ctx),
-	}
-	// Both the pre-arrival incumbent and the rebalanced vector seed the
-	// search: if migration was a bad idea the refiner keeps the old
-	// plan, so ReplanArrival never answers worse than doing nothing.
-	h.evalOriginal(plan.Device)
-	h.evalOriginal(dev)
-	h.evalAssign(h.projectOriginal(dev))
-	h.refine(sctx)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("replan-arrival: cancelled during refinement: %w", err)
-	}
-	if h.bestDev == nil {
-		return nil, fmt.Errorf("replan-arrival: no candidate plan simulates: %w", ErrNoPlacement)
-	}
-	newPlan, mk, err := h.finalizePlan(ctx, h.bestDev)
-	if err != nil {
-		return nil, fmt.Errorf("replan-arrival: %w", err)
-	}
-	out := &ReplanResult{
-		Plan:          newPlan,
-		Survivors:     sys,
-		Makespan:      mk,
-		PrevMakespan:  prevMk,
-		Migrated:      migrated,
-		PlacementTime: time.Since(start),
-		Provenance:    Provenance{Stage: StageReplan},
-	}
-	if prevMk > 0 {
-		out.RecoveryDelta = mk - prevMk
-	}
-	if verr := verifyResult(g, sys, out.Plan, opts); verr != nil {
-		return nil, verr
-	}
-	return out, nil
+	return rebalance{
+		op:     "replan-arrival",
+		target: sys,
+		migrate: func(dev []sim.DeviceID) ([]sim.DeviceID, int, error) {
+			dev, migrated := migrateOnto(g, sys, dev, arrived)
+			return dev, migrated, nil
+		},
+		seedPrev: true,
+	}.run(ctx, g, sys, plan, opts)
 }
 
 // migrateOnto rebalances compute onto a newly arrived GPU: eviction
@@ -142,13 +74,6 @@ func migrateOnto(g *graph.Graph, sys sim.System, device []sim.DeviceID, arrived 
 		load[d] += n.Cost
 		used[d] += n.Memory
 		total += n.Cost
-	}
-	capOf := func(d sim.DeviceID) int64 {
-		dv, _ := sys.Device(d)
-		if dv.Memory <= 0 {
-			return math.MaxInt64
-		}
-		return dv.Memory
 	}
 	target := total / time.Duration(len(gpus))
 
@@ -210,7 +135,7 @@ func migrateOnto(g *graph.Graph, sys sim.System, device []sim.DeviceID, arrived 
 		// swing the donor below what the arrival would rise to.
 		moved := false
 		for i, u := range byDevice[donor] {
-			if used[arrived]+u.mem > capOf(arrived) {
+			if used[arrived]+u.mem > memCap(sys, arrived) {
 				continue
 			}
 			if load[donor]-u.cost < load[arrived] {

@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"pesto/internal/coarsen"
-	"pesto/internal/engine"
 	"pesto/internal/graph"
-	"pesto/internal/ilp"
 	"pesto/internal/incr"
 	"pesto/internal/obs"
 	"pesto/internal/sim"
@@ -73,7 +71,7 @@ type IncrementalInfo struct {
 // devices held fixed, dirty groups are movable. The result is
 // verified against the full internal/verify invariant checker before
 // it is returned — on any verification failure, on a dirty fraction
-// above Options.IncrDirtyThreshold, on a warm chain longer than
+// above incrDirtyThreshold, on a warm chain longer than
 // Options.IncrMaxChain, or on any defect in the prior, Incremental
 // falls back to a cold PlaceMultiGPU solve. Either way the returned
 // Result carries Provenance.Incremental accounting.
@@ -131,10 +129,12 @@ func incrementalAttempt(ctx context.Context, g *graph.Graph, sys sim.System, pri
 	if diff.AddedNodes+diff.RemovedNodes > 0 {
 		return incrementalCold(ctx, g, sys, opts, "structural-refresh", prior.AnchorQuality)
 	}
-	cres, err := coarsen.Coarsen(g, coarsen.Options{Target: opts.CoarsenTarget})
+	s, err := newSearch(ctx, g, sys, opts, start)
 	if err != nil {
-		return nil, fmt.Errorf("pesto incremental coarsen: %w", err)
+		return nil, fmt.Errorf("pesto incremental: %w", err)
 	}
+	defer s.cancel()
+	h, cres := s.h, s.h.cres
 	total := cres.Coarse.NumNodes()
 
 	// Dirty closure: groups touched by the diff plus critical-path
@@ -179,7 +179,7 @@ func incrementalAttempt(ctx context.Context, g *graph.Graph, sys sim.System, pri
 	// The locality threshold judges the *edit* footprint alone — the
 	// structural widening below is a search aid, not evidence the edit
 	// touched more of the graph.
-	if opts.IncrDirtyThreshold > 0 && float64(editDirty) > opts.IncrDirtyThreshold*float64(total) {
+	if float64(editDirty) > incrDirtyThreshold*float64(total) {
 		return incrementalCold(ctx, g, sys, opts, "dirty-threshold", prior.AnchorQuality)
 	}
 	// Every edit shifts load along the schedule's spine — a reweight
@@ -241,21 +241,7 @@ func incrementalAttempt(ctx context.Context, g *graph.Graph, sys sim.System, pri
 	// only dirty groups may move. No full seed sweep, no unrestricted
 	// refinement — the restricted neighbourhood is where the speedup
 	// comes from.
-	rec := obs.From(ctx)
-	pool := engine.New(opts.Parallel)
-	sctx, cancelSearch := context.WithDeadline(ctx, start.Add(opts.ILPTimeLimit))
-	defer cancelSearch()
-	h := &heuristic{
-		cg:      cres.Coarse,
-		sys:     sys,
-		horizon: horizonFor(g, sys),
-		opts:    opts,
-		orig:    g,
-		cres:    cres,
-		pool:    pool,
-		rec:     rec,
-		movable: dirtyGroup,
-	}
+	h.movable = dirtyGroup
 	inherited := inheritDevices(g, sys, prior, m)
 	proj := h.projectOriginal(inherited)
 	h.repairColocAssign(proj)
@@ -320,49 +306,37 @@ func incrementalAttempt(ctx context.Context, g *graph.Graph, sys sim.System, pri
 			anchor = float64(mk) / float64(qualityLowerBound(prior.Graph, sys))
 		}
 	}
-	var plan sim.Plan
-	var mk time.Duration
+	var res *Result
 	refined := false
 	for {
 		if h.bestDev == nil {
 			return incrementalCold(ctx, g, sys, opts, "no-candidate", prior.AnchorQuality)
 		}
 		if h.bestObj <= etfObj*incrQualityMargin {
-			var ferr error
-			plan, mk, ferr = h.finalizePlan(ctx, h.bestDev)
+			r, ferr := s.finish(ctx)
 			if ferr != nil {
 				return incrementalCold(ctx, g, sys, opts, "finalize-failed", prior.AnchorQuality)
 			}
-			q := float64(mk) / float64(qualityLowerBound(g, sys))
+			q := float64(r.SimulatedMakespan) / float64(qualityLowerBound(g, sys))
 			if anchor <= 0 || q <= anchor*incrQualityMargin {
 				if anchor == 0 || q < anchor {
 					anchor = q
 				}
+				res = r
 				break
 			}
 		}
 		if refined {
 			return incrementalCold(ctx, g, sys, opts, "quality-drift", anchor)
 		}
-		h.refine(sctx)
+		h.refine(s.sctx)
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("pesto incremental: cancelled during refinement: %w", err)
 		}
 		refined = true
 	}
 	info.AnchorQuality = anchor
-
-	res := &Result{
-		Plan:              plan,
-		CoarsePlan:        sim.Plan{Device: append([]sim.DeviceID(nil), h.coarseBest...), Policy: sim.PolicyFIFO},
-		CoarseSize:        total,
-		ILPStatus:         ilp.FeasibleStatus,
-		PredictedMakespan: time.Duration(h.bestObj * float64(h.horizon)),
-		SimulatedMakespan: mk,
-		CoarsenIterations: cres.Iterations,
-		PlacementTime:     time.Since(start),
-		Provenance:        Provenance{Stage: StageIncremental, Incremental: info},
-	}
+	res.Provenance = Provenance{Stage: StageIncremental, Incremental: info}
 	// A warm plan never ships unverified, whatever the caller asked
 	// for: reuse must not be able to smuggle a stale invariant
 	// violation past the checker. Verification failure is a fallback,
@@ -399,6 +373,12 @@ func incrementalCold(ctx context.Context, g *graph.Graph, sys sim.System, opts O
 	}
 	return res, nil
 }
+
+// incrDirtyThreshold is the dirty-group fraction above which
+// Incremental abandons the warm re-place and falls back to a cold
+// solve: past it, re-solving the dirty region costs about as much as
+// solving fresh and the reuse no longer pays.
+const incrDirtyThreshold = 0.5
 
 // incrQualityMargin is how far past the anchor's quality ratio a warm
 // plan may drift before the step re-solves cold. The sweep's oracle
@@ -513,11 +493,4 @@ func inheritDevices(g *graph.Graph, sys sim.System, prior PriorPlacement, m []gr
 		}
 	}
 	return dev
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"pesto/internal/baselines"
 	"pesto/internal/graph"
 	"pesto/internal/ilp"
 	"pesto/internal/obs"
@@ -163,6 +162,9 @@ func (p Provenance) Err() error {
 	return fmt.Errorf("%w: served by %v after [%s]", ErrDegraded, p.Stage, b.String())
 }
 
+// stageBackoff is the pause between retries of a failed ladder stage.
+const stageBackoff = 5 * time.Millisecond
+
 // stageFunc is one rung's implementation.
 type stageFunc func(ctx context.Context, g *graph.Graph, sys sim.System, opts Options) (*Result, error)
 
@@ -178,10 +180,11 @@ type stageDef struct {
 //  1. the exact pipeline (coarsen → ILP branch and bound → warm starts
 //     → refinement),
 //  2. the ILP-free warm-start + refinement pipeline,
-//  3. the best baseline heuristic (Baechi family, HEFT, single-GPU).
+//  3. the contiguous-split DP,
+//  4. the best baseline heuristic (Baechi family, HEFT, single-GPU).
 //
 // Each rung runs under its own deadline with bounded retry/backoff
-// (Options.StageRetries/StageBackoff), and panics inside a rung are
+// (Options.StageRetries, stageBackoff apart), and panics inside a rung are
 // recovered into errors — a crashing or stalling solver degrades the
 // answer instead of taking the caller down. The rung that produced the
 // returned plan is recorded in Result.Provenance; use
@@ -191,29 +194,42 @@ type stageDef struct {
 //
 // Options.DisableFallback restores the bare exact pipeline.
 func Place(ctx context.Context, g *graph.Graph, sys sim.System, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if len(sys.GPUs()) != 2 {
-		return nil, fmt.Errorf("pesto: system has %d usable GPUs: %w", len(sys.GPUs()), ErrUnsupportedSystem)
+	if n := len(sys.GPUs()); n != 2 {
+		return nil, fmt.Errorf("pesto: system has %d usable GPUs: %w", n, ErrUnsupportedSystem)
 	}
-	ctx, span := obs.Start(ctx, "placement.place", obs.Int("graph-nodes", int64(g.NumNodes())))
+	return placeLadder(ctx, g, sys, opts)
+}
+
+// placeLadder is the body of Place and PlaceMultiGPU. The rungs follow
+// the GPU count: the exact rung covers two GPUs only, so k > 2 starts
+// at refinement.
+func placeLadder(ctx context.Context, g *graph.Graph, sys sim.System, opts Options) (*Result, error) {
+	opts = opts.withDefaults()
+	ctx, span := obs.Start(ctx, "placement.place",
+		obs.Int("graph-nodes", int64(g.NumNodes())), obs.Int("gpus", int64(len(sys.GPUs()))))
+	rungs := []stageDef{
+		{StageILP, placeILP},
+		{StageRefine, placeRefine},
+		{StagePipelineDP, placePipelineDP},
+		{StageFallback, placeFallback},
+	}
+	if len(sys.GPUs()) != 2 {
+		rungs = rungs[1:]
+	}
 	var res *Result
 	var err error
-	if opts.Pipeline.Enabled() {
+	switch {
+	case opts.Pipeline.Enabled():
 		// The microbatched pipeline regime is a different planning
 		// problem (minimize step time over M microbatches, not
 		// single-shot makespan); it runs directly, not as a ladder rung,
 		// so its provenance — including the winning (partition,
 		// schedule) pair — survives intact.
 		res, err = placePipeline(ctx, g, sys, opts)
-	} else if opts.DisableFallback {
-		res, err = placeILP(ctx, g, sys, opts)
-	} else {
-		kept, skipped := stagesFrom([]stageDef{
-			{StageILP, placeILP},
-			{StageRefine, placeRefine},
-			{StagePipelineDP, placePipelineDP},
-			{StageFallback, placeFallback},
-		}, opts.StartStage)
+	case opts.DisableFallback:
+		res, err = rungs[0].run(ctx, g, sys, opts)
+	default:
+		kept, skipped := stagesFrom(rungs, opts.StartStage)
 		res, err = runLadder(ctx, g, sys, opts, kept, skipped)
 	}
 	if err != nil {
@@ -301,7 +317,7 @@ func runLadder(ctx context.Context, g *graph.Graph, sys sim.System, opts Options
 			// A stage that already ran out its deadline will do so
 			// again; don't burn the next rung's budget re-proving it.
 			if attempt <= opts.StageRetries && !errors.Is(err, context.DeadlineExceeded) {
-				time.Sleep(opts.StageBackoff)
+				time.Sleep(stageBackoff)
 			} else {
 				break
 			}
@@ -346,31 +362,16 @@ func placeFallback(ctx context.Context, g *graph.Graph, sys sim.System, opts Opt
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pesto fallback: %w", err)
 	}
-	type namedPlan struct {
-		name string
-		plan sim.Plan
-		err  error
-	}
-	var cands []namedPlan
-	if bp, h, _, berr := baselines.BestBaechi(g, sys); berr == nil {
-		cands = append(cands, namedPlan{name: "baechi-" + h.String(), plan: bp})
-	}
-	if hp, herr := baselines.HEFT(g, sys); herr == nil {
-		cands = append(cands, namedPlan{name: "heft", plan: hp})
-	}
-	if sp, serr := baselines.SingleGPU(g, sys); serr == nil {
-		cands = append(cands, namedPlan{name: "single-gpu", plan: sp})
-	}
 	var bestPlan sim.Plan
 	var bestRes sim.Result
 	bestMk := time.Duration(-1)
-	for _, c := range cands {
-		r, err := sim.Run(g, sys, c.plan)
+	for _, p := range baselinePlans(g, sys) {
+		r, err := sim.Run(g, sys, p)
 		if err != nil {
 			continue
 		}
 		if bestMk < 0 || r.Makespan < bestMk {
-			bestMk, bestPlan, bestRes = r.Makespan, c.plan, r
+			bestMk, bestPlan, bestRes = r.Makespan, p, r
 		}
 	}
 	if bestMk < 0 {

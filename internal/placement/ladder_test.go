@@ -105,7 +105,6 @@ func TestLadderRetriesTransientFailures(t *testing.T) {
 	res, err := Place(context.Background(), g, sys, Options{
 		ILPTimeLimit: 5 * time.Second,
 		StageRetries: 1,
-		StageBackoff: time.Millisecond,
 		StageHook: func(s Stage) error {
 			if s == StageILP {
 				calls++

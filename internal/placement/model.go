@@ -66,6 +66,20 @@ type model struct {
 	lp      *lp.Problem
 }
 
+// The ILP's two pair caps. Dropped pairs can make the ILP's C_max
+// optimistic; the realized plan is always re-validated through the
+// simulator.
+const (
+	// nonOverlapTopK bounds the same-device non-overlap pairs, keeping
+	// those with the largest combined compute time.
+	nonOverlapTopK = 64
+	// congestionTopK bounds the communication vertices that receive
+	// pairwise congestion constraints: the largest transfers, since
+	// congestion among tiny transfers is immaterial but inflates the LP
+	// quadratically.
+	congestionTopK = 16
+)
+
 // buildModel augments the coarse graph with communication vertices and
 // assembles the constraints (1)–(9) of the Pesto ILP plus the
 // non-overlapping (10), congestion (7) and memory (8) constraint groups.
@@ -323,12 +337,12 @@ func buildModel(g *graph.Graph, sys sim.System, opts Options) (*model, error) {
 
 	// (10): non-overlap of same-device operations. Unordered pairs not
 	// related by precedence get one δ binary and the gated disjunction.
-	// Only the NonOverlapTopK pairs with the largest combined compute
+	// Only the nonOverlapTopK pairs with the largest combined compute
 	// time are modelled; dropped pairs make C_max optimistic but keep
 	// the LP tractable (plans are re-validated in the simulator).
 	var deltaVars []int
 	// GPU–GPU pairs.
-	for _, pair := range topPairs(gpuNodes, reach, nodes, opts.NonOverlapTopK) {
+	for _, pair := range topPairs(gpuNodes, reach, nodes, nonOverlapTopK) {
 		{
 			i, j := pair[0], pair[1]
 			d := alloc()
@@ -362,7 +376,7 @@ func buildModel(g *graph.Graph, sys sim.System, opts Options) (*model, error) {
 			cpuNodes = append(cpuNodes, graph.NodeID(i))
 		}
 	}
-	for _, pair := range topPairs(cpuNodes, reach, nodes, opts.NonOverlapTopK) {
+	for _, pair := range topPairs(cpuNodes, reach, nodes, nonOverlapTopK) {
 		{
 			i, j := pair[0], pair[1]
 			d := alloc()
@@ -378,11 +392,11 @@ func buildModel(g *graph.Graph, sys sim.System, opts Options) (*model, error) {
 
 	// (7): congestion — GG transfers sharing a one-way GPU link must not
 	// overlap. Skip pairs ordered by precedence (producer of one
-	// reaches consumer of the other); only the CongestionTopK largest
+	// reaches consumer of the other); only the congestionTopK largest
 	// transfers get pairwise constraints (tiny transfers contribute no
 	// meaningful congestion but quadratic LP rows).
 	if !opts.DisableCongestion {
-		gg := topComms(m.comms, commGG, opts.CongestionTopK)
+		gg := topComms(m.comms, commGG, congestionTopK)
 		for ai := 0; ai < len(gg); ai++ {
 			a := gg[ai]
 			for bi := ai + 1; bi < len(gg); bi++ {
@@ -431,7 +445,7 @@ func buildModel(g *graph.Graph, sys sim.System, opts Options) (*model, error) {
 		}
 		// CG/GC transfers share the per-GPU PCIe link with others headed
 		// to/from the same GPU.
-		m.addHostLinkCongestion(reach, &deltaVars, alloc, add, norm, bigM, opts.CongestionTopK)
+		m.addHostLinkCongestion(reach, &deltaVars, alloc, add, norm, bigM, congestionTopK)
 	}
 
 	// (8): memory — hard per-GPU capacity plus the paper's balance

@@ -5,12 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"pesto/internal/coarsen"
-	"pesto/internal/comm"
 	"pesto/internal/engine"
 	"pesto/internal/graph"
-	"pesto/internal/ilp"
-	"pesto/internal/obs"
 	"pesto/internal/sim"
 )
 
@@ -22,48 +18,12 @@ import (
 // and refinement machinery generalized to k devices (seeds, greedy
 // earliest-start placement, colocation/memory repair, hill climbing),
 // all evaluated through the same simulator. For exactly two GPUs it
-// defers to Place.
+// runs Place's ladder.
 func PlaceMultiGPU(ctx context.Context, g *graph.Graph, sys sim.System, opts Options) (*Result, error) {
-	gpus := sys.GPUs()
-	if len(gpus) == 2 {
-		return Place(ctx, g, sys, opts)
+	if n := len(sys.GPUs()); n < 2 {
+		return nil, fmt.Errorf("pesto: system has %d usable GPUs: %w", n, ErrUnsupportedSystem)
 	}
-	if len(gpus) < 2 {
-		return nil, fmt.Errorf("pesto: system has %d usable GPUs: %w", len(gpus), ErrUnsupportedSystem)
-	}
-	opts = opts.withDefaults()
-	ctx, span := obs.Start(ctx, "placement.place",
-		obs.Int("graph-nodes", int64(g.NumNodes())), obs.Int("gpus", int64(len(gpus))))
-	var res *Result
-	var err error
-	if opts.Pipeline.Enabled() {
-		// See Place: the pipeline regime bypasses the ladder so its
-		// provenance survives.
-		res, err = placePipeline(ctx, g, sys, opts)
-	} else if opts.DisableFallback {
-		res, err = placeRefine(ctx, g, sys, opts)
-	} else {
-		// k > 2 has no exact rung; its ladder is refine →
-		// contiguous-split DP → heuristics.
-		kept, skipped := stagesFrom([]stageDef{
-			{StageRefine, placeRefine},
-			{StagePipelineDP, placePipelineDP},
-			{StageFallback, placeFallback},
-		}, opts.StartStage)
-		res, err = runLadder(ctx, g, sys, opts, kept, skipped)
-	}
-	if err != nil {
-		span.End(obs.String("outcome", "error"), obs.String("error", err.Error()))
-		return nil, err
-	}
-	if verr := verifyResult(g, sys, res.Plan, opts); verr != nil {
-		span.End(obs.String("outcome", "verification-failed"), obs.String("error", verr.Error()))
-		return nil, verr
-	}
-	span.End(obs.String("outcome", "ok"),
-		obs.String("stage", res.Provenance.Stage.String()),
-		obs.Dur("makespan", res.SimulatedMakespan))
-	return res, nil
+	return placeLadder(ctx, g, sys, opts)
 }
 
 // placeRefine is the ILP-free pipeline: warm-start seeds, greedy
@@ -72,95 +32,15 @@ func PlaceMultiGPU(ctx context.Context, g *graph.Graph, sys sim.System, opts Opt
 // the primary pipeline for k > 2 GPUs and the middle rung of the
 // two-GPU degradation ladder (it works for any k >= 1).
 func placeRefine(ctx context.Context, g *graph.Graph, sys sim.System, opts Options) (*Result, error) {
-	start := time.Now()
-	opts = opts.withDefaults()
-	if len(sys.GPUs()) < 1 {
-		return nil, fmt.Errorf("pesto: system has no usable GPUs: %w", ErrUnsupportedSystem)
-	}
-
-	rec := obs.From(ctx)
-	_, coarsenSpan := obs.Start(ctx, "placement.coarsen", obs.Int("target", int64(opts.CoarsenTarget)))
-	cres, err := coarsen.Coarsen(g, coarsen.Options{Target: opts.CoarsenTarget})
-	if err != nil {
-		coarsenSpan.End(obs.String("outcome", "error"))
-		return nil, fmt.Errorf("pesto coarsen: %w", err)
-	}
-	coarsenSpan.End(obs.Int("coarse-nodes", int64(cres.Coarse.NumNodes())))
-
-	pool := engine.New(opts.Parallel)
-	// The warm-start and refinement phases share the ILP's time budget;
-	// caller cancellation is checked separately so a cancelled caller
-	// gets an error, not a half-refined plan.
-	sctx, cancelSearch := context.WithDeadline(ctx, start.Add(opts.ILPTimeLimit))
-	defer cancelSearch()
-
-	h := &heuristic{
-		cg:      cres.Coarse,
-		sys:     sys,
-		horizon: horizonFor(g, sys),
-		opts:    opts,
-		orig:    g,
-		cres:    cres,
-		pool:    pool,
-		rec:     rec,
-	}
-	// Seeds run on the caller's context so an exhausted time budget
-	// still yields an incumbent; only refinement is budget-bound.
-	_, seedSpan := obs.Start(ctx, "placement.seed")
-	h.seedAssignments(ctx)
-	h.seedListScheduling(ctx)
-	h.seedBaselines(ctx)
-	seedSpan.End(obs.F64("objective", h.bestObj))
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("pesto: cancelled during warm start: %w", err)
-	}
-	roundsBefore := rec.Counter("placement.refine.rounds")
-	_, refineSpan := obs.Start(ctx, "placement.refine")
-	h.refine(sctx)
-	refineSpan.End(obs.Int("rounds", rec.Counter("placement.refine.rounds")-roundsBefore),
-		obs.F64("objective", h.bestObj))
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("pesto: cancelled during refinement: %w", err)
-	}
-	if h.bestDev == nil {
-		return nil, fmt.Errorf("pesto multi-gpu: %w", ErrNoPlacement)
-	}
-
-	res := &Result{
-		CoarseSize:        cres.Coarse.NumNodes(),
-		ILPStatus:         ilp.FeasibleStatus,
-		CoarsenIterations: cres.Iterations,
-		PredictedMakespan: time.Duration(h.bestObj * float64(h.horizon)),
-	}
-	plan, mk, err := h.finalizePlan(ctx, h.bestDev)
+	s, err := newSearch(ctx, g, sys, opts.withDefaults(), time.Now())
 	if err != nil {
 		return nil, err
 	}
-	res.Plan = plan
-	res.SimulatedMakespan = mk
-	res.CoarsePlan = sim.Plan{Device: append([]sim.DeviceID(nil), h.coarseBest...), Policy: sim.PolicyFIFO}
-	res.PlacementTime = time.Since(start)
-	return res, nil
-}
-
-// horizonFor is the objective normalization unit used when no ILP model
-// exists: total compute plus a worst-case communication bound.
-func horizonFor(g *graph.Graph, sys sim.System) time.Duration {
-	h := g.TotalCost()
-	for _, e := range g.Edges() {
-		h += sys.Comm.Time(comm.GPUToGPU, e.Bytes)
+	defer s.cancel()
+	if err := s.seedAndRefine(ctx, nil); err != nil {
+		return nil, err
 	}
-	if h <= 0 {
-		h = time.Nanosecond
-	}
-	return h
-}
-
-// finalizePlan realizes a device vector under the heuristic's schedule
-// disciplines and returns the better plan with its simulated makespan.
-func (h *heuristic) finalizePlan(ctx context.Context, dev []sim.DeviceID) (sim.Plan, time.Duration, error) {
-	plan, mk, _, err := h.finalize(ctx, h.candidatePlans(dev))
-	return plan, mk, err
+	return s.finish(ctx)
 }
 
 // finalize realizes candidate original-graph plans and returns the one

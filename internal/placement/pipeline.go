@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"pesto/internal/coarsen"
-	"pesto/internal/engine"
 	"pesto/internal/graph"
-	"pesto/internal/ilp"
 	"pesto/internal/obs"
 	"pesto/internal/pipeline"
 	"pesto/internal/sim"
@@ -21,35 +18,16 @@ import (
 // bottleneck stage time under the communication model, and the best of
 // those splits (one per stage count) and the baseline placements wins.
 // No hill climbing, no LP — a fast rung between refinement and the
-// bare heuristics. With Options.Pipeline set it instead runs the full
-// microbatched pipeline planning regime (placePipeline).
+// bare heuristics.
 func placePipelineDP(ctx context.Context, g *graph.Graph, sys sim.System, opts Options) (*Result, error) {
-	if opts.Pipeline.Enabled() {
-		return placePipeline(ctx, g, sys, opts)
-	}
-	start := time.Now()
-	opts = opts.withDefaults()
-	gpus := sys.GPUs()
-	if len(gpus) < 1 {
-		return nil, fmt.Errorf("pesto pipeline-dp: system has no usable GPUs: %w", ErrUnsupportedSystem)
-	}
-	cres, err := coarsen.Coarsen(g, coarsen.Options{Target: opts.CoarsenTarget})
+	s, err := newSearch(ctx, g, sys, opts.withDefaults(), time.Now())
 	if err != nil {
-		return nil, fmt.Errorf("pesto pipeline-dp coarsen: %w", err)
+		return nil, err
 	}
-	h := &heuristic{
-		cg:      cres.Coarse,
-		sys:     sys,
-		horizon: horizonFor(g, sys),
-		opts:    opts,
-		orig:    g,
-		cres:    cres,
-		pool:    engine.New(opts.Parallel),
-		rec:     obs.From(ctx),
-	}
+	defer s.cancel()
+	h, gpus := s.h, sys.GPUs()
 	// One DP split per stage count: deeper cuts trade communication
 	// for balance, and the simulator arbitrates.
-	cpu := sys.CPUID()
 	for S := len(gpus); S >= 1; S-- {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("pesto pipeline-dp: %w", err)
@@ -58,15 +36,7 @@ func placePipelineDP(ctx context.Context, g *graph.Graph, sys sim.System, opts O
 		if perr != nil {
 			continue
 		}
-		assign := make([]sim.DeviceID, h.cg.NumNodes())
-		for i := range assign {
-			assign[i] = cpu
-		}
-		for _, st := range part.Stages {
-			for _, id := range st.Nodes {
-				assign[id] = st.Device
-			}
-		}
+		assign := stageAssign(h.cg, sys, part)
 		h.repairColocAssign(assign)
 		h.repairMemory(assign)
 		h.evalAssign(assign)
@@ -74,26 +44,7 @@ func placePipelineDP(ctx context.Context, g *graph.Graph, sys sim.System, opts O
 	// Adopting the baseline set keeps the ladder monotone: this rung
 	// never answers worse than the fallback rung below it.
 	h.seedBaselines(ctx)
-	if h.bestDev == nil {
-		return nil, fmt.Errorf("pesto pipeline-dp: %w", ErrNoPlacement)
-	}
-	plan, mk, err := h.finalizePlan(ctx, h.bestDev)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Plan:              plan,
-		CoarseSize:        cres.Coarse.NumNodes(),
-		ILPStatus:         ilp.FeasibleStatus,
-		CoarsenIterations: cres.Iterations,
-		PredictedMakespan: time.Duration(h.bestObj * float64(h.horizon)),
-		SimulatedMakespan: mk,
-		PlacementTime:     time.Since(start),
-	}
-	if h.coarseBest != nil {
-		res.CoarsePlan = sim.Plan{Device: append([]sim.DeviceID(nil), h.coarseBest...), Policy: sim.PolicyFIFO}
-	}
-	return res, nil
+	return s.finish(ctx)
 }
 
 // placePipeline is the Options.Pipeline planning regime: coarsen, run
@@ -112,33 +63,24 @@ func placePipelineDP(ctx context.Context, g *graph.Graph, sys sim.System, opts O
 func placePipeline(ctx context.Context, g *graph.Graph, sys sim.System, opts Options) (*Result, error) {
 	start := time.Now()
 	opts = opts.withDefaults()
-	popts := opts.Pipeline.WithDefaults()
-	if err := popts.Validate(); err != nil {
+	if err := opts.Pipeline.Validate(); err != nil {
 		return nil, fmt.Errorf("pesto pipeline: %w", err)
 	}
 	ctx, span := obs.Start(ctx, "placement.pipeline",
-		obs.Int("microbatches", int64(popts.Microbatches)),
-		obs.String("schedule", popts.Schedule.String()))
-	cres, err := coarsen.Coarsen(g, coarsen.Options{Target: opts.CoarsenTarget})
-	if err != nil {
-		span.End(obs.String("outcome", "error"))
-		return nil, fmt.Errorf("pesto pipeline coarsen: %w", err)
-	}
-	searchSys := sys
-	if opts.DisableMemory {
-		searchSys = liftMemory(sys)
-	}
-	out, err := pipeline.Search(ctx, cres.Coarse, searchSys, popts)
+		obs.Int("microbatches", int64(opts.Pipeline.Microbatches)),
+		obs.String("schedule", opts.Pipeline.Schedule.String()))
+	s, out, err := pipelineSearch(ctx, g, sys, opts, start)
 	if err != nil {
 		span.End(obs.String("outcome", "error"), obs.String("error", err.Error()))
-		return nil, fmt.Errorf("pesto pipeline: %w", err)
+		return nil, err
 	}
+	defer s.cancel()
 	// Every emitted pipeline plan is re-proved against the independent
 	// pipeline invariants (stage contiguity, microbatch precedence,
 	// memory, cross-stage overlap) — unconditionally: the microbatched
 	// schedule is exactly the artifact the search cannot be trusted to
 	// certify itself.
-	if _, verr := verify.CheckPipeline(out.Plan.Graph, searchSys, out.Plan.Sim, out.Plan.Meta); verr != nil {
+	if _, verr := verify.CheckPipeline(out.Plan.Graph, pipelineSystem(sys, opts), out.Plan.Sim, out.Plan.Meta); verr != nil {
 		span.End(obs.String("outcome", "verification-failed"))
 		return nil, fmt.Errorf("pesto pipeline: %w: %w", ErrVerification, verr)
 	}
@@ -146,57 +88,53 @@ func placePipeline(ctx context.Context, g *graph.Graph, sys sim.System, opts Opt
 	// Expand the stage assignment to the original graph through the
 	// usual repair + candidate machinery so colocation and memory hold
 	// at operation granularity.
-	h := &heuristic{
-		cg:      cres.Coarse,
-		sys:     sys,
-		horizon: horizonFor(g, sys),
-		opts:    opts,
-		orig:    g,
-		cres:    cres,
-		pool:    engine.New(opts.Parallel),
-		rec:     obs.From(ctx),
-	}
-	assign := make([]sim.DeviceID, h.cg.NumNodes())
-	cpu := sys.CPUID()
-	for i := range assign {
-		assign[i] = cpu
-	}
-	for _, st := range out.Plan.Partition.Stages {
-		for _, id := range st.Nodes {
-			assign[id] = st.Device
-		}
-	}
+	h := s.h
+	assign := stageAssign(h.cg, sys, out.Plan.Partition)
 	h.repairColocAssign(assign)
 	h.repairMemory(assign)
-	if _, ok := h.evalAssign(assign); !ok {
+	if !h.evalAssign(assign) {
 		return nil, fmt.Errorf("pesto pipeline: stage placement does not simulate: %w", ErrNoPlacement)
 	}
-	plan, fifoMk, err := h.finalizePlan(ctx, h.bestDev)
+	res, err := s.finish(ctx)
 	if err != nil {
 		return nil, err
 	}
-
+	fifoMk := res.SimulatedMakespan
 	info := out.Info()
-	res := &Result{
-		Plan:              plan,
-		CoarseSize:        cres.Coarse.NumNodes(),
-		ILPStatus:         ilp.FeasibleStatus,
-		CoarsenIterations: cres.Iterations,
-		PredictedMakespan: out.FIFOStep,
-		SimulatedMakespan: out.Score.Makespan,
-		PlacementTime:     time.Since(start),
-		Provenance: Provenance{
-			Stage:    StagePipelineDP,
-			Pipeline: info,
-		},
-	}
-	res.CoarsePlan = sim.Plan{Device: append([]sim.DeviceID(nil), assign...), Policy: sim.PolicyFIFO}
+	res.PredictedMakespan = out.FIFOStep
+	res.SimulatedMakespan = out.Score.Makespan
+	res.Provenance = Provenance{Stage: StagePipelineDP, Pipeline: info}
 	span.End(obs.String("outcome", "ok"),
 		obs.Int("stages", int64(info.Stages)),
 		obs.Dur("step", info.Makespan),
 		obs.F64("bubble", info.Bubble),
 		obs.Dur("fifo-step", fifoMk))
 	return res, nil
+}
+
+// pipelineSearch is the front half placePipeline and PipelinePlan
+// share: a search session over the coarse graph and the joint
+// (partition, schedule) search on it.
+func pipelineSearch(ctx context.Context, g *graph.Graph, sys sim.System, opts Options, start time.Time) (*search, *pipeline.Outcome, error) {
+	s, err := newSearch(ctx, g, sys, opts, start)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, err := pipeline.Search(ctx, s.h.cg, pipelineSystem(sys, opts), opts.Pipeline)
+	if err != nil {
+		s.cancel()
+		return nil, nil, fmt.Errorf("pesto pipeline: %w", err)
+	}
+	return s, out, nil
+}
+
+// pipelineSystem is the system the pipeline search plans and is
+// verified against: with DisableMemory, capacity is lifted.
+func pipelineSystem(sys sim.System, opts Options) sim.System {
+	if opts.DisableMemory {
+		return liftMemory(sys)
+	}
+	return sys
 }
 
 // PipelinePlan re-materializes the winning microbatched execution
@@ -208,21 +146,13 @@ func placePipeline(ctx context.Context, g *graph.Graph, sys sim.System, opts Opt
 // every Result.
 func PipelinePlan(g *graph.Graph, sys sim.System, opts Options) (*pipeline.Plan, error) {
 	opts = opts.withDefaults()
-	popts := opts.Pipeline.WithDefaults()
-	if !popts.Enabled() {
+	if !opts.Pipeline.Enabled() {
 		return nil, fmt.Errorf("pesto pipeline: Options.Pipeline not set: %w", pipeline.ErrBadSpec)
 	}
-	cres, err := coarsen.Coarsen(g, coarsen.Options{Target: opts.CoarsenTarget})
+	s, out, err := pipelineSearch(context.Background(), g, sys, opts, time.Now())
 	if err != nil {
-		return nil, fmt.Errorf("pesto pipeline coarsen: %w", err)
+		return nil, err
 	}
-	searchSys := sys
-	if opts.DisableMemory {
-		searchSys = liftMemory(sys)
-	}
-	out, err := pipeline.Search(context.Background(), cres.Coarse, searchSys, popts)
-	if err != nil {
-		return nil, fmt.Errorf("pesto pipeline: %w", err)
-	}
+	s.cancel()
 	return out.Plan, nil
 }

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -59,53 +60,35 @@ type Options struct {
 	// MemorySlack is the allowed relative imbalance of the per-GPU
 	// memory split; zero means 0.15.
 	MemorySlack float64
-	// CongestionTopK bounds the number of communication vertices that
-	// receive pairwise congestion constraints (the largest transfers;
-	// congestion among tiny transfers is immaterial but inflates the
-	// LP quadratically). Zero means 16.
-	CongestionTopK int
 	// ILPMaxSize caps the coarse-graph size handed to the exact ILP;
 	// graphs finer than this get a second, smaller coarsening for the
 	// branch and bound while heuristics work at CoarsenTarget. Zero
 	// means 48.
 	ILPMaxSize int
-	// NonOverlapTopK bounds the number of same-device non-overlap
-	// pairs, keeping those with the largest combined compute time.
-	// Dropped pairs can make the ILP's C_max optimistic; the realized
-	// plan is always re-validated through the simulator. Zero means
-	// 64.
-	NonOverlapTopK int
-	// ILPOnly disables the warm starts, the simulator-guided candidate
-	// selection and the refinement, returning exactly what the branch
-	// and bound produced (placement and blob schedule from the ILP's
-	// start times). Used by ablations that isolate the ILP's
-	// constraints — e.g. Figure 5's congestion study, where the
-	// always-congestion-aware heuristics would mask the effect.
-	ILPOnly bool
 	// ScheduleFromILP controls whether the ILP's start times become a
 	// strict per-device order (Pesto's control dependencies). When
 	// false, only the placement is used and the simulator's
 	// TensorFlow-like ready queue schedules operations — the fallback
 	// §3.3 describes for heavily coarsened graphs.
 	ScheduleFromILP bool
-	// Seed seeds the deterministic parts of heuristics.
+	// Seed is carried for callers that label runs with it; nothing in
+	// the placement search reads it — every heuristic here is
+	// deterministic without a seed.
 	Seed int64
 	// Parallel bounds the number of worker goroutines used for
 	// candidate evaluation, refinement moves and branch-and-bound LP
 	// relaxations; zero means GOMAXPROCS, negative values also fall
-	// back to GOMAXPROCS. The returned plan is byte-identical for a
-	// fixed Seed at every Parallel value: the engine merges results in
+	// back to GOMAXPROCS. The returned plan is byte-identical for fixed
+	// inputs at every Parallel value: the engine merges results in
 	// submission order, so parallelism changes only the wall clock.
 	Parallel int
 	// StageRetries is the number of extra attempts each rung of the
 	// degradation ladder gets after its first failure (panic or error),
-	// with a short backoff in between; zero means 1 retry, negative
-	// means none. Retries are skipped once a stage's deadline has
-	// passed — re-running a deterministic timeout is wasted budget.
+	// with a short backoff (stageBackoff) in between; zero means 1
+	// retry, negative means none. Retries are skipped once a stage's
+	// deadline has passed — re-running a deterministic timeout is
+	// wasted budget.
 	StageRetries int
-	// StageBackoff is the pause between retries of a failed ladder
-	// stage; zero means 5ms.
-	StageBackoff time.Duration
 	// DisableFallback turns the degradation ladder off: Place runs the
 	// exact ILP pipeline only and returns its error on failure instead
 	// of degrading to the warm-start or baseline stages. Ablations and
@@ -136,12 +119,6 @@ type Options struct {
 	// that shrinkage and to cross-check the two formulations against
 	// each other.
 	PerOpModel bool
-	// IncrDirtyThreshold is the dirty-group fraction above which
-	// Incremental abandons the warm re-place and falls back to a cold
-	// solve: past it, re-solving the dirty region costs about as much
-	// as solving fresh and the reuse no longer pays. Zero means 0.5;
-	// negative disables the threshold (always try warm).
-	IncrDirtyThreshold float64
 	// IncrMaxChain bounds how many warm re-places may chain off one
 	// cold solve before Incremental forces a cold refresh. Each warm
 	// step inherits the previous plan, so quality drift compounds, and
@@ -182,25 +159,13 @@ func (o Options) withDefaults() Options {
 	if o.MemorySlack <= 0 {
 		o.MemorySlack = 0.15
 	}
-	if o.CongestionTopK <= 0 {
-		o.CongestionTopK = 16
-	}
 	if o.ILPMaxSize <= 0 {
 		o.ILPMaxSize = 48
-	}
-	if o.NonOverlapTopK <= 0 {
-		o.NonOverlapTopK = 64
 	}
 	if o.StageRetries == 0 {
 		o.StageRetries = 1
 	} else if o.StageRetries < 0 {
 		o.StageRetries = 0
-	}
-	if o.StageBackoff <= 0 {
-		o.StageBackoff = 5 * time.Millisecond
-	}
-	if o.IncrDirtyThreshold == 0 {
-		o.IncrDirtyThreshold = 0.5
 	}
 	if o.IncrMaxChain == 0 {
 		o.IncrMaxChain = 9
@@ -263,42 +228,27 @@ type Result struct {
 func placeILP(ctx context.Context, g *graph.Graph, sys sim.System, opts Options) (*Result, error) {
 	start := time.Now()
 	opts = opts.withDefaults()
-	if len(sys.GPUs()) != 2 {
-		return nil, fmt.Errorf("pesto: system has %d GPUs: %w", len(sys.GPUs()), ErrUnsupportedSystem)
-	}
-	pool := engine.New(opts.Parallel)
-	// The search phases (ILP + refinement) share a deadline-bound
-	// context derived from the time budget, so budget exhaustion
-	// cancels in-flight work instead of being polled. Caller
-	// cancellation is checked against the parent ctx: a spent budget
-	// is normal, a cancelled caller is an error.
-	sctx, cancelSearch := context.WithDeadline(ctx, start.Add(opts.ILPTimeLimit))
-	defer cancelSearch()
-
-	rec := obs.From(ctx)
-
 	// Two coarsening granularities (both §3.3): a fine one preserving
 	// parallelism for the list-scheduling heuristics and refinement,
 	// and — when the fine graph is still too large for the exact
 	// branch and bound — a smaller one for the ILP, the way the paper
 	// coarsens to a CPLEX-tractable ~200 vertices.
-	_, coarsenSpan := obs.Start(ctx, "placement.coarsen", obs.Int("target", int64(opts.CoarsenTarget)))
-	cres, err := coarsen.Coarsen(g, coarsen.Options{Target: opts.CoarsenTarget})
+	s, err := newSearch(ctx, g, sys, opts, start)
 	if err != nil {
-		coarsenSpan.End(obs.String("outcome", "error"))
-		return nil, fmt.Errorf("pesto coarsen: %w", err)
+		return nil, err
 	}
-	cg := cres.Coarse
-
-	ilpCres := cres
-	if cg.NumNodes() > opts.ILPMaxSize {
+	defer s.cancel()
+	h := s.h
+	ilpCres := h.cres
+	if h.cg.NumNodes() > opts.ILPMaxSize {
+		_, coarsenSpan := obs.Start(ctx, "placement.coarsen", obs.Int("target", int64(opts.ILPMaxSize)))
 		ilpCres, err = coarsen.Coarsen(g, coarsen.Options{Target: opts.ILPMaxSize})
 		if err != nil {
 			coarsenSpan.End(obs.String("outcome", "error"))
 			return nil, fmt.Errorf("pesto coarsen (ilp level): %w", err)
 		}
+		coarsenSpan.End(obs.Int("ilp-nodes", int64(ilpCres.Coarse.NumNodes())))
 	}
-	coarsenSpan.End(obs.Int("coarse-nodes", int64(cg.NumNodes())), obs.Int("ilp-nodes", int64(ilpCres.Coarse.NumNodes())))
 	_, modelSpan := obs.Start(ctx, "placement.model")
 	m, err := buildModel(ilpCres.Coarse, sys, opts)
 	if err != nil {
@@ -311,26 +261,21 @@ func placeILP(ctx context.Context, g *graph.Graph, sys sim.System, opts Options)
 	// Incumbent heuristic: round the relaxation's placement, repair
 	// memory, list-schedule the original graph, and report the realized
 	// makespan (a valid C_max upper bound: any valid schedule is a
-	// feasible ILP point, §3.2.2).
-	hILP := &heuristic{model: m, cg: ilpCres.Coarse, sys: sys, horizon: m.horizon, opts: opts, orig: g, cres: ilpCres, pool: pool, rec: rec}
-	incumbent := hILP.tryIncumbent
-	if opts.ILPOnly {
-		incumbent = nil // pure branch and bound
-	}
+	// feasible ILP point, §3.2.2). Both levels normalize by the model's
+	// horizon, so their objectives compare.
+	hILP := s.level(ilpCres, m)
+	h.horizon = m.horizon
 	// The time budget is split between the exact branch and bound and a
 	// hill-climbing refinement at the finer granularity (single coarse-
 	// node moves evaluated through the simulator), which recovers the
 	// scheduling-aware quality the capped ILP may miss.
 	ilpBudget := opts.ILPTimeLimit * 6 / 10
-	if opts.ILPOnly {
-		ilpBudget = opts.ILPTimeLimit // no refinement phase to reserve for
-	}
-	ictx, ilpSpan := obs.Start(sctx, "placement.ilp", obs.Dur("budget", ilpBudget))
+	ictx, ilpSpan := obs.Start(s.sctx, "placement.ilp", obs.Dur("budget", ilpBudget))
 	sol, err := ilp.Solve(ictx, ilp.Problem{LP: m.lp, Binary: m.binary}, ilp.Options{
 		TimeLimit: ilpBudget,
 		MaxNodes:  opts.ILPMaxNodes,
-		Incumbent: incumbent,
-		Pool:      pool,
+		Incumbent: hILP.tryIncumbent,
+		Pool:      s.pool,
 	})
 	ilpSpan.End(obs.String("status", sol.Status.String()),
 		obs.Int("nodes", int64(sol.Nodes)), obs.F64("gap", sol.Gap))
@@ -340,75 +285,55 @@ func placeILP(ctx context.Context, g *graph.Graph, sys sim.System, opts Options)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pesto: cancelled during ilp: %w", err)
 	}
-	if opts.ILPOnly {
-		return finishILPOnly(g, sys, m, ilpCres, sol, opts, start)
-	}
-	if sol.Status == ilp.OptimalStatus || sol.Status == ilp.FeasibleStatus {
+	ilpSolved := sol.Status == ilp.OptimalStatus || sol.Status == ilp.FeasibleStatus
+	if ilpSolved {
 		hILP.evalAssign(m.assignmentFromX(sol.X))
 	}
 
 	// Fine-granularity seeding and refinement, inheriting the ILP
-	// level's best placement.
-	// List-scheduling placements (the ETF/SCT family) also warm-start
-	// the search — a standard MILP technique standing in for the
-	// stronger solver the paper had: whatever the greedy schedulers
-	// find is a feasible ILP point, so Pesto starts from at least
-	// their quality and improves from there.
-	// Seeding runs on the caller's context, not the budget-bound sctx:
-	// the warm starts are cheap and must produce an incumbent even when
-	// the branch and bound consumed the whole time budget. Only the
-	// open-ended refinement loop is cut off by the budget.
-	h := &heuristic{cg: cres.Coarse, sys: sys, horizon: m.horizon, opts: opts, orig: g, cres: cres, pool: pool, rec: rec}
-	_, seedSpan := obs.Start(ctx, "placement.seed")
-	h.seedAssignments(ctx)
-	h.seedListScheduling(ctx)
-	h.seedBaselines(ctx)
-	if hILP.bestDev != nil {
-		h.adoptOriginal(hILP.bestDev)
-	}
-	seedSpan.End(obs.F64("objective", h.bestObj))
-	roundsBefore := rec.Counter("placement.refine.rounds")
-	_, refineSpan := obs.Start(ctx, "placement.refine")
-	h.refine(sctx)
-	refineSpan.End(obs.Int("rounds", rec.Counter("placement.refine.rounds")-roundsBefore),
-		obs.F64("objective", h.bestObj))
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("pesto: cancelled during refinement: %w", err)
+	// level's best placement. List-scheduling placements (the ETF/SCT
+	// family) also warm-start the search — a standard MILP technique
+	// standing in for the stronger solver the paper had: whatever the
+	// greedy schedulers find is a feasible ILP point, so Pesto starts
+	// from at least their quality and improves from there.
+	if err := s.seedAndRefine(ctx, hILP.bestDev); err != nil {
+		return nil, err
 	}
 
 	res := &Result{
-		CoarseSize:        cg.NumNodes(),
+		CoarseSize:        h.cg.NumNodes(),
 		LPVars:            m.lp.NumVars(),
 		LPRows:            m.lp.NumConstraints(),
 		LPGroups:          len(m.xGroups),
 		ILPStatus:         sol.Status,
 		Gap:               sol.Gap,
 		Nodes:             sol.Nodes,
-		CoarsenIterations: cres.Iterations,
+		CoarsenIterations: h.cres.Iterations,
 	}
 
-	// Collect candidate coarse plans: the ILP's solution (whose C_max
-	// can be optimistic when constraint pairs were capped) and the
-	// heuristic's best rounding. Every candidate is expanded to the
-	// original graph twice — once with the strict blob order the coarse
-	// schedule implies, and once under ready-queue FIFO scheduling (the
-	// paper's §3.3 fallback "when each vertex in the final coarsened
-	// graph may contain hundreds of operations ... instead employ the
-	// default TensorFlow scheduling") — and the realized simulated
-	// makespan decides.
-	ilpSolved := sol.Status == ilp.OptimalStatus || sol.Status == ilp.FeasibleStatus
-	type candidate struct {
-		plan sim.Plan   // coarse plan; Order carries ILP start-time schedules
-		lvl  *heuristic // granularity the plan belongs to
+	// Collect candidate plans: the ILP's solution (whose C_max can be
+	// optimistic when constraint pairs were capped) and the heuristic's
+	// best vector. The ILP's coarse plan is expanded to the original
+	// graph with the strict blob order its start times imply and under
+	// the schedule disciplines (the paper's §3.3 fallback "when each
+	// vertex in the final coarsened graph may contain hundreds of
+	// operations ... instead employ the default TensorFlow
+	// scheduling"); the realized simulated makespan decides. Every
+	// variant remembers the coarse plan it came from.
+	var variants, coarseOf []sim.Plan
+	add := func(coarse sim.Plan, vs ...sim.Plan) {
+		for _, v := range vs {
+			variants, coarseOf = append(variants, v), append(coarseOf, coarse)
+		}
 	}
-	var candidates []candidate
 	if ilpSolved {
 		res.PredictedMakespan = time.Duration(sol.Objective * float64(m.horizon))
-		cp, err := m.coarsePlan(m.assignmentFromX(sol.X), sol.X, true)
+		cp, err := m.coarsePlan(sol.X)
 		if err != nil {
 			return nil, err
 		}
-		candidates = append(candidates, candidate{plan: cp, lvl: hILP})
+		add(cp, h.candidatePlans(hILP.expandDevices(cp.Device))...)
+		add(cp, expandOrdered(g, ilpCres, cp))
 	}
 	if h.bestDev != nil {
 		if !ilpSolved {
@@ -418,37 +343,12 @@ func placeILP(ctx context.Context, g *graph.Graph, sys sim.System, opts Options)
 			}
 		}
 		// The global winner is already an original-granularity device
-		// vector; wrap it as a pre-expanded candidate.
-		candidates = append(candidates, candidate{plan: sim.Plan{
-			Device: append([]sim.DeviceID(nil), h.bestDev...),
-			Policy: sim.PolicyFIFO,
-		}, lvl: nil})
+		// vector; it stands as its own coarse plan.
+		dev := append([]sim.DeviceID(nil), h.bestDev...)
+		add(sim.Plan{Device: dev, Policy: sim.PolicyFIFO}, h.candidatePlans(dev)...)
 	}
-	if len(candidates) == 0 {
+	if len(variants) == 0 {
 		return nil, fmt.Errorf("pesto: ilp %v and no heuristic incumbent: %w", sol.Status, ErrNoPlacement)
-	}
-
-	// Every candidate expands to its variants, each remembering the
-	// coarse plan it came from; finalize realizes them and picks the
-	// winner.
-	var variants, coarseOf []sim.Plan
-	for _, c := range candidates {
-		cp := c.plan
-		expanded := cp.Device
-		if c.lvl != nil {
-			expanded = c.lvl.expandDevices(cp.Device)
-		}
-		for _, v := range h.candidatePlans(expanded) {
-			variants, coarseOf = append(variants, v), append(coarseOf, cp)
-		}
-		if c.lvl != nil && cp.Order != nil {
-			// Strict blob order implied by the coarse ILP schedule.
-			ordered, err := expand(g, c.lvl.cres, cp, true)
-			if err != nil {
-				return nil, err
-			}
-			variants, coarseOf = append(variants, ordered), append(coarseOf, cp)
-		}
 	}
 	_, candSpan := obs.Start(ctx, "placement.candidates", obs.Int("variants", int64(len(variants))))
 	bestPlan, bestMk, best, err := h.finalize(ctx, variants)
@@ -466,29 +366,34 @@ func placeILP(ctx context.Context, g *graph.Graph, sys sim.System, opts Options)
 // orderPlanByStarts attaches an explicit per-device order to a plan,
 // sorted by observed start times (ties broken topologically).
 func orderPlanByStarts(g *graph.Graph, plan sim.Plan, starts []time.Duration, numDevices int) (sim.Plan, error) {
-	order, err := g.TopoSort()
+	order, err := orderByStarts(g, plan.Device, starts, numDevices)
+	return sim.Plan{Device: plan.Device, Order: order}, err
+}
+
+// orderByStarts groups the nodes of g by device and orders each device's
+// nodes by start time, ties broken topologically.
+func orderByStarts[T cmp.Ordered](g *graph.Graph, device []sim.DeviceID, starts []T, numDevices int) ([][]graph.NodeID, error) {
+	topo, err := g.TopoSort()
 	if err != nil {
-		return sim.Plan{}, err
+		return nil, err
 	}
 	topoPos := make([]int, g.NumNodes())
-	for i, v := range order {
+	for i, v := range topo {
 		topoPos[v] = i
 	}
-	byDev := make(map[sim.DeviceID][]graph.NodeID)
-	for i := range plan.Device {
-		byDev[plan.Device[i]] = append(byDev[plan.Device[i]], graph.NodeID(i))
+	order := make([][]graph.NodeID, numDevices)
+	for i, d := range device {
+		order[d] = append(order[d], graph.NodeID(i))
 	}
-	out := sim.Plan{Device: plan.Device, Order: make([][]graph.NodeID, numDevices)}
-	for dev, ids := range byDev {
+	for _, ids := range order {
 		sort.Slice(ids, func(a, b int) bool {
 			if starts[ids[a]] != starts[ids[b]] {
 				return starts[ids[a]] < starts[ids[b]]
 			}
 			return topoPos[ids[a]] < topoPos[ids[b]]
 		})
-		out.Order[dev] = ids
 	}
-	return out, nil
+	return order, nil
 }
 
 // assignmentFromX reads the coarse placement from an ILP solution
@@ -511,70 +416,35 @@ func (m *model) assignmentFromX(x []float64) []sim.DeviceID {
 	return out
 }
 
-// coarsePlan builds a coarse-graph plan from a device assignment. With
-// fromILP and a full solution vector, the per-device order follows the
-// ILP start times; otherwise the FIFO list scheduler both orders and
-// validates the plan.
-func (m *model) coarsePlan(assign []sim.DeviceID, x []float64, fromILP bool) (sim.Plan, error) {
-	plan := sim.Plan{Device: append([]sim.DeviceID(nil), assign...)}
-	if !fromILP {
-		plan.Policy = sim.PolicyFIFO
-		return plan, nil
-	}
-	type timed struct {
-		id graph.NodeID
-		s  float64
-	}
-	topoPos := make([]int, m.g.NumNodes())
-	order, err := m.g.TopoSort()
-	if err != nil {
-		return sim.Plan{}, err
-	}
-	for i, v := range order {
-		topoPos[v] = i
-	}
-	byDev := make(map[sim.DeviceID][]timed)
+// coarsePlan builds the coarse-graph plan of an ILP solution: the
+// placement its x variables select, each device ordered by the ILP
+// start times.
+func (m *model) coarsePlan(x []float64) (sim.Plan, error) {
+	assign := m.assignmentFromX(x)
+	starts := make([]float64, len(assign))
 	for i := range assign {
-		s := 0.0
-		if x != nil && m.sOp[i] < len(x) {
-			s = x[m.sOp[i]]
+		if m.sOp[i] < len(x) {
+			starts[i] = x[m.sOp[i]]
 		}
-		byDev[assign[i]] = append(byDev[assign[i]], timed{id: graph.NodeID(i), s: s})
 	}
-	plan.Order = make([][]graph.NodeID, len(m.sys.Devices))
-	for dev, ts := range byDev {
-		sort.Slice(ts, func(a, b int) bool {
-			if ts[a].s != ts[b].s {
-				return ts[a].s < ts[b].s
-			}
-			return topoPos[ts[a].id] < topoPos[ts[b].id]
-		})
-		ids := make([]graph.NodeID, len(ts))
-		for i, t := range ts {
-			ids[i] = t.id
-		}
-		plan.Order[dev] = ids
-	}
-	return plan, nil
+	order, err := orderByStarts(m.g, assign, starts, len(m.sys.Devices))
+	return sim.Plan{Device: assign, Order: order}, err
 }
 
-// expand lifts a coarse plan onto the original graph.
-func expand(g *graph.Graph, cres *coarsen.Result, coarse sim.Plan, withOrder bool) (sim.Plan, error) {
-	plan := sim.Plan{Device: make([]sim.DeviceID, g.NumNodes())}
+// expandOrdered lifts an ordered coarse plan onto the original graph:
+// every member takes its coarse node's device, and each device runs
+// its coarse nodes' members blob by blob in the coarse order.
+func expandOrdered(g *graph.Graph, cres *coarsen.Result, coarse sim.Plan) sim.Plan {
+	plan := sim.Plan{Device: make([]sim.DeviceID, g.NumNodes()), Order: make([][]graph.NodeID, len(coarse.Order))}
 	for orig := range plan.Device {
 		plan.Device[orig] = coarse.Device[cres.CoarseOf[orig]]
 	}
-	if !withOrder || coarse.Order == nil {
-		plan.Policy = sim.PolicyFIFO
-		return plan, nil
-	}
-	plan.Order = make([][]graph.NodeID, len(coarse.Order))
 	for dev, corder := range coarse.Order {
 		for _, cid := range corder {
 			plan.Order[dev] = append(plan.Order[dev], cres.Members[cid]...)
 		}
 	}
-	return plan, nil
+	return plan
 }
 
 // heuristic supplies feasible incumbents to the branch and bound by
@@ -711,31 +581,17 @@ func (h *heuristic) seedCandidates() [][]sim.DeviceID {
 
 // dpSplitAssign runs the pipeline package's contiguous-split DP over
 // the heuristic's coarse graph and returns the stage assignment as a
-// device vector, or nil when no feasible split exists.
+// device vector, or nil when no feasible split exists. Fewer GPU groups
+// than GPUs (tiny coarse graphs) still deserve a seed: the stage count
+// shrinks until a split exists.
 func dpSplitAssign(cg *graph.Graph, sys sim.System) []sim.DeviceID {
 	gpus := sys.GPUs()
-	var part *pipeline.Partition
-	// Fewer GPU groups than GPUs (tiny coarse graphs) still deserve a
-	// seed: shrink the stage count until a split exists.
-	for S := len(gpus); S >= 1 && part == nil; S-- {
-		if p, err := pipeline.PartitionDP(cg, sys, gpus[:S], -1); err == nil {
-			part = p
+	for S := len(gpus); S >= 1; S-- {
+		if part, err := pipeline.PartitionDP(cg, sys, gpus[:S], -1); err == nil {
+			return stageAssign(cg, sys, part)
 		}
 	}
-	if part == nil {
-		return nil
-	}
-	assign := make([]sim.DeviceID, cg.NumNodes())
-	cpu := sys.CPUID()
-	for i := range assign {
-		assign[i] = cpu
-	}
-	for _, st := range part.Stages {
-		for _, id := range st.Nodes {
-			assign[id] = st.Device
-		}
-	}
-	return assign
+	return nil
 }
 
 // seedAssignments evaluates the seedCandidates placements before any
@@ -780,15 +636,25 @@ func (h *heuristic) seedBaselines(ctx context.Context) {
 	if ctx.Err() != nil {
 		return
 	}
-	if bp, _, _, err := baselines.BestBaechi(h.orig, h.sys); err == nil {
-		h.adoptOriginal(bp.Device)
+	for _, p := range baselinePlans(h.orig, h.sys) {
+		h.adoptOriginal(p.Device)
 	}
-	if hp, err := baselines.HEFT(h.orig, h.sys); err == nil {
-		h.adoptOriginal(hp.Device)
+}
+
+// baselinePlans returns the published baseline placements that apply
+// to g on sys: the best Baechi heuristic, HEFT and single-GPU.
+func baselinePlans(g *graph.Graph, sys sim.System) []sim.Plan {
+	var plans []sim.Plan
+	if p, _, _, err := baselines.BestBaechi(g, sys); err == nil {
+		plans = append(plans, p)
 	}
-	if sp, err := baselines.SingleGPU(h.orig, h.sys); err == nil {
-		h.adoptOriginal(sp.Device)
+	if p, err := baselines.HEFT(g, sys); err == nil {
+		plans = append(plans, p)
 	}
+	if p, err := baselines.SingleGPU(g, sys); err == nil {
+		plans = append(plans, p)
+	}
+	return plans
 }
 
 // seedListScheduling warm-starts the search with greedy
@@ -862,10 +728,6 @@ func greedyETF(g *graph.Graph, sys sim.System, sct bool) ([]sim.DeviceID, error)
 		}
 		return t
 	}
-	capOf := func(d sim.DeviceID) int64 {
-		dv, _ := sys.Device(d)
-		return dv.Memory
-	}
 	for len(ready) > 0 {
 		slices.Sort(ready)
 		bestI := -1
@@ -878,7 +740,7 @@ func greedyETF(g *graph.Graph, sys sim.System, sct bool) ([]sim.DeviceID, error)
 				cands = cpuOnly
 			}
 			for _, d := range cands {
-				if c := capOf(d); c > 0 && nd.Kind == graph.KindGPU && memUsed[d]+nd.Memory > c {
+				if nd.Kind == graph.KindGPU && memUsed[d]+nd.Memory > memCap(sys, d) {
 					continue
 				}
 				score := est(id, d)
@@ -920,13 +782,10 @@ func greedyETF(g *graph.Graph, sys sim.System, sct bool) ([]sim.DeviceID, error)
 // tryIncumbent implements ilp.Options.Incumbent. It requires the
 // heuristic to be bound to the ILP model.
 func (h *heuristic) tryIncumbent(relaxed []float64) ([]float64, float64, bool) {
-	if h.model == nil {
-		return nil, 0, false
-	}
 	assign := h.model.assignmentFromX(relaxed)
 	h.repairColoc(assign, relaxed)
 	h.repairMemory(assign)
-	if _, ok := h.evalAssign(assign); !ok {
+	if !h.evalAssign(assign) {
 		return nil, 0, false
 	}
 	// Report only the objective back to the B&B for pruning; the
@@ -1006,21 +865,20 @@ func (h *heuristic) adoptScored(assign, expanded []sim.DeviceID, s scored) {
 }
 
 // evalOriginal scores and records an original-granularity device
-// vector sequentially. It reports the vector's own best objective.
-func (h *heuristic) evalOriginal(dev []sim.DeviceID) (float64, bool) {
-	s := h.scoreOriginal(dev)
-	h.recordOriginal(dev, s)
-	return s.obj, s.ok
+// vector sequentially.
+func (h *heuristic) evalOriginal(dev []sim.DeviceID) {
+	h.recordOriginal(dev, h.scoreOriginal(dev))
 }
 
 // evalAssign expands a coarse assignment onto the original graph,
 // evaluates it, and records it as the refinement starting point when it
-// improves on the coarse-level best.
-func (h *heuristic) evalAssign(assign []sim.DeviceID) (float64, bool) {
+// improves on the coarse-level best. It reports whether the assignment
+// simulates.
+func (h *heuristic) evalAssign(assign []sim.DeviceID) bool {
 	expanded := h.expandDevices(assign)
 	s := h.scoreOriginal(expanded)
 	h.adoptScored(assign, expanded, s)
-	return s.obj, s.ok
+	return s.ok
 }
 
 // adoptOriginal projects an original-graph device vector onto this
@@ -1392,40 +1250,4 @@ func (h *heuristic) repairMemory(assign []sim.DeviceID) {
 			use[to] += bestMem
 		}
 	}
-}
-
-// finishILPOnly extracts the plan straight from the branch-and-bound
-// solution: placement from the x variables and a strict per-device
-// order from the ILP start times. No heuristics intervene, so the
-// result reflects the ILP's constraint set exactly (ablation mode).
-func finishILPOnly(g *graph.Graph, sys sim.System, m *model, cres *coarsen.Result, sol ilp.Solution, opts Options, start time.Time) (*Result, error) {
-	if sol.Status != ilp.OptimalStatus && sol.Status != ilp.FeasibleStatus {
-		return nil, fmt.Errorf("pesto ilp-only: %v: %w", sol.Status, ErrNoPlacement)
-	}
-	res := &Result{
-		CoarseSize:        cres.Coarse.NumNodes(),
-		LPVars:            m.lp.NumVars(),
-		LPRows:            m.lp.NumConstraints(),
-		LPGroups:          len(m.xGroups),
-		ILPStatus:         sol.Status,
-		Gap:               sol.Gap,
-		Nodes:             sol.Nodes,
-		CoarsenIterations: cres.Iterations,
-		PredictedMakespan: time.Duration(sol.Objective * float64(m.horizon)),
-	}
-	cp, err := m.coarsePlan(m.assignmentFromX(sol.X), sol.X, opts.ScheduleFromILP)
-	if err != nil {
-		return nil, err
-	}
-	res.CoarsePlan = cp
-	plan, err := expand(g, cres, cp, opts.ScheduleFromILP)
-	if err != nil {
-		return nil, err
-	}
-	res.Plan = plan
-	if mk, err := sim.Makespan(g, sys, plan); err == nil {
-		res.SimulatedMakespan = mk
-	}
-	res.PlacementTime = time.Since(start)
-	return res, nil
 }

@@ -296,33 +296,6 @@ func TestPlacementOnlyModeUsesReadyQueue(t *testing.T) {
 	}
 }
 
-func TestPlaceILPOnlyMode(t *testing.T) {
-	// ILPOnly returns exactly the branch-and-bound artifact: on a tiny
-	// graph it proves optimality and the plan carries the blob order.
-	g := graph.New(2)
-	g.AddNode(gpuNode("a", 100*time.Microsecond))
-	g.AddNode(gpuNode("b", 100*time.Microsecond))
-	sys := sim.NewSystem(2, gpuMem)
-	res, err := Place(context.Background(), g, sys, Options{
-		CoarsenTarget: 2, ILPOnly: true, ScheduleFromILP: true, ILPTimeLimit: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("Place: %v", err)
-	}
-	if res.ILPStatus != ilp.OptimalStatus || res.Gap != 0 {
-		t.Fatalf("status=%v gap=%g, want proven optimal", res.ILPStatus, res.Gap)
-	}
-	if res.Plan.Device[0] == res.Plan.Device[1] {
-		t.Fatalf("optimal ILP-only placement must split: %v", res.Plan.Device)
-	}
-	if res.Plan.Order == nil {
-		t.Fatal("ILP-only plan missing the schedule order")
-	}
-	if _, err := sim.Run(g, sys, res.Plan); err != nil {
-		t.Fatalf("simulate: %v", err)
-	}
-}
-
 // TestPlaceDeterministicAcrossWorkerCounts is the engine's core
 // guarantee: candidate generation and merging never depend on worker
 // count or completion order, so the same seed yields byte-identical

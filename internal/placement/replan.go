@@ -7,10 +7,7 @@ import (
 	"sort"
 	"time"
 
-	"pesto/internal/coarsen"
-	"pesto/internal/engine"
 	"pesto/internal/graph"
-	"pesto/internal/obs"
 	"pesto/internal/sim"
 )
 
@@ -57,8 +54,6 @@ type ReplanResult struct {
 // evicted operation, Replan fails with an error wrapping sim.ErrOOM:
 // memory constraints are never degraded around.
 func Replan(ctx context.Context, g *graph.Graph, sys sim.System, plan sim.Plan, failed sim.DeviceID, opts Options) (*ReplanResult, error) {
-	start := time.Now()
-	opts = opts.withDefaults()
 	fd, ok := sys.Device(failed)
 	if !ok {
 		return nil, fmt.Errorf("replan: unknown device %d: %w", failed, sim.ErrBadPlacement)
@@ -66,93 +61,109 @@ func Replan(ctx context.Context, g *graph.Graph, sys sim.System, plan sim.Plan, 
 	if fd.Kind != sim.GPU {
 		return nil, fmt.Errorf("replan: device %s is not a GPU; its operations have device affinity and cannot migrate: %w", fd.Name, ErrUnsupportedSystem)
 	}
-	if err := plan.Validate(g, sys); err != nil {
-		return nil, fmt.Errorf("replan: source plan: %w", err)
-	}
 	survivors := sys.WithFailedDevice(failed)
 	if len(survivors.GPUs()) == 0 {
 		return nil, fmt.Errorf("replan: no GPU survives the failure of %s: %w", fd.Name, ErrUnsupportedSystem)
 	}
+	return rebalance{
+		op:     "replan",
+		target: survivors,
+		migrate: func(dev []sim.DeviceID) ([]sim.DeviceID, int, error) {
+			return migrateOff(g, survivors, dev, failed)
+		},
+		degraded: true,
+	}.run(ctx, g, sys, plan, opts)
+}
+
+// rebalance is what Replan and ReplanArrival differ in; run is the body
+// they share.
+type rebalance struct {
+	op      string     // error prefix
+	target  sim.System // the changed system the new plan runs on
+	migrate func(dev []sim.DeviceID) ([]sim.DeviceID, int, error)
+	// seedPrev also seeds the search with the unchanged plan, so the
+	// rebalance never answers worse than doing nothing.
+	seedPrev bool
+	degraded bool
+}
+
+// run validates plan against sys, migrates it, re-validates the
+// migrated vector against the target system under the memory
+// constraints, then re-optimizes it with the refinement machinery: the
+// migrated vector seeds the search, its projection seeds the
+// coarse-level hill climb, all under the opts.ILPTimeLimit budget.
+func (r rebalance) run(ctx context.Context, g *graph.Graph, sys sim.System, plan sim.Plan, opts Options) (*ReplanResult, error) {
+	start := time.Now()
+	opts = opts.withDefaults()
+	if err := plan.Validate(g, sys); err != nil {
+		return nil, fmt.Errorf("%s: source plan: %w", r.op, err)
+	}
 	if plan.Order != nil {
-		// A strictly scheduled plan should recover to a strictly
+		// A strictly scheduled plan should rebalance to a strictly
 		// scheduled plan.
 		opts.ScheduleFromILP = true
 	}
-
 	var prevMk time.Duration
 	if mk, err := sim.Makespan(g, sys, plan); err == nil {
 		prevMk = mk
 	}
-
-	dev, migrated, err := migrateOff(g, survivors, plan.Device, failed)
+	dev, migrated, err := r.migrate(plan.Device)
 	if err != nil {
 		return nil, err
 	}
 	migratedPlan := sim.Plan{Device: dev, Policy: sim.PolicyFIFO}
-	if err := migratedPlan.Validate(g, survivors); err != nil {
-		return nil, fmt.Errorf("replan: migrated plan: %w", err)
+	if err := migratedPlan.Validate(g, r.target); err != nil {
+		return nil, fmt.Errorf("%s: migrated plan: %w", r.op, err)
 	}
-	if err := migratedPlan.CheckMemory(g, survivors); err != nil {
-		return nil, fmt.Errorf("replan: migrated plan: %w", err)
+	if err := migratedPlan.CheckMemory(g, r.target); err != nil {
+		return nil, fmt.Errorf("%s: migrated plan: %w", r.op, err)
 	}
 
-	// Re-optimize with the refinement machinery against the survivor
-	// system: the migrated vector seeds the search, the projection of
-	// it seeds the coarse-level hill climb.
-	pool := engine.New(opts.Parallel)
-	sctx, cancelSearch := context.WithDeadline(ctx, start.Add(opts.ILPTimeLimit))
-	defer cancelSearch()
-	cres, err := coarsen.Coarsen(g, coarsen.Options{Target: opts.CoarsenTarget})
+	s, err := newSearch(ctx, g, r.target, opts, start)
 	if err != nil {
-		return nil, fmt.Errorf("replan coarsen: %w", err)
+		return nil, fmt.Errorf("%s: %w", r.op, err)
 	}
-	h := &heuristic{
-		cg:      cres.Coarse,
-		sys:     survivors,
-		horizon: horizonFor(g, survivors),
-		opts:    opts,
-		orig:    g,
-		cres:    cres,
-		pool:    pool,
-		rec:     obs.From(ctx),
+	defer s.cancel()
+	if r.seedPrev {
+		s.h.evalOriginal(plan.Device)
 	}
-	h.evalOriginal(dev)
-	h.evalAssign(h.projectOriginal(dev))
-	h.refine(sctx)
+	s.h.adoptOriginal(dev)
+	s.h.refine(s.sctx)
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("replan: cancelled during refinement: %w", err)
+		return nil, fmt.Errorf("%s: cancelled during refinement: %w", r.op, err)
 	}
-	if h.bestDev == nil {
-		return nil, fmt.Errorf("replan: no candidate plan simulates: %w", ErrNoPlacement)
-	}
-	newPlan, mk, err := h.finalizePlan(ctx, h.bestDev)
+	res, err := s.finish(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("replan: %w", err)
-	}
-	for id, d := range newPlan.Device {
-		if d == failed {
-			return nil, fmt.Errorf("replan: op %d still on failed device %s: %w", id, fd.Name, sim.ErrBadPlacement)
-		}
+		return nil, fmt.Errorf("%s: %w", r.op, err)
 	}
 	out := &ReplanResult{
-		Plan:          newPlan,
-		Survivors:     survivors,
-		Makespan:      mk,
+		Plan:          res.Plan,
+		Survivors:     r.target,
+		Makespan:      res.SimulatedMakespan,
 		PrevMakespan:  prevMk,
 		Migrated:      migrated,
 		PlacementTime: time.Since(start),
-		Provenance:    Provenance{Stage: StageReplan, Degraded: true},
+		Provenance:    Provenance{Stage: StageReplan, Degraded: r.degraded},
 	}
 	if prevMk > 0 {
-		out.RecoveryDelta = mk - prevMk
+		out.RecoveryDelta = out.Makespan - prevMk
 	}
-	// The recovered plan is verified against the survivor system: the
-	// failed device is present but marked failed, so the checker also
-	// proves nothing still runs on it.
-	if verr := verifyResult(g, survivors, out.Plan, opts); verr != nil {
+	// The new plan is verified against the target system: after a
+	// failure the failed device is present but marked failed, so the
+	// checker also proves nothing still runs on it.
+	if verr := verifyResult(g, r.target, out.Plan, opts); verr != nil {
 		return nil, verr
 	}
 	return out, nil
+}
+
+// memCap is a device's memory capacity, unlimited (math.MaxInt64) when
+// the system sets none.
+func memCap(sys sim.System, d sim.DeviceID) int64 {
+	if dv, _ := sys.Device(d); dv.Memory > 0 {
+		return dv.Memory
+	}
+	return math.MaxInt64
 }
 
 // migrateOff reassigns every operation on the failed device to the
@@ -171,13 +182,6 @@ func migrateOff(g *graph.Graph, survivors sim.System, device []sim.DeviceID, fai
 		if dev[n.ID] != failed {
 			used[dev[n.ID]] += n.Memory
 		}
-	}
-	capOf := func(d sim.DeviceID) int64 {
-		dv, _ := survivors.Device(d)
-		if dv.Memory <= 0 {
-			return math.MaxInt64 // unlimited
-		}
-		return dv.Memory
 	}
 
 	// Eviction units: colocation groups move wholesale (a validated
@@ -219,7 +223,7 @@ func migrateOff(g *graph.Graph, survivors sim.System, device []sim.DeviceID, fai
 		best := sim.DeviceID(-1)
 		var bestFree int64 = -1
 		for _, d := range gpus {
-			free := capOf(d) - used[d]
+			free := memCap(survivors, d) - used[d]
 			if free >= u.mem && free > bestFree {
 				best, bestFree = d, free
 			}
