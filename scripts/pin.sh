@@ -12,6 +12,8 @@
 #   internal/placement/testdata/plans_pinned.txt   (TestPlansPinned)
 #   internal/sim/testdata/run_pinned.txt           (TestRunResultPinned)
 #   internal/lp/testdata/solve_pinned.txt          (TestSolvePinned)
+#   internal/profile/testdata/comm_pinned.txt      (TestCommPinned)
+#   internal/trace/testdata/gantt_pinned.txt       (TestGanttPinned)
 #
 # `git diff` then shows every line BASE disagrees with. The copied pin
 # tests must compile against BASE. On exit, for any reason, the temp dir
@@ -32,7 +34,9 @@ export GOTOOLCHAIN=local GOPROXY=off
 # package  test  pin-test file  pin file
 PINS="internal/placement TestPlansPinned plans_pinned_test.go testdata/plans_pinned.txt
 internal/sim TestRunResultPinned pinned_test.go testdata/run_pinned.txt
-internal/lp TestSolvePinned pinned_test.go testdata/solve_pinned.txt"
+internal/lp TestSolvePinned pinned_test.go testdata/solve_pinned.txt
+internal/profile TestCommPinned pinned_test.go testdata/comm_pinned.txt
+internal/trace TestGanttPinned gantt_pinned_test.go testdata/gantt_pinned.txt"
 
 base_rev="$(git rev-parse --short "$BASE^{commit}")"
 echo "pin: exporting $BASE ($base_rev)" >&2
@@ -40,6 +44,7 @@ git archive "$BASE" | tar -x -C "$WORK"
 
 while read -r pkg test src pin; do
     cp "$pkg/$src" "$WORK/$pkg/$src"
+    mkdir -p "$(dirname "$WORK/$pkg/$pin")" "$(dirname "$pkg/$pin")"
     echo "pin: $test at $base_rev" >&2
     (cd "$WORK" && PESTO_PIN_UPDATE=1 go test -count=1 -timeout 10m -run "^$test\$" "./$pkg") >&2
     cp "$WORK/$pkg/$pin" "$pkg/$pin"
