@@ -6,7 +6,7 @@ GO ?= go
 # `make verify` runs the full population.
 SWEEP ?= 1000
 
-.PHONY: build test check bench bench-ab bench-incr bench-pipeline fmt vet verify smoke obs-smoke fleet-smoke trace-smoke chaos
+.PHONY: build test check bench bench-ab fmt vet verify smoke obs-smoke fleet-smoke trace-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -20,8 +20,10 @@ test:
 check:
 	sh scripts/check.sh
 
+# One run of the repository benchmark (bench/), every workload, with the
+# fixed seed the A/B pairs use.
 bench:
-	$(GO) test -bench=. -benchmem -benchtime 1x -timeout 2h
+	$(GO) run ./bench -seed 7
 
 # A/B the repository benchmark (bench/): the working tree against BASE
 # in N alternating pairs of 22-second runs of workload W, printing each
@@ -32,25 +34,6 @@ BASE ?= HEAD
 SEED ?= 7
 bench-ab:
 	bash scripts/bench_ab.sh $(W) $(N) $(BASE) $(SEED)
-
-# The incremental-placement gate: re-times the warm re-place over the
-# benchmark edit trace and fails if it regresses >2x over the committed
-# BENCH_incr.json snapshot (which itself must claim >=10x over cold and
-# a worst-case makespan ratio <=1.05). Regenerate the snapshot with
-# `go test -bench BenchmarkIncrementalTrace -benchtime 3x ./internal/placement/`.
-bench-incr:
-	PESTO_BENCH_INCR=1 $(GO) test -short -run TestIncrRegression \
-		-count=1 -v ./internal/placement/
-
-# The pipeline-rung gate: re-times the contiguous-split DP rung
-# (StagePipelineDP) and fails if it regresses >2x over the committed
-# BENCH_pipeline.json snapshot (which itself records the DP rung's
-# latency and plan quality against the exact ILP rung). Regenerate the
-# snapshot with
-# `go test -bench BenchmarkPipelineDPRung -benchtime 3x ./internal/placement/`.
-bench-pipeline:
-	PESTO_BENCH_PIPELINE=1 $(GO) test -short -run TestPipelineRegression \
-		-count=1 -v ./internal/placement/
 
 # Length of the incremental edit-trace sweep (one seeded trace replayed
 # through placement.Incremental with per-step invariant, quality and

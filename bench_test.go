@@ -32,7 +32,6 @@ func benchCfg() experiments.Config {
 	return experiments.Config{
 		Small:        false,
 		ILPTimeLimit: 10 * time.Second,
-		ProfileIters: 30, // enough for stable means; 100 in the paper
 		Seed:         1,
 	}
 }
@@ -388,7 +387,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 	sys := NewSystem(2, 16<<30)
 	opts := PlaceOptions{
-		CoarsenTarget: 24, ILPMaxSize: 12, ILPMaxNodes: 4,
+		CoarsenTarget: 24, ILPMaxNodes: 4,
 		ILPTimeLimit: 120 * time.Second, ScheduleFromILP: true, Seed: 1,
 	}
 	variants := []func() context.Context{

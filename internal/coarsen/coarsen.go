@@ -35,12 +35,6 @@ type Options struct {
 	// at or below it (the paper uses ~200 for its models). Zero means
 	// 200.
 	Target int
-	// MaxIters bounds the number of coarsening iterations; zero means
-	// 100.
-	MaxIters int
-	// SeqBudget caps the number of sequential Theorem 3.2 merges per
-	// stalled iteration (each costs O(|V|+|E|)); zero means 256.
-	SeqBudget int
 	// MaxNodeCost caps the total compute time a coarse vertex may
 	// accumulate ("maintaining parallelizability", §3.3 — unbounded
 	// merging collapses residual spines into serial mega-blobs). Zero
@@ -52,15 +46,17 @@ type Options struct {
 	MaxNodeMemory int64
 }
 
+const (
+	// maxIters bounds the number of coarsening iterations.
+	maxIters = 100
+	// seqBudget caps the number of sequential Theorem 3.2 merges per
+	// stalled iteration (each costs O(|V|+|E|)).
+	seqBudget = 256
+)
+
 func (o Options) withDefaults() Options {
 	if o.Target <= 0 {
 		o.Target = 200
-	}
-	if o.MaxIters <= 0 {
-		o.MaxIters = 100
-	}
-	if o.SeqBudget <= 0 {
-		o.SeqBudget = 256
 	}
 	return o
 }
@@ -104,14 +100,14 @@ func Coarsen(g *graph.Graph, opts Options) (*Result, error) {
 	}
 
 	iterations := 0
-	for cur.NumNodes() > opts.Target && iterations < opts.MaxIters {
+	for cur.NumNodes() > opts.Target && iterations < maxIters {
 		iterations++
 		pairs, err := batchMatching(cur, cur.NumNodes()-opts.Target, opts)
 		if err != nil {
 			return nil, err
 		}
 		if len(pairs) == 0 {
-			pairs, err = sequentialMatching(cur, minInt(opts.SeqBudget, cur.NumNodes()-opts.Target), opts)
+			pairs, err = sequentialMatching(cur, minInt(seqBudget, cur.NumNodes()-opts.Target), opts)
 			if err != nil {
 				return nil, err
 			}
@@ -121,7 +117,7 @@ func Coarsen(g *graph.Graph, opts Options) (*Result, error) {
 			// per-merge unique-path re-verification. O(|V|+|E|) per
 			// merge, but only reached on small, dense residual graphs.
 			before := cur.NumNodes()
-			cur, members, err = exactMerges(cur, members, minInt(opts.SeqBudget, cur.NumNodes()-opts.Target), opts)
+			cur, members, err = exactMerges(cur, members, minInt(seqBudget, cur.NumNodes()-opts.Target), opts)
 			if err != nil {
 				return nil, err
 			}

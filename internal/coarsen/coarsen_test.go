@@ -39,7 +39,7 @@ func figure6(t *testing.T) *graph.Graph {
 
 func TestFigure6NeverCreatesCycle(t *testing.T) {
 	g := figure6(t)
-	res, err := Coarsen(g, Options{Target: 2, MaxIters: 10})
+	res, err := Coarsen(g, Options{Target: 2})
 	if err != nil {
 		t.Fatalf("Coarsen: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestEdgePriorityPrefersBigTransfers(t *testing.T) {
 	mustEdge(t, g, a, c, 16)
 	mustEdge(t, g, b, d, 16)
 	mustEdge(t, g, c, d, 16)
-	res, err := Coarsen(g, Options{Target: 3, MaxIters: 1})
+	res, err := Coarsen(g, Options{Target: 3})
 	if err != nil {
 		t.Fatalf("Coarsen: %v", err)
 	}

@@ -72,15 +72,6 @@ func (m Model) Time(bytes int64) time.Duration {
 	return time.Duration(math.Round(ns)) * time.Nanosecond
 }
 
-// Bandwidth reports the asymptotic bandwidth of the model in bytes per
-// second (1/Beta1, scaled), or +Inf when Beta1 is zero.
-func (m Model) Bandwidth() float64 {
-	if m.Beta1 <= 0 {
-		return math.Inf(1)
-	}
-	return 1e9 / m.Beta1
-}
-
 // Sample is one profiled transfer: a payload size and the observed
 // transfer time.
 type Sample struct {
@@ -165,16 +156,6 @@ type CostModel struct {
 // profiles.
 func NewCostModel() *CostModel {
 	return &CostModel{models: defaultModels(), scale: 1}
-}
-
-// NewCostModelFrom builds a cost model from explicitly fitted models;
-// link types not present fall back to the defaults.
-func NewCostModelFrom(models ...Model) *CostModel {
-	cm := NewCostModel()
-	for _, m := range models {
-		cm.models[m.Type] = m
-	}
-	return cm
 }
 
 // Scaled returns a copy of the cost model with all transfer times divided

@@ -33,16 +33,6 @@ func TestModelTimeNeverNegative(t *testing.T) {
 	}
 }
 
-func TestBandwidth(t *testing.T) {
-	m := Model{Beta1: 1e9 / 10e9} // 10 GB/s
-	if bw := m.Bandwidth(); math.Abs(bw-10e9) > 1 {
-		t.Errorf("Bandwidth = %g, want 10e9", bw)
-	}
-	if bw := (Model{}).Bandwidth(); !math.IsInf(bw, 1) {
-		t.Errorf("zero Beta1 bandwidth = %g, want +Inf", bw)
-	}
-}
-
 func TestFitRecoversExactLine(t *testing.T) {
 	// Exact data on T = 5µs + 2ns/B should be recovered with R² = 1.
 	var samples []Sample
@@ -125,18 +115,6 @@ func TestCostModelScaled(t *testing.T) {
 	// Non-positive factors fall back to identity.
 	if id := cm.Scaled(0).Time(GPUToGPU, b); id != base {
 		t.Errorf("Scaled(0) changed time: %v vs %v", id, base)
-	}
-}
-
-func TestCostModelFromOverrides(t *testing.T) {
-	custom := Model{Type: GPUToGPU, Beta0: time.Millisecond, Beta1: 0, R2: 1}
-	cm := NewCostModelFrom(custom)
-	if got := cm.Time(GPUToGPU, 123); got != time.Millisecond {
-		t.Errorf("override not applied: %v", got)
-	}
-	// Other link types keep defaults.
-	if got := cm.Time(CPUToGPU, 0); got != 15*time.Microsecond {
-		t.Errorf("CPU→GPU default = %v, want 15µs", got)
 	}
 }
 

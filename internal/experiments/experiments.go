@@ -38,12 +38,6 @@ type Config struct {
 	// ILPTimeLimit bounds each Pesto ILP solve; zero means 5s (Small)
 	// or 20s.
 	ILPTimeLimit time.Duration
-	// CoarsenTarget is Pesto's heuristic coarse size; zero defers to
-	// placement.Options.withDefaults, the one place that rule lives.
-	CoarsenTarget int
-	// ProfileIters is the profiling iteration count; zero means 100
-	// (20 when Small).
-	ProfileIters int
 	// Seed drives all stochastic components.
 	Seed int64
 	// Parallel is the worker count handed to the placement engine and
@@ -67,14 +61,16 @@ func (c Config) withDefaults() Config {
 			c.ILPTimeLimit = 20 * time.Second
 		}
 	}
-	if c.ProfileIters <= 0 {
-		if c.Small {
-			c.ProfileIters = 20
-		} else {
-			c.ProfileIters = 100
-		}
-	}
 	return c
+}
+
+// profileIters is the profiling iteration count: the paper's 100, or 20
+// for the small variants.
+func (c Config) profileIters() int {
+	if c.Small {
+		return 20
+	}
+	return 100
 }
 
 // variants returns the workload set for the config.
@@ -87,7 +83,6 @@ func (c Config) variants() []models.Variant {
 
 func (c Config) placeOpts() placement.Options {
 	return placement.Options{
-		CoarsenTarget:   c.CoarsenTarget,
 		ILPTimeLimit:    c.ILPTimeLimit,
 		ScheduleFromILP: true,
 		Seed:            c.Seed,

@@ -126,7 +126,7 @@ func Figure4a(cfg Config) (Figure4aResult, error) {
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", v.Name, err)
 		}
-		prof, err := profile.Compute(g, profile.Options{Iterations: cfg.ProfileIters, Seed: cfg.Seed})
+		prof, err := profile.Compute(g, profile.Options{Iterations: cfg.profileIters(), Seed: cfg.Seed})
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", v.Name, err)
 		}
@@ -134,7 +134,7 @@ func Figure4a(cfg Config) (Figure4aResult, error) {
 		out.Rows = append(out.Rows, Figure4aRow{
 			Model: v.Name, Ops: len(cdf),
 			P50: profile.Quantile(cdf, 0.5), P90: profile.Quantile(cdf, 0.9), P99: profile.Quantile(cdf, 0.99),
-			IterationsPerProfile: cfg.ProfileIters,
+			IterationsPerProfile: cfg.profileIters(),
 		})
 	}
 	return out, nil
@@ -167,7 +167,7 @@ func Figure4b(cfg Config) (Figure4bResult, error) {
 	cfg = cfg.withDefaults()
 	var out Figure4bResult
 	for _, lt := range []comm.LinkType{comm.CPUToGPU, comm.GPUToCPU, comm.GPUToGPU} {
-		prof, err := profile.Communication(*cfg.Sys, lt, profile.CommOptions{Seed: cfg.Seed})
+		prof, err := profile.Communication(*cfg.Sys, lt, cfg.Seed)
 		if err != nil {
 			return out, err
 		}

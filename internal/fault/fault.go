@@ -400,7 +400,7 @@ func (in *Injector) Spec() Spec { return in.spec }
 
 // Schedule renders the configured fault schedule as a canonical
 // multi-line string — the injector half of the byte-comparable event
-// trace (the execution half is sim.Result.TraceString). Identical
+// trace (the execution half is the executed step's timeline). Identical
 // specs produce identical schedules.
 func (in *Injector) Schedule() string {
 	var b strings.Builder

@@ -118,12 +118,12 @@ func TestBreakerHealthyTrafficStaysClosed(t *testing.T) {
 }
 
 // TestLatencyTrackerP95: the hedge delay is the p95 of the router's
-// latency window, HedgeMax while the window holds fewer than 8 samples,
-// and clamped up to HedgeMin.
+// latency window, hedgeMax while the window holds fewer than 8 samples,
+// and clamped up to hedgeMin.
 func TestLatencyTrackerP95(t *testing.T) {
-	min, max := 10*time.Millisecond, time.Second
+	min, max := hedgeMin, hedgeMax
 	mk := func() *Router {
-		rt, err := New(Config{HedgeMin: min, HedgeMax: max}, &fakeBackend{id: "a"})
+		rt, err := New(Config{}, &fakeBackend{id: "a"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,15 +156,15 @@ func TestLatencyTrackerP95(t *testing.T) {
 // is the former index ⌊0.95·n⌋ except where 20 divides n, where nearest
 // rank takes the sample one lower.
 func TestLatencyTrackerP95Exact(t *testing.T) {
-	min, max := 10*time.Millisecond, 900*time.Millisecond
+	min, max := hedgeMin, hedgeMax
 	rng := rand.New(rand.NewSource(1))
 	for _, fill := range []int{0, 7, 8, 9, 20, 100, 255, 256, 257, 1000} {
-		rt, err := New(Config{HedgeMin: min, HedgeMax: max}, &fakeBackend{id: "a"})
+		rt, err := New(Config{}, &fakeBackend{id: "a"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < fill; i++ {
-			rt.lat.Add(time.Duration(rng.Int63n(int64(time.Second))))
+			rt.lat.Add(time.Duration(rng.Int63n(int64(2 * hedgeMax))))
 		}
 		want := max
 		if ref := rt.lat.Snapshot(nil); len(ref) >= 8 {

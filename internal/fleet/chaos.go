@@ -13,19 +13,14 @@ import (
 // ChaosBackend wraps a Backend with a deterministic service-tier fault
 // injector: kills turn every request into ErrReplicaDown, probe
 // blackholes eat /healthz only (traffic still flows — the
-// detection-vs-reality divergence), and latency spikes delay answers.
-// Time is an injected elapsed-clock function, so the chaos harness
-// advances a virtual clock between phases and the whole schedule
-// replays from (spec, seed) alone; production-shaped soak tests pass
-// time.Since(start).
+// detection-vs-reality divergence). The spec's latency spikes are not
+// realized: the harness never waits. Time is an injected elapsed-clock
+// function, so the chaos harness advances a virtual clock between
+// phases and the whole schedule replays from (spec, seed) alone;
+// production-shaped soak tests pass time.Since(start).
 type ChaosBackend struct {
 	inj   *fault.FleetInjector
 	clock func() time.Duration
-	// sleep realizes latency spikes; nil means no delay is actually
-	// waited (virtual-clock runs want the routing consequences of a
-	// slow replica, not wall-clock waste). Tests exercising hedging
-	// pass a real sleep.
-	sleep func(ctx context.Context, d time.Duration) error
 
 	mu    sync.Mutex
 	inner Backend
@@ -34,11 +29,6 @@ type ChaosBackend struct {
 // NewChaosBackend wraps inner under the injector and elapsed clock.
 func NewChaosBackend(inner Backend, inj *fault.FleetInjector, clock func() time.Duration) *ChaosBackend {
 	return &ChaosBackend{inner: inner, inj: inj, clock: clock}
-}
-
-// SetSleep installs a real delay function for latency spikes.
-func (c *ChaosBackend) SetSleep(sleep func(ctx context.Context, d time.Duration) error) {
-	c.sleep = sleep
 }
 
 // Replace swaps the wrapped backend — the harness's "restart": a
@@ -69,11 +59,6 @@ func (c *ChaosBackend) Do(ctx context.Context, method, path string, hdr http.Hea
 	}
 	if method == http.MethodGet && path == "/healthz" && c.inj.Blackholed(id, t) {
 		return nil, fmt.Errorf("%w: probe to %s blackholed at %v", ErrReplicaDown, id, t)
-	}
-	if extra := c.inj.ExtraLatency(id, t); extra > 0 && c.sleep != nil {
-		if err := c.sleep(ctx, extra); err != nil {
-			return nil, err
-		}
 	}
 	return c.current().Do(ctx, method, path, hdr, body)
 }

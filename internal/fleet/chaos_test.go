@@ -130,7 +130,6 @@ func runChaos(t *testing.T, requests int) chaosStats {
 	rt, err := New(Config{
 		DisableHedge:  true, // keep request counts exact for the oracle comparison
 		ProbeFailures: 1,
-		Passes:        3,
 		Seed:          chaosSeed,
 		Clock:         func() time.Time { return time.Unix(0, clockNs.Load()) },
 		Sleep:         func(ctx context.Context, d time.Duration) error { return nil },

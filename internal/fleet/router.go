@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -22,53 +23,16 @@ import (
 // Config sizes the fleet router. The zero value of every field means
 // "use the default".
 type Config struct {
-	// VNodes is the number of virtual nodes per replica on the hash
-	// ring; zero means 64.
-	VNodes int
-	// Passes is how many full failover sweeps of the ring a request
-	// makes before giving up (sleeping between sweeps); zero means 3.
-	Passes int
-	// BaseBackoff and MaxBackoff bound the exponential between-pass
-	// backoff; zero means 25ms and 1s. The actual sleep also honors any
-	// Retry-After a replica returned during the failed pass.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// Seed drives the backoff jitter. Jitter is a pure hash of
 	// (seed, fingerprint, pass) — replayable, no shared random stream.
 	Seed int64
-	// HedgeMin and HedgeMax clamp the latency-percentile hedge trigger;
-	// zero means 25ms and 2s. A request outliving the tracked p95
-	// (clamped to this band) is hedged to the next ring replica.
-	HedgeMin time.Duration
-	HedgeMax time.Duration
 	// DisableHedge turns hedging off (the chaos determinism harness
 	// uses it to keep request counts exact).
 	DisableHedge bool
-	// Breaker parameters: a replica failing BreakerFailFrac of at least
-	// BreakerMinSamples requests within BreakerWindow opens its breaker
-	// for BreakerCooldown, then re-admits via one half-open probe.
-	// Zeros mean 5s window, 8 samples, 0.5 fraction, 2s cooldown.
-	BreakerWindow     time.Duration
-	BreakerMinSamples int
-	BreakerFailFrac   float64
-	BreakerCooldown   time.Duration
-	// Prober parameters: every ProbeInterval each replica's /healthz is
-	// probed with ProbeTimeout; ProbeFailures consecutive failures mark
-	// it down, and the first healthy probe of a down replica warm-syncs
-	// its keyspace before marking it up. Zeros mean 500ms, 2, 1s.
-	ProbeInterval time.Duration
+	// ProbeFailures is how many consecutive failed /healthz probes mark
+	// a replica down; zero means 2. The first healthy probe of a down
+	// replica warm-syncs its keyspace before marking it up.
 	ProbeFailures int
-	ProbeTimeout  time.Duration
-	// MaxBodyBytes and MaxGraphNodes bound decoded request bodies the
-	// same way the replicas themselves do; zeros mean 32 MiB and 50000.
-	MaxBodyBytes  int64
-	MaxGraphNodes int
-	// BatchParallel bounds concurrent upstream calls made for one
-	// POST /v1/place/batch; zero means 2× the replica count.
-	BatchParallel int
-	// TraceHistory is how many recent traces the router retains for
-	// GET /v1/requests/{id}/trace; zero means 1024.
-	TraceHistory int
 	// Clock and Sleep are the router's time sources, injectable so the
 	// chaos harness runs on a virtual clock. Nil means time.Now and a
 	// context-aware timer sleep.
@@ -76,57 +40,49 @@ type Config struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
-func (c Config) withDefaults(replicas int) Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.Passes <= 0 {
-		c.Passes = 3
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 25 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = time.Second
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 25 * time.Millisecond
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = 2 * time.Second
-	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = 5 * time.Second
-	}
-	if c.BreakerMinSamples <= 0 {
-		c.BreakerMinSamples = 8
-	}
-	if c.BreakerFailFrac <= 0 || c.BreakerFailFrac > 1 {
-		c.BreakerFailFrac = 0.5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 500 * time.Millisecond
-	}
+// The router's fixed tuning.
+const (
+	// vnodes is the number of virtual nodes per replica on the hash ring.
+	vnodes = 64
+	// passes is how many full failover sweeps of the ring a request
+	// makes before giving up, sleeping between sweeps.
+	passes = 3
+	// baseBackoff and maxBackoff bound the exponential between-pass
+	// backoff. The actual sleep also honors any Retry-After a replica
+	// returned during the failed pass.
+	baseBackoff = 25 * time.Millisecond
+	maxBackoff  = time.Second
+	// hedgeMin and hedgeMax clamp the latency-percentile hedge trigger:
+	// a request outliving the tracked p95, clamped to this band, is
+	// hedged to the next ring replica.
+	hedgeMin = 25 * time.Millisecond
+	hedgeMax = 2 * time.Second
+	// Every probeInterval each replica's /healthz is probed with
+	// probeTimeout.
+	probeInterval = 500 * time.Millisecond
+	probeTimeout  = time.Second
+	// traceHistory is how many recent traces the router retains for
+	// GET /v1/requests/{id}/trace.
+	traceHistory = 1024
+	// batchMaxBytes bounds a POST /v1/place/batch body: four of the
+	// 32 MiB place bodies a replica accepts. Each entry is then held to
+	// the replicas' own body and graph-size limits.
+	batchMaxBytes = 128 << 20
+)
+
+// replicaBreaker is every replica's breaker: one failing at least half of
+// at least 8 requests within 5s opens for 2s, then re-admits via one
+// half-open probe.
+var replicaBreaker = breakerConfig{
+	window:     5 * time.Second,
+	minSamples: 8,
+	failFrac:   0.5,
+	cooldown:   2 * time.Second,
+}
+
+func (c Config) withDefaults() Config {
 	if c.ProbeFailures <= 0 {
 		c.ProbeFailures = 2
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
-	}
-	if c.MaxGraphNodes <= 0 {
-		c.MaxGraphNodes = 50000
-	}
-	if c.BatchParallel <= 0 {
-		c.BatchParallel = 2 * replicas
-	}
-	if c.TraceHistory <= 0 {
-		c.TraceHistory = 1024
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -201,27 +157,22 @@ func New(cfg Config, backends ...Backend) (*Router, error) {
 		seen[id] = true
 		ids[i] = id
 	}
-	cfg = cfg.withDefaults(len(backends))
+	cfg = cfg.withDefaults()
 	rt := &Router{
 		cfg:     cfg,
-		ring:    newRing(ids, cfg.VNodes),
+		ring:    newRing(ids, vnodes),
 		met:     newFleetMetrics(),
 		lat:     obs.NewRing[time.Duration](hedgeWindow),
 		mux:     http.NewServeMux(),
-		pool:    engine.New(cfg.BatchParallel),
-		traces:  obs.NewStore[*liveTrace](cfg.TraceHistory),
+		pool:    engine.New(2 * len(backends)),
+		traces:  obs.NewStore[*liveTrace](traceHistory),
 		repByID: make(map[string]*replica, len(backends)),
 	}
 	for _, b := range backends {
 		r := &replica{
 			b:  b,
 			up: true,
-			br: newBreaker(breakerConfig{
-				window:     cfg.BreakerWindow,
-				minSamples: cfg.BreakerMinSamples,
-				failFrac:   cfg.BreakerFailFrac,
-				cooldown:   cfg.BreakerCooldown,
-			}),
+			br: newBreaker(replicaBreaker),
 		}
 		rt.reps = append(rt.reps, r)
 		rt.repByID[b.ID()] = r
@@ -242,7 +193,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.Ser
 // Start launches the background prober; it stops when ctx ends.
 func (rt *Router) Start(ctx context.Context) {
 	go func() {
-		t := time.NewTicker(rt.cfg.ProbeInterval)
+		t := time.NewTicker(probeInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -265,7 +216,7 @@ func (rt *Router) ProbeAll(ctx context.Context) {
 }
 
 func (rt *Router) probe(ctx context.Context, r *replica) {
-	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	resp, err := r.b.Do(pctx, http.MethodGet, "/healthz", nil, nil)
 	cancel()
 	healthy := err == nil && resp.Status == http.StatusOK
@@ -388,7 +339,7 @@ func (rt *Router) DoTraced(ctx context.Context, method, path string, body []byte
 	rt.traces.Put(tc.TraceID, lt)
 	var lastErr error
 	var retryAfter time.Duration
-	for pass := 0; pass < rt.cfg.Passes; pass++ {
+	for pass := 0; pass < passes; pass++ {
 		if pass > 0 {
 			d := rt.backoff(pass-1, fp)
 			if retryAfter > d {
@@ -592,17 +543,17 @@ const hedgeWindow = 256
 
 // hedgeDelay is how long an attempt runs before it is hedged: the
 // nearest-rank p95 of recent answered attempts, clamped to
-// [HedgeMin, HedgeMax]. With fewer than 8 samples it is HedgeMax —
+// [hedgeMin, hedgeMax]. With fewer than 8 samples it is hedgeMax —
 // hedging waits until there is evidence of what "slow" means.
 func (rt *Router) hedgeDelay() time.Duration {
 	p, n := obs.Quantile(rt.lat, 95)
 	switch {
 	case n < 8:
-		return rt.cfg.HedgeMax
-	case p < rt.cfg.HedgeMin:
-		return rt.cfg.HedgeMin
+		return hedgeMax
+	case p < hedgeMin:
+		return hedgeMin
 	}
-	return min(p, rt.cfg.HedgeMax)
+	return min(p, hedgeMax)
 }
 
 // backoffJitterSalt versions the jitter hash.
@@ -613,9 +564,9 @@ const backoffJitterSalt = "pesto/fleet-backoff/v1"
 // hashing (seed, fingerprint, pass) — replayable under a fixed seed
 // with no shared random stream, so concurrency can't perturb it.
 func (rt *Router) backoff(pass int, fp [32]byte) time.Duration {
-	d := rt.cfg.BaseBackoff << uint(pass)
-	if d > rt.cfg.MaxBackoff || d <= 0 {
-		d = rt.cfg.MaxBackoff
+	d := baseBackoff << uint(pass)
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
 	var buf [len(backoffJitterSalt) + 8 + 32 + 8]byte
 	off := copy(buf[:], backoffJitterSalt)
@@ -670,12 +621,11 @@ func (rt *Router) Stats() (retries, hedges, failovers, warmsyncKeys int64) {
 // the fleet, and relay the replica's answer verbatim (byte-identity
 // with a single replica is the contract).
 func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, endpoint, path string) {
-	body, err := readBody(w, r, rt.cfg.MaxBodyBytes)
-	if err != nil {
-		rt.writeError(w, endpoint, http.StatusRequestEntityTooLarge, "too_large", err)
-		return
-	}
-	req, err := service.DecodePlaceRequest(bytes.NewReader(body), rt.cfg.MaxBodyBytes, rt.cfg.MaxGraphNodes)
+	// The decoder holds the body to the replicas' own size limits; the
+	// tee keeps the bytes it read for forwarding.
+	var raw bytes.Buffer
+	req, err := service.DecodePlaceRequest(io.TeeReader(r.Body, &raw), 0, 0)
+	body := raw.Bytes()
 	if err != nil {
 		code, outcome := http.StatusBadRequest, "bad_request"
 		if errors.Is(err, service.ErrTooLarge) {
@@ -741,7 +691,7 @@ type batchKey struct {
 // entries fan out across the ring concurrently, and results come back
 // in submission order.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, rt.cfg.MaxBodyBytes*4)
+	body, err := readBody(w, r, batchMaxBytes)
 	if err != nil {
 		rt.writeError(w, "batch", http.StatusRequestEntityTooLarge, "too_large", err)
 		return
@@ -770,7 +720,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var uniques []uniqueReq
 	entryUnique := make([]int, len(breq.Requests)) // entry → unique index, -1 = decode error
 	for i, raw := range breq.Requests {
-		req, err := service.DecodePlaceRequest(bytes.NewReader(raw), rt.cfg.MaxBodyBytes, rt.cfg.MaxGraphNodes)
+		req, err := service.DecodePlaceRequest(bytes.NewReader(raw), 0, 0)
 		if err != nil {
 			entryUnique[i] = -1
 			eb, _ := json.Marshal(service.ErrorResponse{Error: err.Error()})

@@ -216,7 +216,7 @@ func TestRouterRetryAfterHonored(t *testing.T) {
 // a pure function of (seed, fingerprint, pass) within [d/2, d).
 func TestBackoffJitterDeterministic(t *testing.T) {
 	mk := func(seed int64) *Router {
-		rt, err := New(Config{Seed: seed, BaseBackoff: 100 * time.Millisecond, MaxBackoff: time.Second},
+		rt, err := New(Config{Seed: seed},
 			&fakeBackend{id: "a", fn: nil})
 		if err != nil {
 			t.Fatal(err)
@@ -235,9 +235,9 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 			if da != dc {
 				differ = true
 			}
-			base := 100 * time.Millisecond << uint(pass)
-			if base > time.Second {
-				base = time.Second
+			base := baseBackoff << uint(pass)
+			if base > maxBackoff {
+				base = maxBackoff
 			}
 			if da < base/2 || da >= base {
 				t.Fatalf("backoff %v outside [%v, %v)", da, base/2, base)
@@ -265,10 +265,14 @@ func TestRouterHedgesSlowReplica(t *testing.T) {
 			return fastBody, nil
 		}}
 	}
-	rt, err := New(Config{HedgeMin: 20 * time.Millisecond, HedgeMax: 20 * time.Millisecond},
-		mk("a", false), mk("b", false))
+	rt, err := New(Config{}, mk("a", false), mk("b", false))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Fast answers fill the latency window, so the hedge fires at
+	// hedgeMin rather than waiting out hedgeMax.
+	for i := 0; i < 8; i++ {
+		rt.observeLatency(attemptResult{resp: fastBody, dur: time.Millisecond})
 	}
 	// Find a fingerprint owned by replica 0 and make that replica slow.
 	_, fp := bodyOwnedBy(t, rt, 0)
@@ -288,14 +292,13 @@ func TestRouterHedgesSlowReplica(t *testing.T) {
 
 // TestHedgeWindowSkipsRefusals: a 429 is no answer, so it never enters
 // the hedge window. A replica refusing instantly leaves the delay at
-// HedgeMax, and refusals mixed into a stream of answers leave the delay
+// hedgeMax, and refusals mixed into a stream of answers leave the delay
 // where the answers alone put it.
 func TestHedgeWindowSkipsRefusals(t *testing.T) {
 	refuse := &fakeBackend{id: "solo", fn: func(ctx context.Context, method, path string, body []byte) (*Response, error) {
 		return &Response{Status: http.StatusTooManyRequests, Header: make(http.Header), Body: []byte(`{}`)}, nil
 	}}
-	cfg := Config{HedgeMin: time.Microsecond, HedgeMax: time.Second, Passes: 1,
-		Sleep: func(ctx context.Context, d time.Duration) error { return nil }}
+	cfg := Config{Sleep: func(ctx context.Context, d time.Duration) error { return nil }}
 	rt, err := New(cfg, refuse)
 	if err != nil {
 		t.Fatal(err)
@@ -306,8 +309,8 @@ func TestHedgeWindowSkipsRefusals(t *testing.T) {
 			t.Fatal("a refused request succeeded")
 		}
 	}
-	if got := rt.hedgeDelay(); got != cfg.HedgeMax {
-		t.Fatalf("hedge delay after 50 instant 429s = %v, want HedgeMax %v", got, cfg.HedgeMax)
+	if got := rt.hedgeDelay(); got != hedgeMax {
+		t.Fatalf("hedge delay after 50 instant 429s = %v, want hedgeMax %v", got, hedgeMax)
 	}
 
 	mixed, err := New(cfg, refuse)
@@ -339,7 +342,7 @@ func TestRouterLastResortIgnoresGates(t *testing.T) {
 		}
 		return ok200(`{}`), nil
 	}}
-	rt, err := New(Config{DisableHedge: true, ProbeFailures: 1, Passes: 1}, be)
+	rt, err := New(Config{DisableHedge: true, ProbeFailures: 1}, be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +423,7 @@ func TestWarmSyncOnRejoin(t *testing.T) {
 	s0 := service.New(fastServiceConfig())
 	s1 := service.New(fastServiceConfig())
 	chaos := NewChaosBackend(NewHandlerBackend("r1", s1), inj, clock)
-	rt, err := New(Config{DisableHedge: true, ProbeFailures: 1, Passes: 2,
+	rt, err := New(Config{DisableHedge: true, ProbeFailures: 1,
 		Sleep: func(ctx context.Context, d time.Duration) error { return nil }},
 		NewHandlerBackend("r0", s0), chaos)
 	if err != nil {

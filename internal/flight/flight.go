@@ -73,11 +73,6 @@ type Config struct {
 	// Dir is where triggered bundles are written; empty means capture
 	// in memory only (counted, returned to the caller, not persisted).
 	Dir string
-	// RingSize bounds the always-on record ring; zero means 4096.
-	RingSize int
-	// BaselineWindow is how many recent solve latencies the rolling
-	// p99 baseline is computed over; zero means 512.
-	BaselineWindow int
 	// MinSamples is how many latencies the window needs before the
 	// slow-solve trigger arms; zero means 32.
 	MinSamples int
@@ -95,13 +90,15 @@ type Config struct {
 	Clock func() time.Time
 }
 
+const (
+	// ringSize bounds the always-on record ring.
+	ringSize = 4096
+	// baselineWindow is how many recent solve latencies the rolling p99
+	// baseline is computed over.
+	baselineWindow = 512
+)
+
 func (c Config) withDefaults() Config {
-	if c.RingSize <= 0 {
-		c.RingSize = 4096
-	}
-	if c.BaselineWindow <= 0 {
-		c.BaselineWindow = 512
-	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 32
 	}
@@ -141,8 +138,8 @@ func New(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
 	return &Recorder{
 		cfg:  cfg,
-		ring: obs.NewRing[obs.Record](cfg.RingSize),
-		lat:  obs.NewRing[time.Duration](cfg.BaselineWindow),
+		ring: obs.NewRing[obs.Record](ringSize),
+		lat:  obs.NewRing[time.Duration](baselineWindow),
 	}
 }
 

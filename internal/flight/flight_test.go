@@ -20,36 +20,36 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestRingWrapsOldestFirst: the recorder's ring keeps the newest
-// RingSize records, oldest first, and counts every record.
+// ringSize records, oldest first, and counts every record.
 func TestRingWrapsOldestFirst(t *testing.T) {
-	r := New(Config{RingSize: 4})
-	for i := 0; i < 6; i++ {
+	r := New(Config{})
+	for i := 0; i < ringSize+2; i++ {
 		r.Record(obs.Record{Kind: obs.KindPoint, Name: fmt.Sprintf("p%d", i)})
 	}
 	snap := r.Ring().Snapshot(nil)
-	if len(snap) != 4 {
-		t.Fatalf("len = %d, want 4", len(snap))
+	if len(snap) != ringSize {
+		t.Fatalf("len = %d, want %d", len(snap), ringSize)
 	}
 	for i, rec := range snap {
 		if want := fmt.Sprintf("p%d", i+2); rec.Name != want {
 			t.Fatalf("snap[%d] = %q, want %q", i, rec.Name, want)
 		}
 	}
-	if got := r.Ring().Total(); got != 6 {
-		t.Fatalf("Total = %d, want 6", got)
+	if got := r.Ring().Total(); got != ringSize+2 {
+		t.Fatalf("Total = %d, want %d", got, ringSize+2)
 	}
 }
 
 // TestRingConcurrent races writers against snapshots; the race
 // detector is the assertion.
 func TestRingConcurrent(t *testing.T) {
-	r := New(Config{RingSize: 64})
+	r := New(Config{})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 500; i++ {
+			for i := 0; i < ringSize; i++ {
 				r.Record(obs.Record{Kind: obs.KindPoint, Name: "w", Ts: time.Duration(w*1000 + i)})
 			}
 		}(w)
@@ -59,7 +59,7 @@ func TestRingConcurrent(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 200; i++ {
 			snap := r.Ring().Snapshot(nil)
-			if len(snap) > 64 {
+			if len(snap) > ringSize {
 				t.Errorf("snapshot overflow: %d", len(snap))
 				return
 			}
@@ -67,13 +67,13 @@ func TestRingConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if got := r.Ring().Total(); got != 8*500 {
-		t.Fatalf("Total = %d, want %d", got, 8*500)
+	if got := r.Ring().Total(); got != 8*ringSize {
+		t.Fatalf("Total = %d, want %d", got, 8*ringSize)
 	}
 }
 
 func TestSlowSolveBaseline(t *testing.T) {
-	r := New(Config{MinSamples: 8, BaselineWindow: 32, SlowFactor: 1.5, SlowFloor: time.Millisecond})
+	r := New(Config{MinSamples: 8, SlowFactor: 1.5, SlowFloor: time.Millisecond})
 	// Arming: the first MinSamples never trigger.
 	for i := 0; i < 8; i++ {
 		if slow, _ := r.SlowSolve(10 * time.Millisecond); slow {
@@ -246,32 +246,27 @@ func TestBundleGolden(t *testing.T) {
 }
 
 // TestLatP99Exact holds the slow-solve baseline to the ⌈0.99·n⌉-th
-// smallest of a copy-and-sort of the window, on random windows of the
-// default size and a larger one, partly filled and full, and to
-// computing the default window's baseline without allocating.
+// smallest of a copy-and-sort of the window, on random windows partly
+// filled and full, and to computing it without allocating.
 func TestLatP99Exact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, c := range []struct{ window, n int }{
-		{512, 1}, {512, 31}, {512, 32}, {512, 300}, {512, 511}, {512, 512}, {600, 17}, {600, 600},
-	} {
-		r := New(Config{BaselineWindow: c.window, MinSamples: 1})
-		ref := make([]time.Duration, c.n)
+	for _, n := range []int{1, 31, 32, 300, baselineWindow - 1, baselineWindow} {
+		r := New(Config{MinSamples: 1})
+		ref := make([]time.Duration, n)
 		for i := range ref {
 			ref[i] = time.Duration(rng.Int63n(int64(time.Second)))
 			r.lat.Add(ref[i])
 		}
 		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
-		idx := (99*c.n + 99) / 100
-		if idx > c.n {
-			idx = c.n
+		idx := (99*n + 99) / 100
+		if idx > n {
+			idx = n
 		}
 		if _, got := r.SlowSolve(0); got != ref[idx-1] {
-			t.Errorf("window %d, n %d: p99 = %v, want %v", c.window, c.n, got, ref[idx-1])
+			t.Errorf("n %d: p99 = %v, want %v", n, got, ref[idx-1])
 		}
-		if c.window == 512 {
-			if allocs := testing.AllocsPerRun(20, func() { obs.Quantile(r.lat, 99) }); allocs != 0 {
-				t.Errorf("window %d, n %d: baseline allocates %v times", c.window, c.n, allocs)
-			}
+		if allocs := testing.AllocsPerRun(20, func() { obs.Quantile(r.lat, 99) }); allocs != 0 {
+			t.Errorf("n %d: baseline allocates %v times", n, allocs)
 		}
 	}
 }

@@ -105,10 +105,11 @@ type Config struct {
 	// groups (only ColocHeavy uses a non-trivial default of 0.6; other
 	// families default to 0).
 	ColocFrac float64
-	// SkipProb is the probability of an extra skip edge per Layered
-	// operation; zero means 0.1.
-	SkipProb float64
 }
+
+// skipProb is the probability of an extra skip edge per Layered
+// operation.
+const skipProb = 0.1
 
 func (c Config) withDefaults() Config {
 	if c.Family == 0 {
@@ -158,9 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ColocFrac > 1 {
 		c.ColocFrac = 1
-	}
-	if c.SkipProb <= 0 {
-		c.SkipProb = 0.1
 	}
 	return c
 }
@@ -408,7 +406,7 @@ func (b *builder) layered() {
 				}
 				// Sparse skip connection to any earlier GPU op — the
 				// residual/attention shortcut shape.
-				if b.rng.Float64() < b.cfg.SkipProb && len(b.gpu) > len(prevLayer)+1 {
+				if b.rng.Float64() < skipProb && len(b.gpu) > len(prevLayer)+1 {
 					src := b.gpu[b.rng.Intn(len(b.gpu)-len(prevLayer)-1)]
 					b.edge(src, id)
 				}

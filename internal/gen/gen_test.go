@@ -35,10 +35,9 @@ func TestGenerateEveryFamilyValidates(t *testing.T) {
 			// reachable through at least one predecessor, which Validate's
 			// acyclicity plus ≥1-pred construction gives. Check roots are
 			// only the CPU inputs.
-			for _, r := range g.Roots() {
-				nd, _ := g.Node(r)
-				if nd.Kind != graph.KindCPU {
-					t.Fatalf("%v seed %d: non-input root %d (%v)", fam, seed, r, nd.Kind)
+			for _, nd := range g.Nodes() {
+				if g.InDegree(nd.ID) == 0 && nd.Kind != graph.KindCPU {
+					t.Fatalf("%v seed %d: non-input root %d (%v)", fam, seed, nd.ID, nd.Kind)
 				}
 			}
 		}

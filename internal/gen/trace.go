@@ -33,9 +33,6 @@ type TraceConfig struct {
 	// corpus graph's own seeded draw (8–63 ops). Chaos runs set a small
 	// value so solves stay fast enough to push 100k requests through.
 	Nodes int
-	// Families restricts the corpus to the given shapes; empty means
-	// all of Families().
-	Families []Family
 }
 
 func (c TraceConfig) withDefaults() TraceConfig {
@@ -47,9 +44,6 @@ func (c TraceConfig) withDefaults() TraceConfig {
 	}
 	if c.Skew <= 1 {
 		c.Skew = 1.2
-	}
-	if len(c.Families) == 0 {
-		c.Families = Families()
 	}
 	return c
 }
@@ -80,9 +74,10 @@ func NewTrace(cfg TraceConfig) (*Trace, error) {
 	// Corpus: one derived seed per rank. The xor constant separates
 	// this stream from RandomConfig's own mixing so trace corpora don't
 	// alias sweep corpora at small seeds.
+	families := Families()
 	for i := range tr.Configs {
 		c := RandomConfig(cfg.Seed ^ 0x7ace<<32 ^ int64(i)*0x9e3779b9)
-		c.Family = cfg.Families[i%len(cfg.Families)]
+		c.Family = families[i%len(families)]
 		if cfg.Nodes > 0 {
 			c.Nodes = cfg.Nodes
 		}
@@ -101,14 +96,4 @@ func NewTrace(cfg TraceConfig) (*Trace, error) {
 		tr.Seq[r] = int(z.Uint64())
 	}
 	return tr, nil
-}
-
-// Counts tallies requests per corpus rank — the popularity histogram
-// tests and benchmark reports read skew off of.
-func (t *Trace) Counts() []int {
-	counts := make([]int, len(t.Configs))
-	for _, i := range t.Seq {
-		counts[i]++
-	}
-	return counts
 }

@@ -327,17 +327,6 @@ func (g *Graph) RemoveEdge(from, to NodeID) error {
 	return nil
 }
 
-// Roots returns the IDs of nodes without predecessors.
-func (g *Graph) Roots() []NodeID {
-	var out []NodeID
-	for i := range g.nodes {
-		if len(g.pred[i]) == 0 {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
-
 // Leaves returns the IDs of nodes without successors.
 func (g *Graph) Leaves() []NodeID {
 	var out []NodeID

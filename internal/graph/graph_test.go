@@ -230,14 +230,16 @@ func TestUniquePath(t *testing.T) {
 
 func TestRootsLeavesDegrees(t *testing.T) {
 	g, ids := diamond(t)
-	if roots := g.Roots(); len(roots) != 1 || roots[0] != ids[0] {
-		t.Errorf("Roots = %v", roots)
-	}
 	if leaves := g.Leaves(); len(leaves) != 1 || leaves[0] != ids[3] {
 		t.Errorf("Leaves = %v", leaves)
 	}
 	if g.OutDegree(ids[0]) != 2 || g.InDegree(ids[3]) != 2 {
 		t.Errorf("degrees wrong: out(A)=%d in(D)=%d", g.OutDegree(ids[0]), g.InDegree(ids[3]))
+	}
+	for i, id := range ids {
+		if root := g.InDegree(id) == 0; root != (i == 0) {
+			t.Errorf("node %d: in-degree %d, want only the first node to be a root", i, g.InDegree(id))
+		}
 	}
 }
 
@@ -350,8 +352,8 @@ func TestPropertyHeightsMonotoneAlongEdges(t *testing.T) {
 				return false
 			}
 		}
-		for _, r := range g.Roots() {
-			if h[r] != 1 {
+		for i := range h {
+			if g.InDegree(NodeID(i)) == 0 && h[i] != 1 {
 				return false
 			}
 		}

@@ -43,9 +43,6 @@ type Options struct {
 	// MaxNodes bounds the number of explored B&B nodes; zero means
 	// 200000.
 	MaxNodes int
-	// GapTolerance stops the search once the relative gap between the
-	// incumbent and the best bound falls below it; zero means 1e-6.
-	GapTolerance float64
 	// Incumbent, when non-nil, is invoked with each LP relaxation
 	// solution. It may return a feasible point for the full problem
 	// and its objective; the solver keeps it if it improves the
@@ -70,15 +67,16 @@ type Options struct {
 // does not depend on how many workers the pool happens to have.
 const batchSize = 8
 
+// gapTolerance stops the search once the relative gap between the
+// incumbent and the best bound falls below it.
+const gapTolerance = 1e-6
+
 func (o Options) withDefaults() Options {
 	if o.TimeLimit <= 0 {
 		o.TimeLimit = 30 * time.Second
 	}
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 200000
-	}
-	if o.GapTolerance <= 0 {
-		o.GapTolerance = 1e-6
 	}
 	return o
 }
@@ -213,7 +211,7 @@ func Solve(ctx context.Context, p Problem, opts Options) (Solution, error) {
 	// goroutine in pop order — pruning, incumbent updates, diving and
 	// branching all happen sequentially on merged state.
 	prunable := func(bound float64) bool {
-		return bound > best.Objective-opts.GapTolerance*math.Max(math.Abs(best.Objective), 1) &&
+		return bound > best.Objective-gapTolerance*math.Max(math.Abs(best.Objective), 1) &&
 			rootSolved && !math.IsInf(bound, -1) && best.Status != NoSolutionStatus
 	}
 	type lpOutcome struct {
@@ -314,7 +312,7 @@ func Solve(ctx context.Context, p Problem, opts Options) (Solution, error) {
 			// Bound-based pruning against the latest incumbent (an
 			// earlier node of this batch may have improved it since
 			// this node was selected).
-			if best.Status != NoSolutionStatus && rel.Objective >= best.Objective-opts.GapTolerance*math.Max(math.Abs(best.Objective), 1) {
+			if best.Status != NoSolutionStatus && rel.Objective >= best.Objective-gapTolerance*math.Max(math.Abs(best.Objective), 1) {
 				continue
 			}
 			// Offer the relaxation to the caller's heuristic.
@@ -436,7 +434,7 @@ func Solve(ctx context.Context, p Problem, opts Options) (Solution, error) {
 		return best, nil
 	}
 	best.Gap = math.Max(0, (best.Objective-best.Bound)/math.Max(math.Abs(best.Objective), 1))
-	if len(open) == 0 || best.Gap <= opts.GapTolerance {
+	if len(open) == 0 || best.Gap <= gapTolerance {
 		best.Status = OptimalStatus
 		best.Gap = 0
 	}

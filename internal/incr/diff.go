@@ -27,12 +27,6 @@ type Diff struct {
 	ChangedEdges int
 }
 
-// Empty reports whether the diff found no change at all.
-func (d Diff) Empty() bool {
-	return len(d.Dirty) == 0 && d.AddedNodes == 0 && d.RemovedNodes == 0 &&
-		d.ChangedNodes == 0 && d.AddedEdges == 0 && d.RemovedEdges == 0 && d.ChangedEdges == 0
-}
-
 // Compare diffs base against edited under nodeMap, which maps each
 // edited-graph ID to its base-graph ID (-1 for operations that did not
 // exist in base). A nil nodeMap means positional identity: ID i is the

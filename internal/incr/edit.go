@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"pesto/internal/graph"
-	"pesto/internal/jsonlex"
 )
 
 // Edit kinds. An Edit is a single structural change to a graph; a
@@ -403,20 +402,6 @@ func max64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// ParseEdits decodes a JSON edit list (the wire form of
-// POST /v1/place/delta). Unknown fields, trailing data and oversized
-// lists are errors; no input panics.
-func ParseEdits(data []byte) ([]Edit, error) {
-	var edits []Edit
-	if err := jsonlex.DecodeStrict(data, &edits); err != nil {
-		return nil, fmt.Errorf("decode edits: %v: %w", err, ErrBadEdit)
-	}
-	if len(edits) > maxEditCount {
-		return nil, fmt.Errorf("%d edits over cap %d: %w", len(edits), maxEditCount, ErrBadEdit)
-	}
-	return edits, nil
 }
 
 // editsFingerprintVersion versions the canonical edit serialization

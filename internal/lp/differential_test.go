@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // randomLP builds a seeded random instance for differential testing.
@@ -195,7 +196,7 @@ func FuzzWarmResolve(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		warm, werr := SolveWarm(child, parent.Basis)
+		warm, werr := SolveWarmDeadlineObs(child, parent.Basis, time.Time{}, nil)
 		cold, cerr := Solve(child)
 		if (werr == nil) != (cerr == nil) || warm.Status != cold.Status {
 			t.Fatalf("seed %d: warm %v/%v, cold %v/%v", seed, warm.Status, werr, cold.Status, cerr)
@@ -213,7 +214,7 @@ func FuzzWarmResolve(f *testing.F) {
 			}
 		}
 		for i := 0; i < child.NumConstraints(); i++ {
-			c := child.ConstraintAt(i)
+			c := child.cons[i]
 			lhs, mag := 0.0, 1.0
 			for _, tm := range c.Terms {
 				lhs += tm.Coef * warm.X[tm.Var]

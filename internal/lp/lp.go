@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 )
 
@@ -136,13 +135,6 @@ func (p *Problem) AddConstraint(c Constraint) error {
 	return nil
 }
 
-// ConstraintAt returns constraint i. The returned value shares its
-// Terms slice with the problem; callers must not mutate it.
-func (p *Problem) ConstraintAt(i int) Constraint { return p.cons[i] }
-
-// ObjectiveCoef returns the objective coefficient of variable v.
-func (p *Problem) ObjectiveCoef(v int) float64 { return p.obj[v] }
-
 // Clone returns a copy whose objective and bounds are independent of
 // p's; the branch-and-bound layer clones the root problem to apply
 // branching bounds. Constraint term slices are never mutated after
@@ -200,7 +192,7 @@ type Solution struct {
 	// Basis is the optimal basis, exported on Optimal solves by the
 	// revised solver so the next solve of a structurally identical
 	// problem (same constraints, possibly tighter bounds) can warm-start
-	// via SolveWarm. Nil from the dense reference solver.
+	// via SolveWarmDeadlineObs. Nil from the dense reference solver.
 	Basis *Basis
 	// DualFeasible marks Objective as a valid lower bound on the true
 	// optimum even when Status is IterLimit — set when a warm-started
@@ -222,22 +214,13 @@ const (
 // "lp.solves" once per solve, "lp.pivots" with the iteration count,
 // "lp.pivots.dual" with the dual-simplex share, "lp.refactorizations"
 // with basis rebuilds, and "lp.warmstart.hits" / "lp.warmstart.misses"
-// from the SolveWarm* entry points. *obs.Recorder satisfies it; lp
+// from SolveWarmDeadlineObs. *obs.Recorder satisfies it; lp
 // stays free of telemetry imports. Implementations must be safe for
 // concurrent use, since relaxations solve in parallel across B&B
 // batches.
 type Observer interface {
 	Add(name string, delta int64)
 }
-
-// denseOnly forces every Solve* call through the dense reference
-// tableau; benchmarks flip it to A/B the two solvers on the full
-// placement pipeline.
-var denseOnly atomic.Bool
-
-// ForceDenseForTesting routes all Solve* calls through the dense
-// reference tableau while on. Test/bench only; not for production use.
-func ForceDenseForTesting(on bool) { denseOnly.Store(on) }
 
 // Solve minimizes the problem and returns the optimal solution, or a
 // Solution whose Status explains why none exists (in which case the
@@ -247,29 +230,15 @@ func Solve(p *Problem) (Solution, error) {
 	return SolveDeadlineObs(p, time.Time{}, nil)
 }
 
-// SolveDeadline is Solve with a wall-clock deadline; when the deadline
-// passes mid-solve the result carries IterLimit status (wrapped in
-// ErrNoSolution) so callers can treat it like any other unfinished
-// relaxation. The deadline is checked between pivots, and a phase-2
-// timeout still returns the best feasible iterate found so far. A zero
-// deadline means no limit.
-func SolveDeadline(p *Problem, deadline time.Time) (Solution, error) {
-	return SolveDeadlineObs(p, deadline, nil)
-}
-
-// SolveDeadlineObs is SolveDeadline reporting solver counters to an
-// optional observer (nil disables reporting).
+// SolveDeadlineObs is Solve with a wall-clock deadline, reporting
+// solver counters to an optional observer (nil disables reporting).
+// When the deadline passes mid-solve the result carries IterLimit
+// status (wrapped in ErrNoSolution) so callers can treat it like any
+// other unfinished relaxation. The deadline is checked between pivots,
+// and a phase-2 timeout still returns the best feasible iterate found
+// so far. A zero deadline means no limit.
 func SolveDeadlineObs(p *Problem, deadline time.Time, o Observer) (Solution, error) {
-	if denseOnly.Load() {
-		return solveDenseObs(p, deadline, o)
-	}
 	return solveRevised(p, nil, false, deadline, o)
-}
-
-// SolveWarm is Solve warm-started from a prior basis (nil falls back to
-// a cold solve, counted as a warm-start miss).
-func SolveWarm(p *Problem, warm *Basis) (Solution, error) {
-	return SolveWarmDeadlineObs(p, warm, time.Time{}, nil)
 }
 
 // SolveWarmDeadlineObs re-solves a problem with the same constraint
@@ -277,33 +246,19 @@ func SolveWarm(p *Problem, warm *Basis) (Solution, error) {
 // tightened (a branch-and-bound child). A basis that is still primal
 // feasible skips phase 1 entirely; one that is only dual feasible is
 // repaired by dual simplex; anything else falls back to a cold solve.
+// A nil warm basis is a cold solve, counted as a warm-start miss.
 // Hit/miss counters are reported to the observer either way.
 func SolveWarmDeadlineObs(p *Problem, warm *Basis, deadline time.Time, o Observer) (Solution, error) {
-	if denseOnly.Load() {
-		return solveDenseObs(p, deadline, o)
-	}
 	return solveRevised(p, warm, true, deadline, o)
 }
 
 // SolveDense runs the dense two-phase full-tableau reference solver.
 // It is retained for differential testing against the revised simplex.
-func SolveDense(p *Problem) (Solution, error) {
-	return solveDenseObs(p, time.Time{}, nil)
-}
-
-// solveDenseObs is the original dense-tableau driver.
-func solveDenseObs(p *Problem, deadline time.Time, o Observer) (sol Solution, err error) {
-	if o != nil {
-		defer func() {
-			o.Add("lp.solves", 1)
-			o.Add("lp.pivots", int64(sol.Iters))
-		}()
-	}
+func SolveDense(p *Problem) (sol Solution, err error) {
 	t, err := newTableau(p)
 	if err != nil {
 		return Solution{}, err
 	}
-	t.deadline = deadline
 	if t.needPhase1 {
 		st, iters := t.run(true)
 		t.iters += iters

@@ -251,7 +251,7 @@ func TestSolveDeadlineExpiry(t *testing.T) {
 	p := NewProblem(3)
 	_ = p.SetObjective(0, 1)
 	_ = p.AddConstraint(Constraint{Terms: []Term{{0, 1}, {1, 1}, {2, 1}}, Rel: GE, RHS: 3})
-	sol, err := SolveDeadline(p, time.Now().Add(-time.Second))
+	sol, err := SolveDeadlineObs(p, time.Now().Add(-time.Second), nil)
 	if !errors.Is(err, ErrNoSolution) || sol.Status != IterLimit {
 		t.Fatalf("status=%v err=%v, want IterLimit", sol.Status, err)
 	}
@@ -261,7 +261,7 @@ func TestSolveZeroDeadlineMeansUnlimited(t *testing.T) {
 	p := NewProblem(1)
 	_ = p.SetObjective(0, 1)
 	_ = p.AddConstraint(Constraint{Terms: []Term{{0, 1}}, Rel: GE, RHS: 2})
-	sol, err := SolveDeadline(p, time.Time{})
+	sol, err := SolveDeadlineObs(p, time.Time{}, nil)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("status=%v err=%v", sol.Status, err)
 	}

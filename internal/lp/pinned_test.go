@@ -86,7 +86,7 @@ func pinnedListing(t *testing.T) []byte {
 				if err := child.SetBounds(v, b[0], b[1]); err != nil {
 					t.Fatal(err)
 				}
-				sol, err := lp.SolveWarm(child, root.Basis)
+				sol, err := lp.SolveWarmDeadlineObs(child, root.Basis, time.Time{}, nil)
 				writePinned(&buf, fmt.Sprintf("random/s%d/x%d/%d", seed, v, side), sol, err)
 			}
 			break
@@ -118,7 +118,7 @@ func pinnedListing(t *testing.T) []byte {
 					if err := child.SetBounds(prob.Binary[k], val, val); err != nil {
 						t.Fatal(err)
 					}
-					sol, err := lp.SolveWarm(child, root.Basis)
+					sol, err := lp.SolveWarmDeadlineObs(child, root.Basis, time.Time{}, nil)
 					writePinned(&buf, fmt.Sprintf("%s/b%d=%g", name, k, val), sol, err)
 				}
 			}

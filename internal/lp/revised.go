@@ -195,7 +195,7 @@ type eta struct {
 
 // Basis is an exported simplex basis: which column is basic in each row
 // and the bound status of every column. It can be taken from an optimal
-// Solution and passed to SolveWarm* to warm-start a re-solve of a
+// Solution and passed to SolveWarmDeadlineObs to warm-start a re-solve of a
 // problem with the same constraint structure (same rows, same columns)
 // and possibly different bounds — the branch-and-bound child case.
 //
@@ -215,9 +215,6 @@ type Basis struct {
 
 // Rows reports the constraint-row count the basis was built for.
 func (b *Basis) Rows() int { return b.rows }
-
-// Cols reports the standard-form column count the basis was built for.
-func (b *Basis) Cols() int { return b.cols }
 
 // revised is the mutable solver state for one solve.
 type revised struct {

@@ -417,12 +417,12 @@ func (s *revised) dual() Status {
 	return IterLimit
 }
 
-// solveRevised is the driver behind Solve/SolveDeadline/SolveWarm. With
+// solveRevised is the driver behind Solve and the two Obs entry points. With
 // a warm basis it tries, in order: pure primal phase 2 (basis still
 // primal feasible), dual simplex (basis dual feasible after a bound
 // change — the B&B child case), and otherwise falls back to a cold
 // two-phase solve. countWarm controls whether warm-start hit/miss
-// counters are emitted (true only for the SolveWarm* entry points).
+// counters are emitted (true only for SolveWarmDeadlineObs).
 func solveRevised(p *Problem, warm *Basis, countWarm bool, deadline time.Time, o Observer) (sol Solution, err error) {
 	f, ferr := newStdForm(p)
 	if ferr != nil {

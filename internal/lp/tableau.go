@@ -3,7 +3,6 @@ package lp
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // tableau is a full-tableau simplex state. Columns are laid out as
@@ -21,7 +20,6 @@ type tableau struct {
 	nCols      int // total columns including RHS
 	artStart   int // first artificial column index
 	needPhase1 bool
-	deadline   time.Time // zero means unlimited
 	lower      []float64 // original lower bounds for extraction
 	iters      int
 }
@@ -203,9 +201,6 @@ func (t *tableau) run(phase1 bool) (Status, int) {
 	lastObj := math.Inf(1)
 	stall := 0
 	for iter := 0; iter < maxIters; iter++ {
-		if iter%128 == 0 && !t.deadline.IsZero() && time.Now().After(t.deadline) {
-			return IterLimit, iter
-		}
 		obj := -cost[rhsCol]
 		if obj < lastObj-1e-12 {
 			lastObj = obj

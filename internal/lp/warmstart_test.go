@@ -206,8 +206,8 @@ func TestWarmStartBasisSharedAcrossChildren(t *testing.T) {
 	right := p.Clone()
 	_ = right.SetBounds(1, 1, 1)
 
-	lWarm, lerr := SolveWarm(left, parent.Basis)
-	rWarm, rerr := SolveWarm(right, parent.Basis)
+	lWarm, lerr := SolveWarmDeadlineObs(left, parent.Basis, time.Time{}, nil)
+	rWarm, rerr := SolveWarmDeadlineObs(right, parent.Basis, time.Time{}, nil)
 	lCold, _ := Solve(left)
 	rCold, _ := Solve(right)
 	if lerr != nil || rerr != nil {
@@ -219,7 +219,7 @@ func TestWarmStartBasisSharedAcrossChildren(t *testing.T) {
 	}
 	// Re-run the left child from the same basis: identical answer means
 	// the first pair of solves did not mutate the shared basis.
-	lAgain, err := SolveWarm(left, parent.Basis)
+	lAgain, err := SolveWarmDeadlineObs(left, parent.Basis, time.Time{}, nil)
 	if err != nil || math.Abs(lAgain.Objective-lWarm.Objective) > 1e-9 {
 		t.Fatalf("re-solve from shared basis drifted: %g vs %g (err %v)", lAgain.Objective, lWarm.Objective, err)
 	}
@@ -310,7 +310,7 @@ func TestSharedFormConcurrentChildren(t *testing.T) {
 	}
 	want := make([]Solution, 8)
 	for k := range want {
-		want[k], _ = SolveWarm(child(build(), k), donor.Basis)
+		want[k], _ = SolveWarmDeadlineObs(child(build(), k), donor.Basis, time.Time{}, nil)
 	}
 
 	shared := build()
@@ -320,7 +320,7 @@ func TestSharedFormConcurrentChildren(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			got[k], _ = SolveWarm(child(shared, k), donor.Basis)
+			got[k], _ = SolveWarmDeadlineObs(child(shared, k), donor.Basis, time.Time{}, nil)
 		}(k)
 	}
 	wg.Wait()

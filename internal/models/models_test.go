@@ -26,7 +26,13 @@ func TestAllPaperVariantsBuildValidDAGs(t *testing.T) {
 		if g.NumNodes() < 200 {
 			t.Errorf("%s: suspiciously small graph (%d nodes)", v.Name, g.NumNodes())
 		}
-		if len(g.Roots()) == 0 || len(g.Leaves()) == 0 {
+		roots := 0
+		for _, nd := range g.Nodes() {
+			if g.InDegree(nd.ID) == 0 {
+				roots++
+			}
+		}
+		if roots == 0 || len(g.Leaves()) == 0 {
 			t.Errorf("%s: missing roots or leaves", v.Name)
 		}
 	}

@@ -21,19 +21,17 @@ type NASNetConfig struct {
 	Batch int
 	// Spatial is the feature-map side length; zero means 28.
 	Spatial int
-	// BlocksPerCell is the number of two-branch blocks per cell; zero
-	// means 5 (the NASNet-A cell).
-	BlocksPerCell int
 	// TargetMemory calibrates the total footprint; zero keeps raw.
 	TargetMemory int64
 }
 
+// blocksPerCell is the number of two-branch blocks per cell (the
+// NASNet-A cell).
+const blocksPerCell = 5
+
 func (c NASNetConfig) withDefaults() NASNetConfig {
 	if c.Spatial == 0 {
 		c.Spatial = 28
-	}
-	if c.BlocksPerCell == 0 {
-		c.BlocksPerCell = 5
 	}
 	if c.Batch == 0 {
 		c.Batch = 32
@@ -54,7 +52,7 @@ func NASNet(cfg NASNetConfig) (*graph.Graph, error) {
 		return nil, fmt.Errorf("nasnet: invalid config %+v", cfg)
 	}
 	B, S, F := cfg.Batch, cfg.Spatial, cfg.Filters
-	b := newBuilder(cfg.Cells * cfg.BlocksPerCell * 30)
+	b := newBuilder(cfg.Cells * blocksPerCell * 30)
 
 	mapElems := B * S * S * F
 	mapBytes := tensorBytes(mapElems)
@@ -112,7 +110,7 @@ func NASNet(cfg NASNetConfig) (*graph.Graph, error) {
 	return g, nil
 }
 
-// nasnetCell emits one NASNet-A style cell: BlocksPerCell blocks, each
+// nasnetCell emits one NASNet-A style cell: blocksPerCell blocks, each
 // with two tagged parallel branches joined by an add; block outputs
 // concatenate. Branch tags are 1-based and unique within the cell.
 func nasnetCell(b *builder, name string, layer int, cfg NASNetConfig, in graph.NodeID, bwScale int) graph.NodeID {
@@ -124,7 +122,7 @@ func nasnetCell(b *builder, name string, layer int, cfg NASNetConfig, in graph.N
 	concat := b.gpu(name+"/concat", layer, sc*elemwiseCost(mapElems), tensorBytes(mapElems))
 	vecBytes := tensorBytes(F)
 	tiny := elemwiseCost(F) // per-channel vector ops, the Table 1 <10µs mass
-	for blk := 0; blk < cfg.BlocksPerCell; blk++ {
+	for blk := 0; blk < blocksPerCell; blk++ {
 		add := b.gpu(fmt.Sprintf("%s/block%d/add", name, blk), layer, sc*elemwiseCost(mapElems), tensorBytes(mapElems))
 		for br := 0; br < 2; br++ {
 			branchIdx := blk*2 + br + 1

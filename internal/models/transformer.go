@@ -19,8 +19,6 @@ type TransformerConfig struct {
 	Heads int
 	// Hidden is the model dimension d_model.
 	Hidden int
-	// FF is the feed-forward inner size; zero means 4×Hidden.
-	FF int
 	// Batch is sentences per batch (paper: 32).
 	Batch int
 	// SeqLen is tokens per sentence; zero means 32.
@@ -31,10 +29,10 @@ type TransformerConfig struct {
 	TargetMemory int64
 }
 
+// ff is the feed-forward inner size, 4×Hidden.
+func (c TransformerConfig) ff() int { return 4 * c.Hidden }
+
 func (c TransformerConfig) withDefaults() TransformerConfig {
-	if c.FF == 0 {
-		c.FF = 4 * c.Hidden
-	}
 	if c.SeqLen == 0 {
 		c.SeqLen = 32
 	}
@@ -109,8 +107,8 @@ func Transformer(cfg TransformerConfig) (*graph.Graph, error) {
 	}
 	// Optimizer: one apply op per layer.
 	for l := 1; l <= 2*cfg.Layers; l++ {
-		paramBytes := tensorBytes(4*H*H + 2*H*cfg.FF)
-		apply := b.gpu(fmt.Sprintf("apply_grad/l%d", l), l, elemwiseCost((4*H*H+2*H*cfg.FF)/64), paramBytes)
+		paramBytes := tensorBytes(4*H*H + 2*H*cfg.ff())
+		apply := b.gpu(fmt.Sprintf("apply_grad/l%d", l), l, elemwiseCost((4*H*H+2*H*cfg.ff())/64), paramBytes)
 		b.edge(encGrad, apply, paramBytes/int64(2*cfg.Layers))
 	}
 
@@ -151,17 +149,17 @@ func transformerBlock(b *builder, name string, layer int, cfg TransformerConfig,
 	}
 
 	k1 := b.kernel(name+"/ffn/kernel1", layer)
-	ff1 := b.gpu(name+"/ffn/matmul1", layer, sc*matmulCost(1, tok, H, cfg.FF),
-		int64(bwScale)*(tensorBytes(tok*cfg.FF)+tensorBytes(H*cfg.FF)))
+	ff1 := b.gpu(name+"/ffn/matmul1", layer, sc*matmulCost(1, tok, H, cfg.ff()),
+		int64(bwScale)*(tensorBytes(tok*cfg.ff())+tensorBytes(H*cfg.ff())))
 	b.edge(k1, ff1, 64)
 	b.edge(cur, ff1, actBytes)
-	relu := b.gpu(name+"/ffn/relu", layer, sc*elemwiseCost(tok*cfg.FF), tensorBytes(tok*cfg.FF))
-	b.edge(ff1, relu, tensorBytes(tok*cfg.FF))
+	relu := b.gpu(name+"/ffn/relu", layer, sc*elemwiseCost(tok*cfg.ff()), tensorBytes(tok*cfg.ff()))
+	b.edge(ff1, relu, tensorBytes(tok*cfg.ff()))
 	k2 := b.kernel(name+"/ffn/kernel2", layer)
-	ff2 := b.gpu(name+"/ffn/matmul2", layer, sc*matmulCost(1, tok, cfg.FF, H),
-		int64(bwScale)*(tensorBytes(tok*H)+tensorBytes(H*cfg.FF)))
+	ff2 := b.gpu(name+"/ffn/matmul2", layer, sc*matmulCost(1, tok, cfg.ff(), H),
+		int64(bwScale)*(tensorBytes(tok*H)+tensorBytes(H*cfg.ff())))
 	b.edge(k2, ff2, 64)
-	b.edge(relu, ff2, tensorBytes(tok*cfg.FF))
+	b.edge(relu, ff2, tensorBytes(tok*cfg.ff()))
 	res2 := b.gpu(name+"/residual2", layer, sc*elemwiseCost(tok*H), tensorBytes(tok*H))
 	b.edge(cur, res2, actBytes)
 	b.edge(ff2, res2, actBytes)

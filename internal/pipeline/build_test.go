@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -15,11 +16,7 @@ import (
 // on every link type — the regime where the closed-form pipeline
 // formulas hold exactly.
 func zeroCostModel() *comm.CostModel {
-	return comm.NewCostModelFrom(
-		comm.Model{Type: comm.GPUToGPU, R2: 1},
-		comm.Model{Type: comm.CPUToGPU, R2: 1},
-		comm.Model{Type: comm.GPUToCPU, R2: 1},
-	)
+	return comm.NewCostModel().Scaled(math.Inf(1))
 }
 
 // TestBuildClosedFormForwardOnly pins the textbook pipeline formulas on

@@ -1,9 +1,6 @@
 package pipeline
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Slot is one entry of a stage's local execution order: which
 // microbatch, and whether the forward or backward task runs.
@@ -71,14 +68,4 @@ func ForwardOrder(M int) []Slot {
 		order[m] = Slot{MB: m}
 	}
 	return order
-}
-
-// FormatOrder renders a stage order as "F0 F1 B0 ..." for goldens and
-// debugging.
-func FormatOrder(order []Slot) string {
-	parts := make([]string, len(order))
-	for i, s := range order {
-		parts[i] = s.String()
-	}
-	return strings.Join(parts, " ")
 }

@@ -1,6 +1,9 @@
 package pipeline
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestStageOrderGolden pins the exact schedule strings for S=4, M=4 —
 // the textbook GPipe fill-drain and 1F1B (PipeDream-flush) diagrams.
@@ -19,12 +22,12 @@ func TestStageOrderGolden(t *testing.T) {
 		{Schedule1F1B, 3, "F0 B0 F1 B1 F2 B2 F3 B3"},
 	}
 	for _, c := range cases {
-		got := FormatOrder(StageOrder(c.kind, c.stage, S, M))
+		got := formatOrder(StageOrder(c.kind, c.stage, S, M))
 		if got != c.want {
 			t.Errorf("%v stage %d: %q, want %q", c.kind, c.stage, got, c.want)
 		}
 	}
-	if got := FormatOrder(ForwardOrder(3)); got != "F0 F1 F2" {
+	if got := formatOrder(ForwardOrder(3)); got != "F0 F1 F2" {
 		t.Errorf("ForwardOrder(3) = %q", got)
 	}
 }
@@ -97,4 +100,13 @@ func TestStageOrder1F1BInFlight(t *testing.T) {
 			}
 		}
 	}
+}
+
+// formatOrder renders a stage order as "F0 F1 B0 ...".
+func formatOrder(order []Slot) string {
+	parts := make([]string, len(order))
+	for i, s := range order {
+		parts[i] = s.String()
+	}
+	return strings.Join(parts, " ")
 }

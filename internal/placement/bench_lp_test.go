@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"pesto/internal/coarsen"
 	"pesto/internal/gen"
@@ -13,7 +14,7 @@ import (
 
 // benchRungModel builds the exact model the ilp-exact rung solves for
 // the repository's canonical graph: gen.Layered seed=7, 96 nodes,
-// coarsened to the default ILPMaxSize.
+// coarsened to ilpMaxSize.
 func benchRungModel(tb testing.TB) *model {
 	tb.Helper()
 	g, err := gen.Generate(gen.Config{Family: gen.Layered, Seed: 7, Nodes: 96})
@@ -21,7 +22,7 @@ func benchRungModel(tb testing.TB) *model {
 		tb.Fatal(err)
 	}
 	opts := Options{}.withDefaults()
-	cres, err := coarsen.Coarsen(g, coarsen.Options{Target: opts.ILPMaxSize})
+	cres, err := coarsen.Coarsen(g, coarsen.Options{Target: ilpMaxSize})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func BenchmarkChildResolve(b *testing.B) {
 		if err := child.SetBounds(fx.v, fx.val, fx.val); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := lp.SolveWarm(child, root.Basis); err != nil && !errors.Is(err, lp.ErrNoSolution) {
+		if _, err := lp.SolveWarmDeadlineObs(child, root.Basis, time.Time{}, nil); err != nil && !errors.Is(err, lp.ErrNoSolution) {
 			b.Fatal(err)
 		}
 	}

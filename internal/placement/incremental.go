@@ -19,7 +19,7 @@ import (
 // the new graph's IDs back to the prior graph's (-1 marks operations
 // the edits created; nil means positional identity). ChainDepth
 // counts how many warm re-places already chained off the last cold
-// solve — Incremental forces a cold refresh past Options.IncrMaxChain
+// solve — Incremental forces a cold refresh past incrMaxChain
 // so quality drift cannot compound without bound. AnchorQuality is
 // the lowest makespan-over-lower-bound ratio any solve in the chain's
 // history has achieved (thread IncrementalInfo.AnchorQuality forward
@@ -72,7 +72,7 @@ type IncrementalInfo struct {
 // verified against the full internal/verify invariant checker before
 // it is returned — on any verification failure, on a dirty fraction
 // above incrDirtyThreshold, on a warm chain longer than
-// Options.IncrMaxChain, or on any defect in the prior, Incremental
+// incrMaxChain, or on any defect in the prior, Incremental
 // falls back to a cold PlaceMultiGPU solve. Either way the returned
 // Result carries Provenance.Incremental accounting.
 //
@@ -112,7 +112,7 @@ func incrementalAttempt(ctx context.Context, g *graph.Graph, sys sim.System, pri
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("pesto incremental: edited graph: %w", err)
 	}
-	if opts.IncrMaxChain > 0 && prior.ChainDepth >= opts.IncrMaxChain {
+	if prior.ChainDepth >= incrMaxChain {
 		return incrementalCold(ctx, g, sys, opts, "chain-refresh", prior.AnchorQuality)
 	}
 

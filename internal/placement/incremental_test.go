@@ -162,8 +162,8 @@ func TestIncrementalFallbacks(t *testing.T) {
 	}
 
 	// Chain depth past the bound forces a cold refresh.
-	res, err = Incremental(ctx, g, sys, PriorPlacement{Graph: g, Plan: cold.Plan, ChainDepth: 1}, Options{
-		ILPTimeLimit: 2 * time.Second, StartStage: StageRefine, IncrMaxChain: 1, Verify: true,
+	res, err = Incremental(ctx, g, sys, PriorPlacement{Graph: g, Plan: cold.Plan, ChainDepth: incrMaxChain}, Options{
+		ILPTimeLimit: 2 * time.Second, StartStage: StageRefine, Verify: true,
 	})
 	if err != nil {
 		t.Fatal(err)

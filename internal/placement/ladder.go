@@ -184,7 +184,7 @@ type stageDef struct {
 //  4. the best baseline heuristic (Baechi family, HEFT, single-GPU).
 //
 // Each rung runs under its own deadline with bounded retry/backoff
-// (Options.StageRetries, stageBackoff apart), and panics inside a rung are
+// (stageRetries, stageBackoff apart), and panics inside a rung are
 // recovered into errors — a crashing or stalling solver degrades the
 // answer instead of taking the caller down. The rung that produced the
 // returned plan is recorded in Result.Provenance; use
@@ -286,7 +286,7 @@ func runLadder(ctx context.Context, g *graph.Graph, sys sim.System, opts Options
 		stageStart := time.Now()
 		solverBefore := solverSnap()
 		var lastErr error
-		for attempt := 1; attempt <= 1+opts.StageRetries; attempt++ {
+		for attempt := 1; attempt <= 1+stageRetries; attempt++ {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("pesto: cancelled during %v: %w", st.stage, err)
 			}
@@ -316,7 +316,7 @@ func runLadder(ctx context.Context, g *graph.Graph, sys sim.System, opts Options
 			}
 			// A stage that already ran out its deadline will do so
 			// again; don't burn the next rung's budget re-proving it.
-			if attempt <= opts.StageRetries && !errors.Is(err, context.DeadlineExceeded) {
+			if attempt <= stageRetries && !errors.Is(err, context.DeadlineExceeded) {
 				time.Sleep(stageBackoff)
 			} else {
 				break

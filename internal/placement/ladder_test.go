@@ -67,7 +67,7 @@ func TestLadderFallsBackOnDeadlineExpiry(t *testing.T) {
 	start := time.Now()
 	res, err := Place(context.Background(), g, sys, Options{
 		ILPTimeLimit: 5 * time.Second,
-		StageRetries: 2, // deadline expiry must NOT be retried
+		// stageRetries allows a retry, but deadline expiry must not get it.
 		StageHook: func(s Stage) error {
 			if s == StageILP {
 				return fmt.Errorf("solver timed out: %w", context.DeadlineExceeded)
@@ -104,7 +104,6 @@ func TestLadderRetriesTransientFailures(t *testing.T) {
 	calls := 0
 	res, err := Place(context.Background(), g, sys, Options{
 		ILPTimeLimit: 5 * time.Second,
-		StageRetries: 1,
 		StageHook: func(s Stage) error {
 			if s == StageILP {
 				calls++

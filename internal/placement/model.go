@@ -492,17 +492,13 @@ func buildModel(g *graph.Graph, sys sim.System, opts Options) (*model, error) {
 			// communication for no feasibility benefit, and the
 			// C_max objective already decides whether splitting pays.
 			needsSplit := (dev0.Memory > 0 && total > dev0.Memory) || (dev1.Memory > 0 && total > dev1.Memory)
-			// opts has been through withDefaults — the one place that
-			// resolves "zero means X" for every option — so no
-			// re-deriving of the default here.
-			slack := opts.MemorySlack
-			if needsSplit && slack < 0.5 {
-				add(append([]lp.Term(nil), terms...), lp.LE, 0.5+slack)
+			if needsSplit {
+				add(append([]lp.Term(nil), terms...), lp.LE, 0.5+memorySlack)
 				neg := make([]lp.Term, len(terms))
 				for i, t := range terms {
 					neg[i] = lp.Term{Var: t.Var, Coef: -t.Coef}
 				}
-				add(neg, lp.LE, -(0.5 - slack))
+				add(neg, lp.LE, -(0.5 - memorySlack))
 			}
 		}
 	}

@@ -29,7 +29,7 @@ func TestDifferentialRootRelaxations(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", fam, seed, err)
 			}
-			cres, err := coarsen.Coarsen(g, coarsen.Options{Target: opts.ILPMaxSize})
+			cres, err := coarsen.Coarsen(g, coarsen.Options{Target: ilpMaxSize})
 			if err != nil {
 				t.Fatalf("%v seed %d: coarsen: %v", fam, seed, err)
 			}

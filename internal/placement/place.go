@@ -36,7 +36,7 @@ type Options struct {
 	// CoarsenTarget is the coarse-graph size handed to the ILP. The
 	// paper coarsens to ~200 vertices for CPLEX; this repository's
 	// heuristic/refinement layers default to 192 (close to the paper);
-	// the exact branch and bound additionally coarsens to ILPMaxSize
+	// the exact branch and bound additionally coarsens to ilpMaxSize
 	// (see DESIGN.md).
 	CoarsenTarget int
 	// ILPTimeLimit bounds the branch-and-bound search; zero means 10s.
@@ -57,14 +57,6 @@ type Options struct {
 	DisableCongestion bool
 	// DisableMemory drops the memory constraints (8).
 	DisableMemory bool
-	// MemorySlack is the allowed relative imbalance of the per-GPU
-	// memory split; zero means 0.15.
-	MemorySlack float64
-	// ILPMaxSize caps the coarse-graph size handed to the exact ILP;
-	// graphs finer than this get a second, smaller coarsening for the
-	// branch and bound while heuristics work at CoarsenTarget. Zero
-	// means 48.
-	ILPMaxSize int
 	// ScheduleFromILP controls whether the ILP's start times become a
 	// strict per-device order (Pesto's control dependencies). When
 	// false, only the placement is used and the simulator's
@@ -82,13 +74,6 @@ type Options struct {
 	// inputs at every Parallel value: the engine merges results in
 	// submission order, so parallelism changes only the wall clock.
 	Parallel int
-	// StageRetries is the number of extra attempts each rung of the
-	// degradation ladder gets after its first failure (panic or error),
-	// with a short backoff (stageBackoff) in between; zero means 1
-	// retry, negative means none. Retries are skipped once a stage's
-	// deadline has passed — re-running a deterministic timeout is
-	// wasted budget.
-	StageRetries int
 	// DisableFallback turns the degradation ladder off: Place runs the
 	// exact ILP pipeline only and returns its error on failure instead
 	// of degrading to the warm-start or baseline stages. Ablations and
@@ -119,12 +104,6 @@ type Options struct {
 	// that shrinkage and to cross-check the two formulations against
 	// each other.
 	PerOpModel bool
-	// IncrMaxChain bounds how many warm re-places may chain off one
-	// cold solve before Incremental forces a cold refresh. Each warm
-	// step inherits the previous plan, so quality drift compounds, and
-	// a periodic cold solve re-anchors it. Zero means 9; negative
-	// disables the bound.
-	IncrMaxChain int
 	// Pipeline selects the microbatched pipeline-parallel planning
 	// regime (Microbatches > 0): Place cuts the coarse graph into
 	// contiguous stages with the contiguous-split DP, searches GPipe
@@ -156,23 +135,30 @@ func (o Options) withDefaults() Options {
 	if o.ILPTimeLimit <= 0 {
 		o.ILPTimeLimit = 10 * time.Second
 	}
-	if o.MemorySlack <= 0 {
-		o.MemorySlack = 0.15
-	}
-	if o.ILPMaxSize <= 0 {
-		o.ILPMaxSize = 48
-	}
-	if o.StageRetries == 0 {
-		o.StageRetries = 1
-	} else if o.StageRetries < 0 {
-		o.StageRetries = 0
-	}
-	if o.IncrMaxChain == 0 {
-		o.IncrMaxChain = 9
-	}
 	o.Pipeline = o.Pipeline.WithDefaults()
 	return o
 }
+
+// The pipeline's fixed tuning.
+const (
+	// ilpMaxSize caps the coarse-graph size handed to the exact ILP;
+	// graphs finer than this get a second, smaller coarsening for the
+	// branch and bound while heuristics work at CoarsenTarget.
+	ilpMaxSize = 48
+	// memorySlack is the allowed relative imbalance of the per-GPU
+	// memory split.
+	memorySlack = 0.15
+	// stageRetries is the number of extra attempts each rung of the
+	// degradation ladder gets after its first failure (panic or error),
+	// stageBackoff apart. Retries are skipped once a stage's deadline
+	// has passed: re-running a deterministic timeout is wasted budget.
+	stageRetries = 1
+	// incrMaxChain bounds how many warm re-places may chain off one
+	// cold solve before Incremental forces a cold refresh. Each warm
+	// step inherits the previous plan, so quality drift compounds, and
+	// a periodic cold solve re-anchors it.
+	incrMaxChain = 9
+)
 
 // Result is the outcome of Place.
 type Result struct {
@@ -240,9 +226,9 @@ func placeILP(ctx context.Context, g *graph.Graph, sys sim.System, opts Options)
 	defer s.cancel()
 	h := s.h
 	ilpCres := h.cres
-	if h.cg.NumNodes() > opts.ILPMaxSize {
-		_, coarsenSpan := obs.Start(ctx, "placement.coarsen", obs.Int("target", int64(opts.ILPMaxSize)))
-		ilpCres, err = coarsen.Coarsen(g, coarsen.Options{Target: opts.ILPMaxSize})
+	if h.cg.NumNodes() > ilpMaxSize {
+		_, coarsenSpan := obs.Start(ctx, "placement.coarsen", obs.Int("target", ilpMaxSize))
+		ilpCres, err = coarsen.Coarsen(g, coarsen.Options{Target: ilpMaxSize})
 		if err != nil {
 			coarsenSpan.End(obs.String("outcome", "error"))
 			return nil, fmt.Errorf("pesto coarsen (ilp level): %w", err)

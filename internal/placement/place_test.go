@@ -130,7 +130,7 @@ func TestPlaceSerialChainStaysColocated(t *testing.T) {
 		prev = cur
 	}
 	sys := sim.NewSystem(2, gpuMem)
-	res := place(t, g, sys, Options{CoarsenTarget: 6, ScheduleFromILP: true, MemorySlack: 0.6})
+	res := place(t, g, sys, Options{CoarsenTarget: 6, ScheduleFromILP: true})
 	first := res.Plan.Device[0]
 	for i, d := range res.Plan.Device {
 		if d != first {
@@ -331,7 +331,7 @@ func TestPlaceDeterministicAcrossWorkerCounts(t *testing.T) {
 			name:  "rnnlm-small",
 			build: rnnlm,
 			opts: Options{
-				CoarsenTarget: 12, ILPMaxSize: 8, ScheduleFromILP: true,
+				CoarsenTarget: 12, ScheduleFromILP: true,
 				ILPTimeLimit: 120 * time.Second, ILPMaxNodes: 8, Seed: 7,
 			},
 		},

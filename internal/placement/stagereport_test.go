@@ -38,7 +38,6 @@ func TestStageReportsOnFallback(t *testing.T) {
 	sys := sim.NewSystem(2, gpuMem)
 	res, err := Place(context.Background(), g, sys, Options{
 		ILPTimeLimit: 5 * time.Second,
-		StageRetries: -1,
 		StageHook: func(s Stage) error {
 			if s == StageILP {
 				return errors.New("injected ilp failure")
@@ -105,7 +104,6 @@ func TestStageReportsRetriesAggregated(t *testing.T) {
 	fails := 0
 	res, err := Place(context.Background(), g, sys, Options{
 		ILPTimeLimit: 5 * time.Second,
-		StageRetries: 1,
 		StageHook: func(s Stage) error {
 			if s == StageILP {
 				fails++

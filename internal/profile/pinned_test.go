@@ -27,7 +27,7 @@ func TestCommPinned(t *testing.T) {
 	sys := sim.NewSystem(2, 16<<30)
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, lt := range []comm.LinkType{comm.CPUToGPU, comm.GPUToCPU, comm.GPUToGPU} {
-			prof, err := Communication(sys, lt, CommOptions{Seed: seed})
+			prof, err := Communication(sys, lt, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,10 +26,6 @@ type Options struct {
 	// Iterations is the number of training steps to run; zero means
 	// 100, the paper's choice (≤0.1% of a typical training budget).
 	Iterations int
-	// NoiseSigma models run-to-run variability of op compute times;
-	// zero means 0.03, matching the small normalized stddevs of
-	// Figure 4a.
-	NoiseSigma float64
 	// Seed makes profiling reproducible.
 	Seed int64
 }
@@ -38,11 +34,12 @@ func (o Options) withDefaults() Options {
 	if o.Iterations <= 0 {
 		o.Iterations = 100
 	}
-	if o.NoiseSigma == 0 {
-		o.NoiseSigma = 0.03
-	}
 	return o
 }
+
+// computeNoise models run-to-run variability of op compute times,
+// matching the small normalized stddevs of Figure 4a.
+const computeNoise = 0.03
 
 // ComputeProfile holds per-operation timing statistics gathered over
 // profiling iterations.
@@ -84,7 +81,7 @@ func Compute(g *graph.Graph, opts Options) (*ComputeProfile, error) {
 	sumSq := make([]float64, n)
 	for it := 0; it < opts.Iterations; it++ {
 		res, err := runtime.Execute(g, sys, plan, runtime.Options{
-			NoiseSigma: opts.NoiseSigma,
+			NoiseSigma: computeNoise,
 			Seed:       opts.Seed,
 			Iteration:  it,
 		})
@@ -161,35 +158,14 @@ func Quantile(sorted []float64, q float64) float64 {
 	return sorted[idx]
 }
 
-// CommOptions configures communication profiling.
-type CommOptions struct {
-	// Sizes are the transfer sizes to probe; nil uses 1 KiB … 64 MiB
-	// in powers of four.
-	Sizes []int64
-	// SamplesPerSize is the number of timed transfers per size; zero
-	// means 5.
-	SamplesPerSize int
-	// NoiseSigma perturbs measured times multiplicatively; zero means
-	// 0.05 (yielding the R² ≈ 0.92–0.99 regime the paper reports).
-	NoiseSigma float64
-	// Seed makes profiling reproducible.
-	Seed int64
-}
-
-func (o CommOptions) withDefaults() CommOptions {
-	if len(o.Sizes) == 0 {
-		for b := int64(1 << 10); b <= 64<<20; b <<= 2 {
-			o.Sizes = append(o.Sizes, b)
-		}
-	}
-	if o.SamplesPerSize <= 0 {
-		o.SamplesPerSize = 5
-	}
-	if o.NoiseSigma == 0 {
-		o.NoiseSigma = 0.05
-	}
-	return o
-}
+// Communication profiling probes transfer sizes of 1 KiB … 64 MiB in
+// powers of four, commSamples timed transfers per size, each perturbed
+// multiplicatively with stddev commNoise (yielding the R² ≈ 0.92–0.99
+// regime the paper reports).
+const (
+	commSamples = 5
+	commNoise   = 0.05
+)
 
 // CommProfile holds the measured samples and the fitted linear model for
 // one link type.
@@ -204,18 +180,17 @@ type CommProfile struct {
 // graph is independent of any DNN, matching §3.1's observation that the
 // communication model "can thus be easily obtained via offline profiling
 // ... from any model".
-func Communication(sys sim.System, lt comm.LinkType, opts CommOptions) (*CommProfile, error) {
-	opts = opts.withDefaults()
+func Communication(sys sim.System, lt comm.LinkType, seed int64) (*CommProfile, error) {
 	from, to, err := probeDevices(sys, lt)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	prof := &CommProfile{Type: lt}
-	for _, size := range opts.Sizes {
-		for s := 0; s < opts.SamplesPerSize; s++ {
+	for size := int64(1 << 10); size <= 64<<20; size <<= 2 {
+		for s := 0; s < commSamples; s++ {
 			true0 := sys.TransferTime(from, to, size)
-			measured := float64(true0) * (1 + opts.NoiseSigma*rng.NormFloat64())
+			measured := float64(true0) * (1 + commNoise*rng.NormFloat64())
 			if measured < 0 {
 				measured = 0
 			}

@@ -36,7 +36,7 @@ func layeredGraph(t *testing.T, layers, width int) *graph.Graph {
 
 func TestComputeMeansCloseToTruth(t *testing.T) {
 	g := layeredGraph(t, 4, 3)
-	prof, err := Compute(g, Options{Iterations: 50, NoiseSigma: 0.03, Seed: 1})
+	prof, err := Compute(g, Options{Iterations: 50, Seed: 1})
 	if err != nil {
 		t.Fatalf("Compute: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestComputeNormStddevSmall(t *testing.T) {
 	// Figure 4a regime: normalized stddev should be small (< ~0.15)
 	// for essentially all ops at sigma=0.03.
 	g := layeredGraph(t, 5, 4)
-	prof, err := Compute(g, Options{Iterations: 100, NoiseSigma: 0.03, Seed: 2})
+	prof, err := Compute(g, Options{Iterations: 100, Seed: 2})
 	if err != nil {
 		t.Fatalf("Compute: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestApplyTo(t *testing.T) {
 func TestCommunicationFitQuality(t *testing.T) {
 	sys := sim.NewSystem(2, 16<<30)
 	for _, lt := range []comm.LinkType{comm.CPUToGPU, comm.GPUToCPU, comm.GPUToGPU} {
-		prof, err := Communication(sys, lt, CommOptions{Seed: 5})
+		prof, err := Communication(sys, lt, 5)
 		if err != nil {
 			t.Fatalf("Communication(%v): %v", lt, err)
 		}
@@ -126,11 +126,11 @@ func TestCommunicationFitQuality(t *testing.T) {
 
 func TestCommunicationNeedsDevices(t *testing.T) {
 	oneGPU := sim.NewSystem(1, 16<<30)
-	if _, err := Communication(oneGPU, comm.GPUToGPU, CommOptions{}); err == nil {
+	if _, err := Communication(oneGPU, comm.GPUToGPU, 0); err == nil {
 		t.Error("GPU→GPU profiling with one GPU should fail")
 	}
 	noGPU := sim.NewSystem(0, 0)
-	if _, err := Communication(noGPU, comm.CPUToGPU, CommOptions{}); err == nil {
+	if _, err := Communication(noGPU, comm.CPUToGPU, 0); err == nil {
 		t.Error("CPU→GPU profiling without GPUs should fail")
 	}
 }

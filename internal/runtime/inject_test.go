@@ -14,7 +14,7 @@ import (
 )
 
 // traceOf renders an executed step as a canonical byte-comparable
-// string, mirroring sim.Result.TraceString.
+// string, the same rendering the simulator's injection tests use.
 func traceOf(r Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "makespan %d\n", int64(r.Makespan))

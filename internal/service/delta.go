@@ -66,7 +66,7 @@ type DeltaResponse struct {
 	TotalGroups   int     `json:"totalGroups"`
 	ReuseFraction float64 `json:"reuseFraction"`
 	// ChainDepth counts warm re-places since the last cold solve; the
-	// server forces a cold refresh past placement.Options.IncrMaxChain.
+	// server forces a cold refresh past the placement layer's chain bound.
 	ChainDepth int `json:"chainDepth"`
 	// AnchorQuality is the chain's quality record (see
 	// placement.IncrementalInfo.AnchorQuality); the server threads it
@@ -273,7 +273,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		finish(s.httpError(w, "delta", rid, fmt.Errorf("apply edits: %v: %w", err, ErrBadRequest)))
 		return
 	}
-	if s.cfg.MaxGraphNodes > 0 && edited.NumNodes() > s.cfg.MaxGraphNodes {
+	if edited.NumNodes() > s.cfg.MaxGraphNodes {
 		finish(s.httpError(w, "delta", rid,
 			fmt.Errorf("edited graph has %d nodes, limit %d: %w", edited.NumNodes(), s.cfg.MaxGraphNodes, ErrTooLarge)))
 		return

@@ -281,7 +281,7 @@ func TestRetryAfterSemantics(t *testing.T) {
 	}
 
 	t.Run("saturated-429", func(t *testing.T) {
-		s, ts := newTestServer(t, Config{MaxConcurrentSolves: 1, QueueDepth: -1, RetryAfter: 2 * time.Second})
+		s, ts := newTestServer(t, Config{MaxConcurrentSolves: 1, QueueDepth: -1})
 		s.admit.slots <- struct{}{}
 		defer func() { <-s.admit.slots }()
 		resp := post(t, ts.URL+"/v1/place", testBody(t, 1, RequestOptions{BudgetMs: 50, NoCache: true}))
@@ -289,7 +289,7 @@ func TestRetryAfterSemantics(t *testing.T) {
 	})
 
 	t.Run("draining-503", func(t *testing.T) {
-		s := New(Config{RetryAfter: 3 * time.Second})
+		s := New(Config{})
 		ts := newHTTPServer(t, s)
 		if err := s.Drain(context.Background()); err != nil {
 			t.Fatal(err)

@@ -257,7 +257,8 @@ type ErrorResponse struct {
 var requestFields = []string{"graph", "options"}
 
 // DecodePlaceRequest reads and validates one request body of at most
-// limit bytes. Malformed JSON, schema violations, invalid graphs,
+// limit bytes carrying a graph of at most maxNodes operations; zero
+// limits mean the daemon's defaults, 32 MiB and 50000. Malformed JSON, schema violations, invalid graphs,
 // trailing data and oversized bodies are errors (wrapping ErrBadRequest
 // or ErrTooLarge); no input makes it panic — the fuzz target's
 // contract.
@@ -276,7 +277,10 @@ func DecodePlaceRequest(r io.Reader, limit int64, maxNodes int) (*PlaceRequest, 
 	if req.Graph.NumNodes() == 0 {
 		return nil, fmt.Errorf("empty graph: %w", ErrBadRequest)
 	}
-	if maxNodes > 0 && req.Graph.NumNodes() > maxNodes {
+	if maxNodes <= 0 {
+		maxNodes = maxGraphNodes
+	}
+	if req.Graph.NumNodes() > maxNodes {
 		return nil, fmt.Errorf("graph has %d nodes, limit %d: %w", req.Graph.NumNodes(), maxNodes, ErrTooLarge)
 	}
 	return req, nil
@@ -324,7 +328,7 @@ func decodePlaceRequest(data []byte) (*PlaceRequest, error) {
 // limit is not positive).
 func readBody(r io.Reader, limit int64) ([]byte, error) {
 	if limit <= 0 {
-		limit = 32 << 20
+		limit = maxBodyBytes
 	}
 	data, err := io.ReadAll(&io.LimitedReader{R: r, N: limit + 1})
 	if err != nil {

@@ -76,8 +76,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxGraphNodes bounds accepted graph sizes; zero means 50000.
 	MaxGraphNodes int
-	// RetryAfter is the hint returned with 429/503; zero means 1s.
-	RetryAfter time.Duration
 	// Logger, when set, receives one structured line per telemetry
 	// record (JSONL when backed by slog.NewJSONHandler) with the request
 	// ID on every line. Nil disables request logging.
@@ -85,18 +83,10 @@ type Config struct {
 	// SpanHistory bounds how many recent requests keep their span dumps
 	// for GET /v1/requests/{id}/spans; zero means 64.
 	SpanHistory int
-	// BaseGraphEntries bounds the resident base-graph store backing
-	// POST /v1/place/delta; zero means 128. Evicted bases make deltas
-	// against them 404 (clients fall back to a full place) — plans are
-	// unaffected, they live in the plan cache.
-	BaseGraphEntries int
 	// FlightDir is where the flight recorder persists triggered repro
 	// bundles; empty keeps captures in memory only (still counted and
 	// visible in /metrics, not written to disk).
 	FlightDir string
-	// FlightRingSize bounds the flight recorder's always-on telemetry
-	// ring served at GET /debug/flight; zero means 4096 records.
-	FlightRingSize int
 	// FlightMaxBundles caps bundle files written per process; zero
 	// means 64.
 	FlightMaxBundles int
@@ -124,22 +114,33 @@ func (c Config) withDefaults() Config {
 		c.DefaultBudget = c.MaxBudget
 	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
+		c.MaxBodyBytes = maxBodyBytes
 	}
 	if c.MaxGraphNodes <= 0 {
-		c.MaxGraphNodes = 50000
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
+		c.MaxGraphNodes = maxGraphNodes
 	}
 	if c.SpanHistory <= 0 {
 		c.SpanHistory = 64
 	}
-	if c.BaseGraphEntries <= 0 {
-		c.BaseGraphEntries = 128
-	}
 	return c
 }
+
+// The daemon's fixed limits. A fleet router decodes with the same
+// ones, by passing zero limits to DecodePlaceRequest.
+const (
+	// maxBodyBytes and maxGraphNodes bound a request body and the graph
+	// it carries.
+	maxBodyBytes  = 32 << 20
+	maxGraphNodes = 50000
+	// retryAfterSec is the back-off hint, in seconds, returned with
+	// 429/503.
+	retryAfterSec = 1
+	// baseGraphEntries bounds the resident base-graph store backing
+	// POST /v1/place/delta. Evicted bases make deltas against them 404
+	// (clients fall back to a full place); plans are unaffected, they
+	// live in the plan cache.
+	baseGraphEntries = 128
+)
 
 // Server is the placement-as-a-service daemon. Construct with New,
 // mount as an http.Handler, and Drain before exit.
@@ -194,14 +195,13 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		cache: newPlanCache(cfg.CacheEntries),
-		bases: newBaseStore(cfg.BaseGraphEntries),
+		bases: newBaseStore(baseGraphEntries),
 		admit: newAdmission(cfg.MaxConcurrentSolves, cfg.QueueDepth),
 		met:   newMetrics(),
 		mux:   http.NewServeMux(),
 		spans: obs.NewStore[[]obs.Record](cfg.SpanHistory),
 		flight: flight.New(flight.Config{
 			Dir:        cfg.FlightDir,
-			RingSize:   cfg.FlightRingSize,
 			MaxBundles: cfg.FlightMaxBundles,
 		}),
 		slo: newSLOTracker(nil),
@@ -611,7 +611,7 @@ func (s *Server) reject(w http.ResponseWriter, endpoint, rid string, code int, o
 	w.Header().Set("Content-Type", "application/json")
 	resp := ErrorResponse{Error: err.Error(), RequestID: rid}
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-		resp.RetryAfterSec = int64((s.cfg.RetryAfter + time.Second - 1) / time.Second)
+		resp.RetryAfterSec = retryAfterSec
 		w.Header().Set("Retry-After", strconv.FormatInt(resp.RetryAfterSec, 10))
 	}
 	w.WriteHeader(code)

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"pesto/internal/graph"
@@ -79,23 +78,4 @@ type Injector interface {
 // identical Results (the event order is a pure function of the inputs).
 func RunInjected(g *graph.Graph, sys System, plan Plan, inj Injector) (Result, error) {
 	return run(g, sys, plan, inj)
-}
-
-// TraceString renders the per-node execution windows and the transfer
-// timeline as a canonical multi-line string — the byte-comparable event
-// trace used by the determinism tests and the fault-injection
-// acceptance checks. Two Results are behaviourally identical iff their
-// TraceStrings are equal.
-func (r Result) TraceString() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "makespan %d\n", int64(r.Makespan))
-	for i := range r.Start {
-		fmt.Fprintf(&b, "op %d [%d %d]\n", i, int64(r.Start[i]), int64(r.Finish[i]))
-	}
-	for _, t := range r.Transfers {
-		fmt.Fprintf(&b, "xfer %d->%d dev%d->dev%d %dB [%d %d %d]\n",
-			t.Edge.From, t.Edge.To, t.From, t.To, t.Edge.Bytes,
-			int64(t.Enqueue), int64(t.Start), int64(t.Finish))
-	}
-	return b.String()
 }

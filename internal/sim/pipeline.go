@@ -196,14 +196,11 @@ func (s System) WithDeviceSpeed(id DeviceID, speed float64) System {
 // missing ones leave the GPU at its current speed; non-positive
 // entries are skipped). This is the `-device-speeds` CLI surface.
 func (s System) WithGPUSpeeds(speeds []float64) System {
-	out := System{Comm: s.Comm, Devices: append([]Device(nil), s.Devices...), CongestionFree: s.CongestionFree, LinkOverrides: s.LinkOverrides}
-	for i, d := range out.GPUs() {
+	for i, d := range s.GPUs() {
 		if i >= len(speeds) {
 			break
 		}
-		if speeds[i] > 0 {
-			out.Devices[d].Speed = speeds[i]
-		}
+		s = s.WithDeviceSpeed(d, speeds[i])
 	}
-	return out
+	return s
 }

@@ -81,16 +81,3 @@ func WritePlanJSON(w io.Writer, p Plan) error {
 	_, err = w.Write(data)
 	return err
 }
-
-// ReadPlanJSON parses a plan from r.
-func ReadPlanJSON(r io.Reader) (Plan, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return Plan{}, err
-	}
-	var p Plan
-	if err := p.UnmarshalJSON(data); err != nil {
-		return Plan{}, err
-	}
-	return p, nil
-}

@@ -41,14 +41,14 @@ func TestPlanJSONHelpers(t *testing.T) {
 	if err := WritePlanJSON(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadPlanJSON(&buf)
-	if err != nil {
+	var back Plan
+	if err := back.UnmarshalJSON(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p.Device, back.Device) {
 		t.Fatal("devices differ")
 	}
-	if _, err := ReadPlanJSON(bytes.NewBufferString("{")); err == nil {
+	if err := new(Plan).UnmarshalJSON([]byte("{")); err == nil {
 		t.Fatal("expected decode error")
 	}
 }

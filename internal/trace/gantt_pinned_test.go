@@ -39,7 +39,7 @@ func TestGanttPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&buf, "== %v seed %d, %d GPUs, %d lanes\n", c.fam, c.seed, c.gpus, len(buildLanes(g, sys, plan, res)))
-		if err := Gantt(&buf, g, sys, plan, res, Options{}); err != nil {
+		if err := Gantt(&buf, g, sys, plan, res); err != nil {
 			t.Fatal(err)
 		}
 	}

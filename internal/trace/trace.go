@@ -20,24 +20,12 @@ import (
 	"pesto/internal/sim"
 )
 
-// Options controls chart rendering.
-type Options struct {
-	// Width is the number of character columns for the time axis; zero
-	// means 96.
-	Width int
-	// MaxLanes bounds the number of lanes printed; zero means 16.
-	MaxLanes int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Width <= 0 {
-		o.Width = 96
-	}
-	if o.MaxLanes <= 0 {
-		o.MaxLanes = 16
-	}
-	return o
-}
+const (
+	// ganttWidth is the number of character columns for the time axis.
+	ganttWidth = 96
+	// maxLanes bounds the number of lanes printed.
+	maxLanes = 16
+)
 
 // interval is a [from, to) busy span with a fill rune.
 type interval struct {
@@ -52,23 +40,22 @@ type lane struct {
 }
 
 // Gantt renders the timeline of a simulation result.
-func Gantt(w io.Writer, g *graph.Graph, sys sim.System, plan sim.Plan, res sim.Result, opts Options) error {
-	opts = opts.withDefaults()
+func Gantt(w io.Writer, g *graph.Graph, sys sim.System, plan sim.Plan, res sim.Result) error {
 	if res.Makespan <= 0 {
 		_, err := fmt.Fprintln(w, "(empty timeline)")
 		return err
 	}
 
 	lanes := buildLanes(g, sys, plan, res)
-	if len(lanes) > opts.MaxLanes {
-		lanes = lanes[:opts.MaxLanes]
+	if len(lanes) > maxLanes {
+		lanes = lanes[:maxLanes]
 	}
 
-	scale := float64(opts.Width) / float64(res.Makespan)
+	scale := float64(ganttWidth) / float64(res.Makespan)
 	col := func(t time.Duration) int {
 		c := int(float64(t) * scale)
-		if c >= opts.Width {
-			c = opts.Width - 1
+		if c >= ganttWidth {
+			c = ganttWidth - 1
 		}
 		if c < 0 {
 			c = 0
@@ -83,9 +70,9 @@ func Gantt(w io.Writer, g *graph.Graph, sys sim.System, plan sim.Plan, res sim.R
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%*s  0%s%v\n", nameWidth, "", strings.Repeat(" ", opts.Width-len(res.Makespan.String())), res.Makespan)
+	fmt.Fprintf(&b, "%*s  0%s%v\n", nameWidth, "", strings.Repeat(" ", ganttWidth-len(res.Makespan.String())), res.Makespan)
 	for _, l := range lanes {
-		row := make([]byte, opts.Width)
+		row := make([]byte, ganttWidth)
 		for i := range row {
 			row[i] = ' '
 		}
@@ -94,7 +81,7 @@ func Gantt(w io.Writer, g *graph.Graph, sys sim.System, plan sim.Plan, res sim.R
 			if hi < lo {
 				hi = lo
 			}
-			for c := lo; c <= hi && c < opts.Width; c++ {
+			for c := lo; c <= hi && c < ganttWidth; c++ {
 				row[c] = iv.fill
 			}
 		}
@@ -153,25 +140,4 @@ func buildLanes(g *graph.Graph, sys sim.System, plan sim.Plan, res sim.Result) [
 
 func sortIntervals(ivs []interval) {
 	sort.Slice(ivs, func(i, j int) bool { return ivs[i].from < ivs[j].from })
-}
-
-// Summary prints a one-paragraph textual digest of a result: makespan,
-// utilizations, transfer counts and queueing.
-func Summary(w io.Writer, sys sim.System, res sim.Result) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "makespan %v;", res.Makespan)
-	for _, d := range sys.Devices {
-		fmt.Fprintf(&b, " %s %.0f%%", d.Name, 100*res.Utilization(d.ID))
-	}
-	var queued time.Duration
-	congested := 0
-	for _, tr := range res.Transfers {
-		queued += tr.Queued()
-		if tr.Queued() > 0 {
-			congested++
-		}
-	}
-	fmt.Fprintf(&b, "; %d transfers (%d queued, total wait %v)\n", len(res.Transfers), congested, queued)
-	_, err := io.WriteString(w, b.String())
-	return err
 }

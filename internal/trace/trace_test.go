@@ -34,7 +34,7 @@ func scenario(t *testing.T) (*graph.Graph, sim.System, sim.Plan, sim.Result) {
 func TestGanttShowsLanesAndQueueing(t *testing.T) {
 	g, sys, plan, res := scenario(t)
 	var sb strings.Builder
-	if err := Gantt(&sb, g, sys, plan, res, Options{Width: 60}); err != nil {
+	if err := Gantt(&sb, g, sys, plan, res); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -50,7 +50,7 @@ func TestGanttShowsLanesAndQueueing(t *testing.T) {
 	}
 	// Every lane line fits the requested width (plus name and bars).
 	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "|") && len([]rune(line)) > 60+20 {
+		if strings.Contains(line, "|") && len([]rune(line)) > ganttWidth+20 {
 			t.Errorf("line too wide: %q", line)
 		}
 	}
@@ -60,7 +60,7 @@ func TestGanttEmptyResult(t *testing.T) {
 	g := graph.New(0)
 	sys := sim.NewSystem(1, 1)
 	var sb strings.Builder
-	if err := Gantt(&sb, g, sys, sim.Plan{}, sim.Result{}, Options{}); err != nil {
+	if err := Gantt(&sb, g, sys, sim.Plan{}, sim.Result{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "empty") {
@@ -69,9 +69,34 @@ func TestGanttEmptyResult(t *testing.T) {
 }
 
 func TestGanttLaneCap(t *testing.T) {
-	g, sys, plan, res := scenario(t)
+	// Seven devices and every directional GPU link: more lanes than the
+	// cap.
+	g := graph.New(12)
+	var prev []graph.NodeID
+	for layer := 0; layer < 2; layer++ {
+		var cur []graph.NodeID
+		for i := 0; i < 6; i++ {
+			id := g.AddNode(graph.Node{Kind: graph.KindGPU, Cost: 10 * time.Microsecond, Memory: 1})
+			for _, p := range prev {
+				if err := g.AddEdge(p, id, 1<<20); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cur = append(cur, id)
+		}
+		prev = cur
+	}
+	sys := sim.NewSystem(6, 16<<30)
+	plan := roundRobinPlan(g, 6)
+	res, err := sim.Run(g, sys, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(buildLanes(g, sys, plan, res)); n <= maxLanes {
+		t.Fatalf("scenario has %d lanes, want more than %d", n, maxLanes)
+	}
 	var sb strings.Builder
-	if err := Gantt(&sb, g, sys, plan, res, Options{Width: 40, MaxLanes: 1}); err != nil {
+	if err := Gantt(&sb, g, sys, plan, res); err != nil {
 		t.Fatal(err)
 	}
 	lines := 0
@@ -80,22 +105,8 @@ func TestGanttLaneCap(t *testing.T) {
 			lines++
 		}
 	}
-	if lines != 1 {
-		t.Errorf("lanes = %d, want 1", lines)
-	}
-}
-
-func TestSummary(t *testing.T) {
-	_, sys, _, res := scenario(t)
-	var sb strings.Builder
-	if err := Summary(&sb, sys, res); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"makespan", "gpu:0", "transfers", "queued"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q: %s", want, out)
-		}
+	if lines != maxLanes {
+		t.Errorf("lanes = %d, want %d", lines, maxLanes)
 	}
 }
 

@@ -253,7 +253,6 @@ func ladderMonotonicityOracle(g *graph.Graph, sys sim.System, seed int64) error 
 	makespanAt := func(fail ...placement.Stage) (time.Duration, error) {
 		opts := placeOpts()
 		opts.Seed = seed
-		opts.StageRetries = -1
 		if len(fail) > 0 {
 			banned := map[placement.Stage]bool{}
 			for _, s := range fail {

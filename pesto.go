@@ -7,12 +7,12 @@
 //
 // The package is a facade over the implementation packages:
 //
-//   - graph construction and the model zoo (RNNLM, NMT, Transformer,
-//     NASNet and the paper's Figure 2 toy graph),
+//   - the model zoo (RNNLM, NMT, Transformer, NASNet and the paper's
+//     Figure 2 toy graph),
 //   - the hardware model and discrete-event training-step simulator,
 //   - the Pesto placement pipeline (coarsen → ILP → refine → expand),
 //   - the Expert and Baechi baselines,
-//   - profiling (compute times, communication model fits),
+//   - compute-time profiling,
 //   - the experiment harness regenerating every table and figure of
 //     the paper's evaluation (§5).
 //
@@ -34,12 +34,9 @@ import (
 	"time"
 
 	"pesto/internal/baselines"
-	"pesto/internal/comm"
 	"pesto/internal/fault"
 	"pesto/internal/flight"
-	"pesto/internal/gen"
 	"pesto/internal/graph"
-	"pesto/internal/incr"
 	"pesto/internal/models"
 	"pesto/internal/obs"
 	"pesto/internal/pipeline"
@@ -89,10 +86,6 @@ type (
 	StepResult = sim.Result
 	// TransferEvent records one inter-device tensor transfer.
 	TransferEvent = sim.TransferEvent
-	// LinkType classifies a communication link.
-	LinkType = comm.LinkType
-	// CommModel is a fitted linear communication-time model.
-	CommModel = comm.Model
 )
 
 // Placement types.
@@ -157,10 +150,6 @@ var ErrBadPipelineSpec = pipeline.ErrBadSpec
 // wrapping ErrBadPipelineSpec.
 func ParsePipelineSpec(spec string) (PipelineOptions, error) { return pipeline.ParseSpec(spec) }
 
-// ParsePipelineSchedule parses a schedule discipline name ("auto",
-// "gpipe", "1f1b" and their aliases).
-func ParsePipelineSchedule(s string) (PipelineSchedule, error) { return pipeline.ParseSchedule(s) }
-
 // BuildPipelinePlan re-materializes the microbatched pipeline execution
 // artifact for a graph placed with PlaceOptions.Pipeline: the
 // microbatch-replicated task graph, the per-device schedule realizing
@@ -204,14 +193,6 @@ type (
 	// dirty/clean group counts, chain depth, the chain's quality record,
 	// and the cold-fallback reason when the warm path declined.
 	IncrementalInfo = placement.IncrementalInfo
-	// GraphEdit is one graph mutation (insert, delete, reweight,
-	// reweight-edge, rewire, grow-layer).
-	GraphEdit = incr.Edit
-	// GraphDiff is the structural comparison Incremental runs between a
-	// prior graph and its edited successor.
-	GraphDiff = incr.Diff
-	// EditTraceConfig configures the seeded edit-trace generator.
-	EditTraceConfig = gen.EditTraceConfig
 )
 
 // Fault-injection types.
@@ -221,8 +202,8 @@ type (
 	// FaultInjector realizes a FaultSpec as the deterministic hook set
 	// both engines honor.
 	FaultInjector = fault.Injector
-	// Injector is the hook interface SimulateWithFaults and
-	// ExecuteWithFaults accept; *FaultInjector implements it.
+	// Injector is the hook interface SimulateWithFaults accepts;
+	// *FaultInjector implements it.
 	Injector = sim.Injector
 	// DeviceFailedError reports which device failed and when; it
 	// unwraps to ErrDeviceFailed.
@@ -259,20 +240,6 @@ var (
 	// invariant-class error, which in turn wraps ErrInvariant.
 	ErrVerification = placement.ErrVerification
 )
-
-// Verification and generated-workload types (the differential
-// verification harness; see DESIGN.md, "Verification model").
-type (
-	// GenConfig configures the seeded random-DAG generator.
-	GenConfig = gen.Config
-	// GenFamily selects a generated-graph topology family (chains,
-	// diamonds, layered transformer/NMT-like fan-outs, colocation-heavy
-	// variants, unstructured random DAGs).
-	GenFamily = gen.Family
-)
-
-// NewGraph returns an empty computation graph with a capacity hint.
-func NewGraph(hint int) *Graph { return graph.New(hint) }
 
 // NewSystem builds a system with one CPU and numGPUs GPUs of the given
 // memory capacity, with the default NVLink/PCIe communication model.
@@ -323,16 +290,6 @@ func NewFaultInjector(spec FaultSpec) *FaultInjector { return fault.New(spec) }
 // injected memory shrinkage surfaces as ErrOOM mid-run.
 func SimulateWithFaults(g *Graph, sys System, plan Plan, inj Injector) (StepResult, error) {
 	return sim.RunInjected(g, sys, plan, inj)
-}
-
-// ExecuteWithFaults is Execute with the same fault hooks the simulator
-// honors, so both engines realize one fault schedule identically.
-func ExecuteWithFaults(g *Graph, sys System, plan Plan, inj Injector, noiseSigma float64, seed int64) (time.Duration, error) {
-	res, err := runtime.Execute(g, sys, plan, runtime.Options{NoiseSigma: noiseSigma, Seed: seed, Injector: inj})
-	if err != nil {
-		return 0, err
-	}
-	return res.Makespan, nil
 }
 
 // Replan recovers from the failure of a device: it migrates every
@@ -397,31 +354,11 @@ func Incremental(ctx context.Context, g *Graph, sys System, prior PriorPlacement
 	return placement.Incremental(ctx, g, sys, prior, opts)
 }
 
-// ApplyEdit applies one graph edit, returning the edited graph and the
-// old-node → new-node map Incremental needs to carry placements across.
-func ApplyEdit(g *Graph, e GraphEdit) (*Graph, []NodeID, error) {
-	return incr.Apply(g, e)
-}
-
-// CompareGraphs structurally diffs an edited graph against its base
-// under the given node map — the same comparison Incremental uses to
-// decide which coarse groups must be re-solved.
-func CompareGraphs(base, edited *Graph, nodeMap []NodeID) GraphDiff {
-	return incr.Compare(base, edited, nodeMap)
-}
-
-// GenerateEditTrace derives a seeded sequence of graph edits from a
-// base graph — the workload of the edit-trace differential sweep. Equal
-// configs yield byte-identical traces.
-func GenerateEditTrace(base *Graph, cfg EditTraceConfig) ([]GraphEdit, error) {
-	return gen.EditTrace(base, cfg)
-}
-
 // WriteGantt renders the timeline of a simulated step as a text Gantt
 // chart (device lanes plus link lanes with queueing markers — the
 // Figure 5 visualization).
 func WriteGantt(w io.Writer, g *Graph, sys System, plan Plan, res StepResult) error {
-	return trace.Gantt(w, g, sys, plan, res, trace.Options{})
+	return trace.Gantt(w, g, sys, plan, res)
 }
 
 // WriteChromeTrace exports a simulated step in the Chrome Trace Event
@@ -481,15 +418,6 @@ func NewMultiHostSystem(hosts, gpusPerHost int, gpuMemory int64) System {
 // WritePlan serializes a plan as JSON.
 func WritePlan(w io.Writer, p Plan) error { return sim.WritePlanJSON(w, p) }
 
-// ReadPlan parses a JSON plan.
-func ReadPlan(r io.Reader) (Plan, error) { return sim.ReadPlanJSON(r) }
-
-// WriteGraph serializes a graph as JSON.
-func WriteGraph(w io.Writer, g *Graph) error { return g.WriteJSON(w) }
-
-// ReadGraph parses a JSON graph.
-func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadJSON(r) }
-
 // BuildModel constructs one of the paper's model variants by name
 // (e.g. "RNNLM-2-2048", "NMT-4-1024", "Transformer-6-16-2048",
 // "NASNet-4-212", or the scaled-down "*-small" counterparts).
@@ -522,15 +450,6 @@ func MakespanLowerBound(g *Graph, sys System) (time.Duration, error) {
 	return verify.LowerBound(g, sys)
 }
 
-// GenerateGraph builds a seeded random computation DAG from one of the
-// generator families. Equal configs yield byte-identical graphs.
-func GenerateGraph(cfg GenConfig) (*Graph, error) { return gen.Generate(cfg) }
-
-// RandomGraphConfig derives a deterministic generator config (family,
-// size, cost/tensor/memory distributions) from a single seed — the
-// instance distribution the `make verify` sweep draws from.
-func RandomGraphConfig(seed int64) GenConfig { return gen.RandomConfig(seed) }
-
 // ProfileCompute estimates per-operation compute times by running the
 // given number of training iterations on the runtime executor (§3.1;
 // the paper uses 100). It overwrites g's costs with the measured means
@@ -546,32 +465,6 @@ func ProfileCompute(g *Graph, iterations int, seed int64) ([]float64, error) {
 	}
 	return prof.StddevCDF(10 * time.Microsecond), nil
 }
-
-// ProfileCommunication fits the linear communication-time model for a
-// link type by timing transfers of varying sizes (§3.1, Figure 4b).
-func ProfileCommunication(sys System, lt LinkType, seed int64) (CommModel, error) {
-	prof, err := profile.Communication(sys, lt, profile.CommOptions{Seed: seed})
-	if err != nil {
-		return CommModel{}, err
-	}
-	return prof.Model, nil
-}
-
-// Placement-as-a-service (the pestod daemon's embeddable core; see
-// DESIGN.md, "Serving model").
-type (
-	// ServiceConfig sizes the placement daemon: solver concurrency,
-	// wait-queue depth, plan-cache entries, solve budgets.
-	ServiceConfig = service.Config
-	// PlacementServer is the placement-as-a-service HTTP handler:
-	// content-addressed plan cache, admission control, /metrics.
-	// cmd/pestod wraps it in an http.Server.
-	PlacementServer = service.Server
-)
-
-// NewPlacementServer builds the placement daemon core. Mount it on any
-// http.Server and call Drain before exit.
-func NewPlacementServer(cfg ServiceConfig) *PlacementServer { return service.New(cfg) }
 
 // Flight-recorder repro bundles (see DESIGN.md, "Distributed tracing,
 // flight recorder, and SLOs"). The daemon captures one when a solve
@@ -596,12 +489,6 @@ func ReadFlightBundle(path string) (FlightBundle, error) { return flight.ReadBun
 func ReplayFlightBundle(ctx context.Context, b FlightBundle, parallel int) (FlightReplayResult, error) {
 	return service.ReplayBundle(ctx, b, parallel)
 }
-
-// GraphFingerprint returns the canonical SHA-256 content address of a
-// graph: clone-stable, insensitive to node names and edge insertion
-// order, sensitive to every placement-relevant field. It keys the
-// daemon's plan cache.
-func GraphFingerprint(g *Graph) [32]byte { return g.Fingerprint() }
 
 // StageForDeadline maps a solve budget onto the degradation ladder's
 // entry rung: tight budgets start at the heuristic rung, generous ones

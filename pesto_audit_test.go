@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"pesto/internal/gen"
 )
 
 // TestFacadeErrorWrappingAudit proves the error chains the facade
@@ -23,7 +25,6 @@ func TestFacadeErrorWrappingAudit(t *testing.T) {
 		// it serves the plan.
 		opts := PlaceOptions{
 			ILPTimeLimit: 2 * time.Second,
-			StageRetries: -1,
 			StageHook: func(s Stage) error {
 				if s == StageILP || s == StageRefine || s == StagePipelineDP {
 					return errors.New("injected rung failure")
@@ -104,12 +105,12 @@ func TestFacadeErrorWrappingAudit(t *testing.T) {
 	})
 }
 
-// TestFacadeGeneratorAndBound exercises the generator and LP bound
-// through the facade on a small seed range.
+// TestFacadeGeneratorAndBound exercises the LP bound through the facade
+// on a small seed range of generated graphs.
 func TestFacadeGeneratorAndBound(t *testing.T) {
 	sys := NewSystem(2, 16<<30)
 	for seed := int64(0); seed < 8; seed++ {
-		g, err := GenerateGraph(RandomGraphConfig(seed))
+		g, err := gen.Generate(gen.RandomConfig(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,11 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"pesto/internal/comm"
+	"pesto/internal/graph"
+	"pesto/internal/pipeline"
+	"pesto/internal/profile"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -65,17 +70,17 @@ func TestProfilingThroughFacade(t *testing.T) {
 		t.Fatal("empty CDF")
 	}
 	sys := NewSystem(2, 16<<30)
-	m, err := ProfileCommunication(sys, LinkType(3) /* GPU→GPU */, 1)
+	prof, err := profile.Communication(sys, comm.GPUToGPU, 1)
 	if err != nil {
-		t.Fatalf("ProfileCommunication: %v", err)
+		t.Fatalf("profile.Communication: %v", err)
 	}
-	if m.R2 < 0.9 {
-		t.Errorf("R² = %g", m.R2)
+	if prof.Model.R2 < 0.9 {
+		t.Errorf("R² = %g", prof.Model.R2)
 	}
 }
 
 func TestErrorsExported(t *testing.T) {
-	g := NewGraph(2)
+	g := graph.New(2)
 	a := g.AddNode(Node{Kind: KindGPU, Cost: time.Microsecond, Memory: 20 << 30})
 	b := g.AddNode(Node{Kind: KindGPU, Cost: time.Microsecond, Memory: 20 << 30})
 	if err := g.AddEdge(a, b, 1); err != nil {
@@ -150,7 +155,7 @@ func TestPipelineThroughFacade(t *testing.T) {
 	if _, err := ParsePipelineSpec("mb=oops"); !errors.Is(err, ErrBadPipelineSpec) {
 		t.Fatalf("bad spec error %v must wrap ErrBadPipelineSpec", err)
 	}
-	if k, err := ParsePipelineSchedule("1f1b"); err != nil || k != PipelineSchedule1F1B {
-		t.Fatalf("ParsePipelineSchedule = %v, %v", k, err)
+	if k, err := pipeline.ParseSchedule("1f1b"); err != nil || k != PipelineSchedule1F1B {
+		t.Fatalf("pipeline.ParseSchedule = %v, %v", k, err)
 	}
 }

@@ -3,6 +3,9 @@
 #   gofmt (diff-clean), go vet, build, unit tests under the race
 #   detector. The placement engine evaluates candidates concurrently,
 #   so the race detector is part of the default gate, not an extra.
+#   Under -race internal/placement alone runs for about ten minutes on
+#   a 2-core machine, past go test's default per-package timeout, so
+#   the race run gets 30 minutes like make verify and make chaos.
 #
 # Usage: scripts/check.sh  (or: make check)
 set -eu
@@ -18,4 +21,4 @@ fi
 
 go vet ./...
 go build ./...
-go test -race ./...
+go test -race -timeout 30m ./...
