@@ -21,13 +21,14 @@ const exportsAllowlist = "testdata/exports_allowlist.txt"
 // allowReason is the fixed set of reasons an allowlist line may give.
 var allowReason = regexp.MustCompile(`^(differential-twin|fuzz-target|interface-method|documented-facade|test-seam: (Test|Fuzz|Benchmark)\w+)$`)
 
-// defaultingMethods are the methods that fill a struct's zero fields with
-// their defaults; an assignment inside one does not count as setting the
+// defaultingMethod is the method that fills a struct's zero fields with
+// their defaults; an assignment inside it does not count as setting the
 // field.
-var defaultingMethods = map[string]bool{"withDefaults": true, "normalized": true}
+const defaultingMethod = "withDefaults"
 
 // TestNoUnusedExports keeps deleted code deleted. It parses every non-test
-// .go file of the module (skipping testdata and .bench_build) and reports
+// .go file of the module (skipping testdata and hidden directories such as
+// .bench_build) and reports
 //
 //  1. exported functions and methods that no non-test file references, and
 //  2. exported fields of exported *Options/*Config structs that no non-test
@@ -43,6 +44,9 @@ var defaultingMethods = map[string]bool{"withDefaults": true, "normalized": true
 // reference or a set of any identifier with the same name counts, wherever
 // it is. A name collision (two packages' Seed fields, a method and a field
 // both called Reset) can therefore hide a finding, but never invents one.
+// A function's references to its own name inside its body are taken for
+// recursion and do not count, except package-qualified ones, so a facade
+// wrapper's call to the function it wraps is a use.
 func TestNoUnusedExports(t *testing.T) {
 	findings, err := scanExports(".")
 	if err != nil {
@@ -117,8 +121,12 @@ func scanExports(root string) ([]finding, error) {
 		return nil, err
 	}
 
-	var funcs, fields []finding
-	fieldOwner := map[finding]string{} // field finding -> struct name
+	type field struct {
+		finding
+		owner, member string
+	}
+	var funcs []finding
+	var fields []field
 	refs := map[string]bool{}
 	sets := map[string][]fieldSet{}
 	for i, f := range files {
@@ -141,9 +149,7 @@ func scanExports(root string) ([]finding, error) {
 					for _, fl := range st.Fields.List {
 						for _, n := range fl.Names {
 							if n.IsExported() && !wireField(fl) {
-								fd := finding{paths[i], ts.Name.Name + "." + n.Name}
-								fields = append(fields, fd)
-								fieldOwner[fd] = ts.Name.Name
+								fields = append(fields, field{finding{paths[i], ts.Name.Name + "." + n.Name}, ts.Name.Name, n.Name})
 							}
 						}
 					}
@@ -161,17 +167,15 @@ func scanExports(root string) ([]finding, error) {
 		}
 	}
 	for _, fd := range fields {
-		owner := fieldOwner[fd]
-		name := fd.name[len(owner)+1:]
 		set := false
-		for _, s := range sets[name] {
-			if s.recv != owner || !defaultingMethods[s.fn] {
+		for _, s := range sets[fd.member] {
+			if s.recv != fd.owner || s.fn != defaultingMethod {
 				set = true
 				break
 			}
 		}
 		if !set {
-			out = append(out, fd)
+			out = append(out, fd.finding)
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {
