@@ -14,6 +14,7 @@
 #   internal/lp/testdata/solve_pinned.txt          (TestSolvePinned)
 #   internal/profile/testdata/comm_pinned.txt      (TestCommPinned)
 #   internal/trace/testdata/gantt_pinned.txt       (TestGanttPinned)
+#   internal/coarsen/testdata/coarsen_pinned.txt   (TestCoarsenPinned)
 #
 # `git diff` then shows every line BASE disagrees with. The copied pin
 # tests must compile against BASE. On exit, for any reason, the temp dir
@@ -36,7 +37,8 @@ PINS="internal/placement TestPlansPinned plans_pinned_test.go testdata/plans_pin
 internal/sim TestRunResultPinned pinned_test.go testdata/run_pinned.txt
 internal/lp TestSolvePinned pinned_test.go testdata/solve_pinned.txt
 internal/profile TestCommPinned pinned_test.go testdata/comm_pinned.txt
-internal/trace TestGanttPinned gantt_pinned_test.go testdata/gantt_pinned.txt"
+internal/trace TestGanttPinned gantt_pinned_test.go testdata/gantt_pinned.txt
+internal/coarsen TestCoarsenPinned pinned_test.go testdata/coarsen_pinned.txt"
 
 base_rev="$(git rev-parse --short "$BASE^{commit}")"
 echo "pin: exporting $BASE ($base_rev)" >&2
