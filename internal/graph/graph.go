@@ -5,10 +5,10 @@
 // and an optional colocation group; and edges carrying the number of bytes
 // the upstream operation's output tensor occupies on the wire.
 //
-// The package provides the graph algorithms Pesto's coarsening and
-// scheduling layers rely on: Kahn topological sorting, the batched
-// height computation of §3.3 of the paper, unique-path testing
-// (Theorem 3.2), critical-path analysis, and reachability.
+// The package provides the graph algorithms Pesto's scheduling layers
+// rely on: Kahn topological sorting, critical-path analysis and
+// reachability. The height computation and unique-path test of §3.3
+// work on internal/coarsen's contraction state instead.
 package graph
 
 import (

@@ -129,45 +129,8 @@ func TestTopoSortDetectsCycle(t *testing.T) {
 	if _, err := g.TopoSort(); !errors.Is(err, ErrCycle) {
 		t.Fatalf("got %v, want ErrCycle", err)
 	}
-	if _, err := g.Heights(); !errors.Is(err, ErrCycle) {
-		t.Fatalf("Heights: got %v, want ErrCycle", err)
-	}
 	if err := g.Validate(); !errors.Is(err, ErrCycle) {
 		t.Fatalf("Validate: got %v, want ErrCycle", err)
-	}
-}
-
-func TestHeightsDiamond(t *testing.T) {
-	g, ids := diamond(t)
-	h, err := g.Heights()
-	if err != nil {
-		t.Fatalf("Heights: %v", err)
-	}
-	want := []int{1, 2, 2, 3}
-	for i, id := range ids {
-		if h[id] != want[i] {
-			t.Errorf("H(%d) = %d, want %d", id, h[id], want[i])
-		}
-	}
-}
-
-func TestHeightsLongestPathWins(t *testing.T) {
-	// A -> B -> C and A -> C: H(C) must be 3, not 2.
-	g := New(3)
-	a := g.AddNode(Node{})
-	b := g.AddNode(Node{})
-	c := g.AddNode(Node{})
-	for _, e := range [][2]NodeID{{a, b}, {b, c}, {a, c}} {
-		if err := g.AddEdge(e[0], e[1], 0); err != nil {
-			t.Fatalf("AddEdge: %v", err)
-		}
-	}
-	h, err := g.Heights()
-	if err != nil {
-		t.Fatalf("Heights: %v", err)
-	}
-	if h[c] != 3 {
-		t.Fatalf("H(C) = %d, want 3", h[c])
 	}
 }
 
@@ -207,24 +170,6 @@ func TestReachable(t *testing.T) {
 		if got := g.Reachable(c.u, c.v); got != c.want {
 			t.Errorf("Reachable(%d,%d) = %v, want %v", c.u, c.v, got, c.want)
 		}
-	}
-}
-
-func TestUniquePath(t *testing.T) {
-	g, ids := diamond(t)
-	// Add the shortcut edge A -> D: now (A,D) is not a unique path,
-	// but (B,D) still is.
-	if err := g.AddEdge(ids[0], ids[3], 0); err != nil {
-		t.Fatalf("AddEdge: %v", err)
-	}
-	if ok, err := g.UniquePath(ids[0], ids[3]); err != nil || ok {
-		t.Errorf("UniquePath(A,D) = %v,%v; want false,nil", ok, err)
-	}
-	if ok, err := g.UniquePath(ids[1], ids[3]); err != nil || !ok {
-		t.Errorf("UniquePath(B,D) = %v,%v; want true,nil", ok, err)
-	}
-	if _, err := g.UniquePath(ids[1], ids[2]); err == nil {
-		t.Error("UniquePath on a missing edge should error")
 	}
 }
 
@@ -328,32 +273,6 @@ func TestPropertyTopoOrderRespectsEdges(t *testing.T) {
 		}
 		for _, e := range g.Edges() {
 			if pos[e.From] >= pos[e.To] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyHeightsMonotoneAlongEdges(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(60)
-		g := randomDAG(rng, n, 3*n)
-		h, err := g.Heights()
-		if err != nil {
-			return false
-		}
-		for _, e := range g.Edges() {
-			if h[e.To] < h[e.From]+1 {
-				return false
-			}
-		}
-		for i := range h {
-			if g.InDegree(NodeID(i)) == 0 && h[i] != 1 {
 				return false
 			}
 		}

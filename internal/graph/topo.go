@@ -37,48 +37,6 @@ func (g *Graph) TopoSort() ([]NodeID, error) {
 	return order, nil
 }
 
-// Heights computes H(v) for every vertex per Definition 3.4 of the paper:
-// the longest distance, counted in vertices, from any root to v; roots
-// have height 1. It uses the batched variant of Kahn's algorithm the
-// paper describes (remove the whole zero-indegree frontier per step), in
-// O(|V|+|E|).
-func (g *Graph) Heights() ([]int, error) {
-	n := len(g.nodes)
-	indeg := make([]int, n)
-	for i := range g.pred {
-		indeg[i] = len(g.pred[i])
-	}
-	h := make([]int, n)
-	frontier := make([]NodeID, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			frontier = append(frontier, NodeID(i))
-			h[i] = 1
-		}
-	}
-	visited := 0
-	for len(frontier) > 0 {
-		visited += len(frontier)
-		var next []NodeID
-		for _, v := range frontier {
-			for _, e := range g.succ[v] {
-				if h[v]+1 > h[e.To] {
-					h[e.To] = h[v] + 1
-				}
-				indeg[e.To]--
-				if indeg[e.To] == 0 {
-					next = append(next, e.To)
-				}
-			}
-		}
-		frontier = next
-	}
-	if visited != n {
-		return nil, fmt.Errorf("height computation visited %d of %d nodes: %w", visited, n, ErrCycle)
-	}
-	return h, nil
-}
-
 // CriticalPath returns the length of the longest compute-weighted path in
 // the graph (ignoring communication), together with one such path. This
 // is the classic lower bound on makespan with unlimited devices and free
@@ -145,41 +103,4 @@ func (g *Graph) Reachable(u, v NodeID) bool {
 		}
 	}
 	return false
-}
-
-// UniquePath reports whether the edge (u, v) is the only path from u to v,
-// the necessary and sufficient condition of Theorem 3.2 for merging u and
-// v without creating a cycle. The edge (u, v) must exist.
-func (g *Graph) UniquePath(u, v NodeID) (bool, error) {
-	if _, ok := g.EdgeBetween(u, v); !ok {
-		return false, fmt.Errorf("unique path test: no edge (%d,%d)", u, v)
-	}
-	// There is another u~>v path iff v is reachable from some successor
-	// of u other than v, or from v-excluded expansion of u. Equivalently:
-	// remove the edge (u,v) and test reachability.
-	seen := make([]bool, len(g.nodes))
-	var stack []NodeID
-	for _, e := range g.succ[u] {
-		if e.To == v {
-			continue // skip the direct edge
-		}
-		if !seen[e.To] {
-			seen[e.To] = true
-			stack = append(stack, e.To)
-		}
-	}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if x == v {
-			return false, nil
-		}
-		for _, e := range g.succ[x] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return true, nil
 }
