@@ -73,34 +73,61 @@ func Baechi(g *graph.Graph, sys sim.System, h BaechiHeuristic) (sim.Plan, error)
 	return sim.Plan{Device: dev, Policy: sim.PolicyFIFO}, nil
 }
 
+// BaechiHeuristics lists the heuristics BestBaechi compares, in the
+// order that breaks makespan ties.
+var BaechiHeuristics = [...]BaechiHeuristic{MSCT, METF, MTopo}
+
+// Scored is a baseline plan with its simulated makespan, or the error
+// that stopped building or simulating it.
+type Scored struct {
+	Plan     sim.Plan
+	Makespan time.Duration
+	Err      error
+}
+
+// Score simulates plan on sys and records its makespan. It records no
+// schedule: a caller that needs one re-runs the winner through sim.Run.
+func Score(g *graph.Graph, sys sim.System, plan sim.Plan) Scored {
+	mk, err := sim.Makespan(g, sys, plan)
+	return Scored{Plan: plan, Makespan: mk, Err: err}
+}
+
+// ScoreBaechi builds heuristic h's plan and scores it, the step
+// BestBaechi takes once per heuristic.
+func ScoreBaechi(g *graph.Graph, sys sim.System, h BaechiHeuristic) Scored {
+	plan, err := Baechi(g, sys, h)
+	if err != nil {
+		return Scored{Err: err}
+	}
+	return Score(g, sys, plan)
+}
+
+// Best returns the index of the first plan with the strictly smallest
+// makespan, skipping failed ones, or -1 when every plan failed.
+func Best(scored []Scored) int {
+	best := -1
+	for i, s := range scored {
+		if s.Err == nil && (best < 0 || s.Makespan < scored[best].Makespan) {
+			best = i
+		}
+	}
+	return best
+}
+
 // BestBaechi evaluates all three heuristics through the simulator and
 // returns the fastest feasible plan with its heuristic — the paper
 // always reports "the best Baechi heuristic" (in its experiments,
 // m-SCT).
 func BestBaechi(g *graph.Graph, sys sim.System) (sim.Plan, BaechiHeuristic, time.Duration, error) {
-	var (
-		bestPlan sim.Plan
-		bestH    BaechiHeuristic
-		bestMk   time.Duration
-		found    bool
-	)
-	for _, h := range []BaechiHeuristic{MSCT, METF, MTopo} {
-		plan, err := Baechi(g, sys, h)
-		if err != nil {
-			continue
-		}
-		res, err := sim.Run(g, sys, plan)
-		if err != nil {
-			continue
-		}
-		if !found || res.Makespan < bestMk {
-			bestPlan, bestH, bestMk, found = plan, h, res.Makespan, true
-		}
+	var scored [len(BaechiHeuristics)]Scored
+	for i, h := range BaechiHeuristics {
+		scored[i] = ScoreBaechi(g, sys, h)
 	}
-	if !found {
+	i := Best(scored[:])
+	if i < 0 {
 		return sim.Plan{}, 0, 0, fmt.Errorf("no baechi heuristic produced a feasible plan: %w", sim.ErrOOM)
 	}
-	return bestPlan, bestH, bestMk, nil
+	return scored[i].Plan, BaechiHeuristics[i], scored[i].Makespan, nil
 }
 
 // mTopo fills devices with contiguous chunks of the topological order,

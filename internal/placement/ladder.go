@@ -7,6 +7,8 @@ import (
 	"strings"
 	"time"
 
+	"pesto/internal/baselines"
+	"pesto/internal/engine"
 	"pesto/internal/graph"
 	"pesto/internal/ilp"
 	"pesto/internal/obs"
@@ -362,26 +364,19 @@ func placeFallback(ctx context.Context, g *graph.Graph, sys sim.System, opts Opt
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pesto fallback: %w", err)
 	}
-	var bestPlan sim.Plan
-	var bestRes sim.Result
-	bestMk := time.Duration(-1)
-	for _, p := range baselinePlans(g, sys) {
-		r, err := sim.Run(g, sys, p)
-		if err != nil {
-			continue
-		}
-		if bestMk < 0 || r.Makespan < bestMk {
-			bestMk, bestPlan, bestRes = r.Makespan, p, r
-		}
-	}
-	if bestMk < 0 {
+	plans := baselinePlans(ctx, engine.New(opts.Parallel), g, sys)
+	i := baselines.Best(plans)
+	if i < 0 {
 		return nil, fmt.Errorf("pesto fallback: no baseline heuristic yields a feasible plan: %w", ErrNoPlacement)
 	}
+	bestPlan, bestMk := plans[i].Plan, plans[i].Makespan
 	if opts.ScheduleFromILP {
-		ordered, err := orderPlanByStarts(g, bestPlan, bestRes.Start, len(sys.Devices))
-		if err == nil {
-			if _, serr := sim.Run(g, sys, ordered); serr == nil {
-				bestPlan = ordered
+		if r, err := sim.Run(g, sys, bestPlan); err == nil {
+			ordered, err := orderPlanByStarts(g, bestPlan, r.Start, len(sys.Devices))
+			if err == nil {
+				if _, serr := sim.Makespan(g, sys, ordered); serr == nil {
+					bestPlan = ordered
+				}
 			}
 		}
 	}

@@ -622,23 +622,43 @@ func (h *heuristic) seedBaselines(ctx context.Context) {
 	if ctx.Err() != nil {
 		return
 	}
-	for _, p := range baselinePlans(h.orig, h.sys) {
-		h.adoptOriginal(p.Device)
+	for _, p := range baselinePlans(ctx, h.pool, h.orig, h.sys) {
+		h.adoptOriginal(p.Plan.Device)
 	}
 }
 
 // baselinePlans returns the published baseline placements that apply
-// to g on sys: the best Baechi heuristic, HEFT and single-GPU.
-func baselinePlans(g *graph.Graph, sys sim.System) []sim.Plan {
-	var plans []sim.Plan
-	if p, _, _, err := baselines.BestBaechi(g, sys); err == nil {
-		plans = append(plans, p)
+// to g on sys, scored on the simulator: the best Baechi heuristic,
+// HEFT and single-GPU, in that order. The five builds (three Baechi
+// heuristics, HEFT, single-GPU) run as tasks on pool, all of them even
+// past ctx's deadline, since the fallback rung must answer; the result
+// does not depend on the order they finish in. A HEFT or single-GPU
+// plan the simulator rejects keeps its Err, as a seed can repair it.
+func baselinePlans(ctx context.Context, pool *engine.Pool, g *graph.Graph, sys sim.System) []baselines.Scored {
+	nb := len(baselines.BaechiHeuristics)
+	others := [...]func(*graph.Graph, sim.System) (sim.Plan, error){baselines.HEFT, baselines.SingleGPU}
+	outs, _ := engine.Map(context.WithoutCancel(ctx), pool, nb+len(others), func(_ context.Context, i int) (baselines.Scored, error) {
+		if i < nb {
+			return baselines.ScoreBaechi(g, sys, baselines.BaechiHeuristics[i]), nil
+		}
+		plan, err := others[i-nb](g, sys)
+		if err != nil {
+			return baselines.Scored{}, err
+		}
+		return baselines.Score(g, sys, plan), nil
+	})
+	baechi := make([]baselines.Scored, nb)
+	for i := range baechi {
+		baechi[i] = outs[i].Value
 	}
-	if p, err := baselines.HEFT(g, sys); err == nil {
-		plans = append(plans, p)
+	var plans []baselines.Scored
+	if i := baselines.Best(baechi); i >= 0 {
+		plans = append(plans, baechi[i])
 	}
-	if p, err := baselines.SingleGPU(g, sys); err == nil {
-		plans = append(plans, p)
+	for _, o := range outs[nb:] {
+		if o.Err == nil {
+			plans = append(plans, o.Value)
+		}
 	}
 	return plans
 }
