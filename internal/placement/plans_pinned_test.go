@@ -39,7 +39,7 @@ const pinNeverBinds = 10 * time.Minute
 const pinILPNodes = 6
 
 // TestPlansPinned replays the placement entry points over the gen
-// families × 3 seeds at 16 and 48 ops and the five ladder_zoo model-zoo
+// families × 3 seeds at 8, 16 and 48 ops and the five ladder_zoo model-zoo
 // graphs: Place at StageRefine, at StageILP under a node cap (FIFO and
 // with ILP schedules) and at StagePipelineDP and StageFallback (both
 // with and without ILP schedules), PlaceMultiGPU on three GPUs, Replan
@@ -217,9 +217,9 @@ func plansListing(t *testing.T, parallel int, partial bool) []byte {
 	opts := func(seed int64) Options {
 		return Options{ILPTimeLimit: pinNeverBinds, Seed: seed, Parallel: parallel}
 	}
-	sizes, seeds := []int{16, 48}, []int64{1, 2, 3}
+	sizes, seeds := []int{8, 16, 48}, []int64{1, 2, 3}
 	if partial {
-		sizes, seeds = []int{16}, []int64{1}
+		sizes, seeds = []int{8, 16}, []int64{1}
 	}
 	for _, fam := range gen.Families() {
 		for _, nodes := range sizes {
