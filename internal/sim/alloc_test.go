@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"time"
 
 	"pesto/internal/gen"
 	"pesto/internal/graph"
@@ -61,8 +62,9 @@ func TestRunAllocs(t *testing.T) {
 	}
 }
 
-// TestScorerAllocs fails when a warm Scorer.Makespan allocates at all,
-// under FIFO or Priority.
+// TestScorerAllocs fails when a warm Scorer.Makespan or
+// Scorer.MakespanBelow allocates at all, under FIFO or Priority, with a
+// limit the run stays below and one that cuts it short.
 func TestScorerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector randomly drops sync.Pool entries")
@@ -76,7 +78,8 @@ func TestScorerAllocs(t *testing.T) {
 		}
 		sc := NewScorer(g, sys)
 		for _, p := range []Plan{plan, prio} {
-			if _, err := sc.Makespan(p); err != nil {
+			mk, err := sc.Makespan(p)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if a := testing.AllocsPerRun(50, func() {
@@ -85,6 +88,22 @@ func TestScorerAllocs(t *testing.T) {
 				}
 			}); a != 0 {
 				t.Errorf("n=%d %v: Makespan allocates %.0f times, want 0", n, p.Policy, a)
+			}
+			for _, limit := range []time.Duration{mk + 1, mk / 2} {
+				want := error(nil)
+				if limit <= mk {
+					want = ErrAboveLimit
+				}
+				if _, err := sc.MakespanBelow(p, limit); err != want {
+					t.Fatalf("n=%d %v limit %v: MakespanBelow error %v, want %v", n, p.Policy, limit, err, want)
+				}
+				if a := testing.AllocsPerRun(50, func() {
+					if _, err := sc.MakespanBelow(p, limit); err != want {
+						t.Fatal(err)
+					}
+				}); a != 0 {
+					t.Errorf("n=%d %v limit %v: MakespanBelow allocates %.0f times, want 0", n, p.Policy, limit, a)
+				}
 			}
 		}
 	}

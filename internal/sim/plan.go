@@ -92,6 +92,9 @@ func (p Plan) Clone() Plan {
 var (
 	ErrBadPlacement = errors.New("invalid placement")
 	ErrOOM          = errors.New("out of device memory")
+	// ErrAboveLimit is Scorer.MakespanBelow's report that a run's
+	// makespan provably reaches the limit it was given.
+	ErrAboveLimit = errors.New("makespan at or above the limit")
 )
 
 // Validate checks the plan against a graph and system: every node is

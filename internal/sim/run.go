@@ -228,6 +228,10 @@ type scratch struct {
 	colocDev []DeviceID
 	seen     []bool
 	memUse   []int64
+
+	// unstarted[d] is the compute on device d that has not started yet,
+	// kept by a bounded Scorer run.
+	unstarted []time.Duration
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -276,11 +280,18 @@ type simulation struct {
 	seq      int
 	executed int
 
-	// Fault-injection state: the first injected fault (mid-run OOM or
-	// device failure) aborts the run. memStarted tracks the cumulative
-	// footprint of operations started per device, compared against the
-	// injector's (possibly shrinking) effective capacity.
-	injErr     error
+	// A bounded run (Scorer.MakespanBelow) stops with ErrAboveLimit
+	// once an op's start proves the makespan reaches limit. tail is the
+	// Scorer's; nil runs unbounded.
+	limit time.Duration
+	tail  []time.Duration
+
+	// abort, once set, stops the run with its error: an injected fault
+	// (mid-run OOM or device failure) or a reached limit. memStarted
+	// tracks the cumulative footprint of operations started per device,
+	// compared against the injector's (possibly shrinking) effective
+	// capacity.
+	abort      error
 	memStarted []int64
 }
 
@@ -399,7 +410,7 @@ func (s *simulation) simulate() (time.Duration, error) {
 	}
 
 	var now time.Duration
-	for len(s.events) > 0 && s.injErr == nil {
+	for len(s.events) > 0 && s.abort == nil {
 		ev := s.events.pop()
 		now = ev.t
 		switch ev.kind {
@@ -409,8 +420,8 @@ func (s *simulation) simulate() (time.Duration, error) {
 			s.depSatisfied(ev.node, now)
 		}
 	}
-	if s.injErr != nil {
-		return 0, s.injErr
+	if s.abort != nil {
+		return 0, s.abort
 	}
 	if s.executed != n {
 		return 0, fmt.Errorf("simulation deadlocked: executed %d of %d operations (invalid schedule order?): %w", s.executed, n, ErrBadPlacement)
@@ -470,6 +481,13 @@ func (s *simulation) startOp(devID DeviceID, id graph.NodeID, now time.Duration)
 	var dur time.Duration
 	if s.sc != nil {
 		dur = s.sc.dur[int(devID)*len(s.pendingDeps)+int(id)]
+		if s.tail != nil {
+			s.unstarted[devID] -= dur
+			if end := now + dur; end+s.tail[id] >= s.limit || end+s.unstarted[devID] >= s.limit {
+				s.abort = ErrAboveLimit
+				return
+			}
+		}
 	} else {
 		dev := &s.sys.Devices[devID]
 		nd, _ := s.g.Node(id)
@@ -482,13 +500,13 @@ func (s *simulation) startOp(devID DeviceID, id graph.NodeID, now time.Duration)
 			if ft, ok := s.inj.FailureTime(devID); ok && now+dur >= ft {
 				// The op would start on, or still be running on, a dead
 				// device.
-				s.injErr = &DeviceFailedError{Device: devID, At: ft}
+				s.abort = &DeviceFailedError{Device: devID, At: ft}
 				return
 			}
 			if dev.Memory > 0 {
 				capNow := s.inj.DeviceCapacity(devID, now, dev.Memory)
 				if s.memStarted[devID]+nd.Memory > capNow {
-					s.injErr = fmt.Errorf("device %s needs %d of %d effective bytes at %v: %w",
+					s.abort = fmt.Errorf("device %s needs %d of %d effective bytes at %v: %w",
 						dev.Name, s.memStarted[devID]+nd.Memory, capNow, now, ErrOOM)
 					return
 				}

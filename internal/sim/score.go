@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sync"
 	"time"
 
 	"pesto/internal/comm"
@@ -15,10 +16,12 @@ import (
 // over every distinct link model (link overrides and link kinds
 // resolved per device pair), in-degrees, dense colocation groups and
 // the device-compatibility table. Makespan then runs Run's event loop
-// over those tables without recording a schedule.
+// over those tables without recording a schedule, and MakespanBelow
+// runs it only as long as the makespan may still end below a limit.
 //
-// A Scorer is read-only after construction, and Makespan borrows its
-// working state from a pool, so concurrent Makespan calls may share one
+// A Scorer is read-only after construction, apart from the table
+// MakespanBelow builds once on its first call, and both methods borrow
+// their working state from a pool, so concurrent calls may share one
 // Scorer and a warm call allocates nothing. Like Run, it requires that
 // nothing mutates g or sys while it is in use.
 type Scorer struct {
@@ -39,6 +42,15 @@ type Scorer struct {
 	links   int   // distinct link models
 	linkOf  []int // linkOf[from*nd+to]: link model of the pair, -1 on the diagonal
 	xfer    []time.Duration
+
+	// tail[i] is the longest path after op i, every op at its fastest
+	// compatible device and every transfer free: a lower bound on how
+	// long the run lasts past op i's finish. tailOnce builds it on the
+	// first MakespanBelow call; it stays nil when the bound does not
+	// hold (a negative duration, a cycle), and MakespanBelow then runs
+	// unbounded.
+	tailOnce sync.Once
+	tail     []time.Duration
 }
 
 // Op-kind rows of Scorer.compat.
@@ -157,6 +169,30 @@ func (sc *Scorer) transferTime(e int, from, to DeviceID) time.Duration {
 // system under plan, exactly as Run does, and returns Run's makespan and
 // error. Only the schedule is not recorded.
 func (sc *Scorer) Makespan(plan Plan) (time.Duration, error) {
+	return sc.makespan(plan, 0, nil)
+}
+
+// MakespanBelow is Makespan for a caller that only wants makespans
+// below limit. It validates plan exactly as Makespan does and returns
+// the same errors; a valid plan it either simulates to Makespan's
+// result, or abandons with ErrAboveLimit once its makespan provably
+// reaches limit. It returns ErrAboveLimit only where Makespan would
+// return a makespan >= limit or an error, and never for a makespan
+// below limit.
+//
+// The proof is checked whenever an op starts at now for dur: the run
+// lasts at least now+dur plus the op's tail (the longest path after
+// it, ops at their fastest compatible device, transfers free), and at
+// least now+dur plus the compute still waiting for that device, which
+// runs one op at a time.
+func (sc *Scorer) MakespanBelow(plan Plan, limit time.Duration) (time.Duration, error) {
+	sc.tailOnce.Do(sc.buildTail)
+	return sc.makespan(plan, limit, sc.tail)
+}
+
+// makespan is the body of Makespan and MakespanBelow; a nil tail runs
+// unbounded.
+func (sc *Scorer) makespan(plan Plan, limit time.Duration, tail []time.Duration) (time.Duration, error) {
 	s := simulation{scratch: scratchPool.Get().(*scratch), g: sc.g, sys: sc.sys, plan: plan, sc: sc}
 	defer scratchPool.Put(s.scratch)
 	if !sc.admits(plan, s.scratch) {
@@ -170,9 +206,62 @@ func (sc *Scorer) Makespan(plan Plan) (time.Duration, error) {
 			return 0, err
 		}
 	}
-	s.reset(len(sc.indeg), len(sc.sys.Devices))
+	n, nd := len(sc.indeg), len(sc.sys.Devices)
+	s.reset(n, nd)
 	copy(s.pendingDeps, sc.indeg)
+	if tail != nil {
+		s.limit, s.tail = limit, tail
+		s.unstarted = zeroed(s.unstarted, nd)
+		for i, d := range plan.Device {
+			s.unstarted[d] += sc.dur[int(d)*n+i]
+		}
+		for _, u := range s.unstarted {
+			if u >= limit {
+				return 0, ErrAboveLimit
+			}
+		}
+	}
 	return s.simulate()
+}
+
+// buildTail fills sc.tail, leaving it nil when some op or transfer
+// duration is negative (the run's clock could then go backwards) or the
+// graph has a cycle.
+func (sc *Scorer) buildTail() {
+	for _, d := range sc.dur {
+		if d < 0 {
+			return
+		}
+	}
+	for _, x := range sc.xfer {
+		if x < 0 {
+			return
+		}
+	}
+	order, err := sc.g.TopoSort()
+	if err != nil {
+		return
+	}
+	n, nd := len(sc.indeg), len(sc.sys.Devices)
+	fastest := make([]time.Duration, n)
+	for i := range fastest {
+		first := true
+		for d, ok := range sc.compat[int(sc.kind[i])*nd:][:nd] {
+			if t := sc.dur[d*n+i]; ok && (first || t < fastest[i]) {
+				fastest[i], first = t, false
+			}
+		}
+	}
+	tail := make([]time.Duration, n)
+	for k := len(order) - 1; k >= 0; k-- {
+		i := order[k]
+		for _, e := range sc.g.Succ(i) {
+			if t := fastest[e.To] + tail[e.To]; t > tail[i] {
+				tail[i] = t
+			}
+		}
+	}
+	sc.tail = tail
 }
 
 // admits reports whether Plan.Validate and Plan.CheckMemory would both
