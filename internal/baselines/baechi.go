@@ -1,9 +1,10 @@
 package baselines
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"pesto/internal/graph"
@@ -164,16 +165,25 @@ func mTopo(g *graph.Graph, sys sim.System, gpus []sim.DeviceID) ([]sim.DeviceID,
 // mETFLike is the scheduling core shared by m-ETF and m-SCT. It builds
 // a tentative schedule (earliest start times with communication and
 // device-availability constraints) and keeps the resulting placement.
+//
+// An op's data arrival on each device is fixed once it is ready (every
+// parent is placed and finished), so it is computed once, into a row
+// the op holds while on the ready list; a step only maxes it with the
+// device's free time. The ready list stays sorted by ID and the scan
+// keeps the first strict minimum, ties to the lower ID, then the
+// earlier device.
 func mETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) ([]sim.DeviceID, error) {
 	dev, _ := cpuPlacement(g, sys)
-	n := g.NumNodes()
+	n, nd := g.NumNodes(), len(sys.Devices)
 	if _, err := g.TopoSort(); err != nil {
 		return nil, err
 	}
 
 	// Favorite child per node: the successor with the largest tensor
-	// (SCT's "small communication times" preference).
+	// (SCT's "small communication times" preference), and that tensor's
+	// size.
 	fav := make([]graph.NodeID, n)
+	favBytes := make([]int64, n)
 	for i := range fav {
 		fav[i] = -1
 	}
@@ -183,44 +193,77 @@ func mETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) ([]
 			for _, e := range g.Succ(graph.NodeID(i)) {
 				if e.Bytes > best {
 					best = e.Bytes
-					fav[i] = e.To
+					fav[i], favBytes[i] = e.To, e.Bytes
 				}
 			}
 		}
 	}
 
 	// Device state. The CPU participates for CPU/kernel ops so cross
-	// CPU-GPU communication is accounted for.
-	devFree := make(map[sim.DeviceID]time.Duration, len(sys.Devices))
-	memUsed := make(map[sim.DeviceID]int64, len(sys.Devices))
-	lastOn := make(map[sim.DeviceID]graph.NodeID)
+	// CPU-GPU communication is accounted for. lastOn[d] is the op that
+	// ran last on d, -1 before any.
+	cpuOnly := []sim.DeviceID{sys.CPUID()}
+	caps := make([]int64, nd)
+	for d, dv := range sys.Devices {
+		caps[d] = dv.Memory
+	}
+	devFree := make([]time.Duration, nd)
+	memUsed := make([]int64, nd)
+	lastOn := make([]graph.NodeID, nd)
+	for d := range lastOn {
+		lastOn[d] = -1
+	}
 	finish := make([]time.Duration, n)
-
 	pending := make([]int, n)
-	var ready []graph.NodeID
+
+	// ready is sorted by id. Row r of arrive holds the op's data arrival
+	// per device (math.MinInt64 before any parent's); freed rows are
+	// reused.
+	type readyOp struct {
+		id    graph.NodeID
+		row   int
+		gpu   bool
+		mem   int64
+		cands []sim.DeviceID
+	}
+	var (
+		ready   []readyOp
+		arrive  []time.Duration
+		freeRow []int
+	)
+	push := func(id graph.NodeID) {
+		nd0, _ := g.Node(id)
+		op := readyOp{id: id, gpu: nd0.Kind == graph.KindGPU, mem: nd0.Memory, cands: cpuOnly}
+		if op.gpu {
+			op.cands = gpus
+		}
+		if k := len(freeRow); k > 0 {
+			op.row, freeRow = freeRow[k-1], freeRow[:k-1]
+		} else {
+			op.row = len(arrive) / nd
+			arrive = append(arrive, make([]time.Duration, nd)...)
+		}
+		row := arrive[op.row*nd:][:nd]
+		for _, d := range op.cands {
+			row[d] = math.MinInt64
+		}
+		for _, e := range g.Pred(id) {
+			for _, d := range op.cands {
+				arr := finish[e.From]
+				if dev[e.From] != d {
+					arr += sys.TransferTime(dev[e.From], d, e.Bytes)
+				}
+				row[d] = max(row[d], arr)
+			}
+		}
+		at, _ := slices.BinarySearchFunc(ready, id, func(r readyOp, id graph.NodeID) int { return cmp.Compare(r.id, id) })
+		ready = slices.Insert(ready, at, op)
+	}
 	for i := 0; i < n; i++ {
 		pending[i] = g.InDegree(graph.NodeID(i))
 		if pending[i] == 0 {
-			ready = append(ready, graph.NodeID(i))
+			push(graph.NodeID(i))
 		}
-	}
-
-	capOf := func(d sim.DeviceID) int64 {
-		dv, _ := sys.Device(d)
-		return dv.Memory
-	}
-	est := func(id graph.NodeID, d sim.DeviceID) time.Duration {
-		t := devFree[d]
-		for _, e := range g.Pred(id) {
-			arr := finish[e.From]
-			if dev[e.From] != d {
-				arr += sys.TransferTime(dev[e.From], d, e.Bytes)
-			}
-			if arr > t {
-				t = arr
-			}
-		}
-		return t
 	}
 
 	for len(ready) > 0 {
@@ -228,30 +271,20 @@ func mETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) ([]
 		// favorite children towards their parent's device.
 		bestI, bestScore := -1, time.Duration(math.MaxInt64)
 		var bestDev sim.DeviceID
-		sort.Slice(ready, func(a, b int) bool { return ready[a] < ready[b] })
-		for ri, id := range ready {
-			nd, _ := g.Node(id)
-			var candidates []sim.DeviceID
-			if nd.Kind == graph.KindGPU {
-				candidates = gpus
-			} else {
-				candidates = []sim.DeviceID{sys.CPUID()}
-			}
-			for _, d := range candidates {
-				if c := capOf(d); c > 0 && nd.Kind == graph.KindGPU && memUsed[d]+nd.Memory > c {
+		for ri, op := range ready {
+			row := arrive[op.row*nd:][:nd]
+			for _, d := range op.cands {
+				if c := caps[d]; c > 0 && op.gpu && memUsed[d]+op.mem > c {
 					continue // memory-aware: skip full devices
 				}
-				score := est(id, d)
-				if sct {
-					// Prefer running a favorite child right after its
-					// parent on the same device.
-					for _, e := range g.Pred(id) {
-						if fav[e.From] == id && dev[e.From] == d && lastOn[d] == e.From {
-							score -= sys.TransferTime(d, otherGPU(gpus, d), e.Bytes) / 2
-							if score < 0 {
-								score = 0
-							}
-						}
+				score := max(devFree[d], row[d])
+				// Prefer running a favorite child right after its
+				// parent on the same device: only the op that ran last
+				// on d can be that parent.
+				if p := lastOn[d]; sct && p >= 0 && fav[p] == op.id {
+					score -= sys.TransferTime(d, otherGPU(gpus, d), favBytes[p]) / 2
+					if score < 0 {
+						score = 0
 					}
 				}
 				if score < bestScore {
@@ -264,21 +297,21 @@ func mETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) ([]
 		if bestI < 0 {
 			return nil, fmt.Errorf("baechi: no device fits any ready op: %w", sim.ErrOOM)
 		}
-		id := ready[bestI]
-		ready = append(ready[:bestI], ready[bestI+1:]...)
-		nd, _ := g.Node(id)
-		start := est(id, bestDev)
-		finish[id] = start + nd.Cost
-		devFree[bestDev] = finish[id]
-		dev[id] = bestDev
-		lastOn[bestDev] = id
-		if nd.Kind == graph.KindGPU {
-			memUsed[bestDev] += nd.Memory
+		op := ready[bestI]
+		ready = slices.Delete(ready, bestI, bestI+1)
+		freeRow = append(freeRow, op.row)
+		nd0, _ := g.Node(op.id)
+		finish[op.id] = max(devFree[bestDev], arrive[op.row*nd+int(bestDev)]) + nd0.Cost
+		devFree[bestDev] = finish[op.id]
+		dev[op.id] = bestDev
+		lastOn[bestDev] = op.id
+		if op.gpu {
+			memUsed[bestDev] += op.mem
 		}
-		for _, e := range g.Succ(id) {
+		for _, e := range g.Succ(op.id) {
 			pending[e.To]--
 			if pending[e.To] == 0 {
-				ready = append(ready, e.To)
+				push(e.To)
 			}
 		}
 	}

@@ -484,9 +484,11 @@ type heuristic struct {
 	bestDev []sim.DeviceID
 	bestObj float64 // normalized original-graph makespan
 
-	// Refinement state at this heuristic's coarse granularity.
+	// Refinement state at this heuristic's coarse granularity:
+	// coarseBestMk is the makespan coarseBestObj normalizes.
 	coarseBest    []sim.DeviceID
 	coarseBestObj float64
+	coarseBestMk  time.Duration
 }
 
 // seedCandidates builds the deterministic warm-start placements at this
@@ -622,9 +624,12 @@ func (h *heuristic) seedBaselines(ctx context.Context) {
 	if ctx.Err() != nil {
 		return
 	}
-	for _, p := range baselinePlans(ctx, h.pool, h.orig, h.sys) {
-		h.adoptOriginal(p.Plan.Device)
+	plans := baselinePlans(ctx, h.pool, h.orig, h.sys)
+	devs := make([][]sim.DeviceID, len(plans))
+	for i, p := range plans {
+		devs[i] = p.Plan.Device
 	}
+	h.adoptOriginals(ctx, devs...)
 }
 
 // baselinePlans returns the published baseline placements that apply
@@ -666,8 +671,8 @@ func baselinePlans(ctx context.Context, pool *engine.Pool, g *graph.Graph, sys s
 // seedListScheduling warm-starts the search with greedy
 // earliest-start-time placements computed on the original graph (with
 // and without the SCT favorite-child bias), projected to this
-// granularity. The two greedy builds run concurrently; adoption is
-// sequential in submission order.
+// granularity. The two greedy builds run concurrently, and so do their
+// scores (adoptOriginals).
 func (h *heuristic) seedListScheduling(ctx context.Context) {
 	simSys := h.simSystem()
 	outs, err := engine.Map(ctx, h.pool, 2, func(_ context.Context, i int) ([]sim.DeviceID, error) {
@@ -676,12 +681,13 @@ func (h *heuristic) seedListScheduling(ctx context.Context) {
 	if err != nil {
 		return
 	}
+	var devs [][]sim.DeviceID
 	for _, o := range outs {
-		if o.Err != nil {
-			continue
+		if o.Err == nil {
+			devs = append(devs, o.Value)
 		}
-		h.adoptOriginal(o.Value)
 	}
+	h.adoptOriginals(ctx, devs...)
 }
 
 // greedyETF builds an earliest-task-first placement: repeatedly assign
@@ -689,10 +695,17 @@ func (h *heuristic) seedListScheduling(ctx context.Context) {
 // device, accounting for communication from already-placed parents.
 // With sct, each task's largest-tensor successor is biased towards the
 // parent's device.
+//
+// An op's data arrival on each device is fixed once it is ready (every
+// parent is placed and finished), so it is computed once, into a row
+// the op holds while on the ready list; a step only maxes it with the
+// device's free time. The ready list stays sorted by ID and the scan
+// keeps the first strict minimum, ties to the lower ID, then the
+// earlier device.
 func greedyETF(g *graph.Graph, sys sim.System, sct bool) ([]sim.DeviceID, error) {
 	gpus := sys.GPUs()
-	n := g.NumNodes()
-	nodes := g.Nodes()
+	cpuOnly := []sim.DeviceID{sys.CPUID()}
+	n, nd := g.NumNodes(), len(sys.Devices)
 	dev := make([]sim.DeviceID, n)
 	fav := make([]graph.NodeID, n)
 	for i := range fav {
@@ -709,52 +722,92 @@ func greedyETF(g *graph.Graph, sys sim.System, sct bool) ([]sim.DeviceID, error)
 			}
 		}
 	}
-	devFree := make([]time.Duration, len(sys.Devices))
-	memUsed := make([]int64, len(sys.Devices))
-	cpuOnly := []sim.DeviceID{sys.CPUID()}
+	caps := make([]int64, nd)
+	for d := range caps {
+		caps[d] = memCap(sys, sim.DeviceID(d))
+	}
+	devFree := make([]time.Duration, nd)
+	memUsed := make([]int64, nd)
 	finish := make([]time.Duration, n)
 	pending := make([]int, n)
-	var ready []graph.NodeID
+
+	// ready is sorted by id. Row r of arrive holds the op's data arrival
+	// per device (math.MinInt64 before any parent's) and row r of favs,
+	// with sct, how many of its favourite-child parents sit on each
+	// device; freed rows are reused.
+	type readyOp struct {
+		id    graph.NodeID
+		row   int
+		gpu   bool
+		mem   int64
+		cands []sim.DeviceID
+	}
+	var (
+		ready   []readyOp
+		arrive  []time.Duration
+		favs    []int
+		freeRow []int
+	)
+	push := func(id graph.NodeID) {
+		nd0, _ := g.Node(id)
+		op := readyOp{id: id, gpu: nd0.Kind == graph.KindGPU, mem: nd0.Memory, cands: cpuOnly}
+		if op.gpu {
+			op.cands = gpus
+		}
+		if k := len(freeRow); k > 0 {
+			op.row, freeRow = freeRow[k-1], freeRow[:k-1]
+		} else {
+			op.row = len(arrive) / nd
+			arrive = append(arrive, make([]time.Duration, nd)...)
+			if sct {
+				favs = append(favs, make([]int, nd)...)
+			}
+		}
+		row := arrive[op.row*nd:][:nd]
+		for _, d := range op.cands {
+			row[d] = math.MinInt64
+		}
+		for _, e := range g.Pred(id) {
+			for _, d := range op.cands {
+				arr := finish[e.From]
+				if dev[e.From] != d {
+					arr += sys.TransferTime(dev[e.From], d, e.Bytes)
+				}
+				row[d] = max(row[d], arr)
+			}
+		}
+		if sct {
+			fr := favs[op.row*nd:][:nd]
+			clear(fr)
+			for _, e := range g.Pred(id) {
+				if fav[e.From] == id {
+					fr[dev[e.From]]++
+				}
+			}
+		}
+		at, _ := slices.BinarySearchFunc(ready, id, func(r readyOp, id graph.NodeID) int { return cmp.Compare(r.id, id) })
+		ready = slices.Insert(ready, at, op)
+	}
 	for i := 0; i < n; i++ {
 		pending[i] = g.InDegree(graph.NodeID(i))
 		if pending[i] == 0 {
-			ready = append(ready, graph.NodeID(i))
+			push(graph.NodeID(i))
 		}
-	}
-	est := func(id graph.NodeID, d sim.DeviceID) time.Duration {
-		t := devFree[d]
-		for _, e := range g.Pred(id) {
-			arr := finish[e.From]
-			if dev[e.From] != d {
-				arr += sys.TransferTime(dev[e.From], d, e.Bytes)
-			}
-			if arr > t {
-				t = arr
-			}
-		}
-		return t
 	}
 	for len(ready) > 0 {
-		slices.Sort(ready)
 		bestI := -1
 		var bestDev sim.DeviceID
 		bestScore := time.Duration(math.MaxInt64)
-		for ri, id := range ready {
-			nd := nodes[id]
-			cands := gpus
-			if nd.Kind != graph.KindGPU {
-				cands = cpuOnly
-			}
-			for _, d := range cands {
-				if nd.Kind == graph.KindGPU && memUsed[d]+nd.Memory > memCap(sys, d) {
+		for ri, op := range ready {
+			row := arrive[op.row*nd:][:nd]
+			for _, d := range op.cands {
+				if op.gpu && memUsed[d]+op.mem > caps[d] {
 					continue
 				}
-				score := est(id, d)
+				score := max(devFree[d], row[d])
 				if sct {
-					for _, e := range g.Pred(id) {
-						if fav[e.From] == id && dev[e.From] == d {
-							score -= score / 8
-						}
+					for k := favs[op.row*nd+int(d)]; k > 0; k-- {
+						score -= score / 8
 					}
 				}
 				if score < bestScore {
@@ -765,20 +818,20 @@ func greedyETF(g *graph.Graph, sys sim.System, sct bool) ([]sim.DeviceID, error)
 		if bestI < 0 {
 			return nil, fmt.Errorf("greedy etf: no device fits any ready op: %w", sim.ErrOOM)
 		}
-		id := ready[bestI]
-		ready = append(ready[:bestI], ready[bestI+1:]...)
-		nd := nodes[id]
-		startT := est(id, bestDev)
-		finish[id] = startT + nd.Cost
-		devFree[bestDev] = finish[id]
-		dev[id] = bestDev
-		if nd.Kind == graph.KindGPU {
-			memUsed[bestDev] += nd.Memory
+		op := ready[bestI]
+		ready = slices.Delete(ready, bestI, bestI+1)
+		freeRow = append(freeRow, op.row)
+		nd0, _ := g.Node(op.id)
+		finish[op.id] = max(devFree[bestDev], arrive[op.row*nd+int(bestDev)]) + nd0.Cost
+		devFree[bestDev] = finish[op.id]
+		dev[op.id] = bestDev
+		if op.gpu {
+			memUsed[bestDev] += op.mem
 		}
-		for _, e := range g.Succ(id) {
+		for _, e := range g.Succ(op.id) {
 			pending[e.To]--
 			if pending[e.To] == 0 {
-				ready = append(ready, e.To)
+				push(e.To)
 			}
 		}
 	}
@@ -808,11 +861,17 @@ func (h *heuristic) tryIncumbent(relaxed []float64) ([]float64, float64, bool) {
 }
 
 // scored is the outcome of scoring one device vector: its best
-// normalized makespan over the schedule disciplines tried.
+// normalized makespan over the schedule disciplines tried, and that
+// makespan.
 type scored struct {
 	obj float64
+	mk  time.Duration
 	ok  bool
 }
+
+// unbounded is the limit of a scoring no makespan can reach: it runs
+// every schedule to the end.
+const unbounded = time.Duration(math.MaxInt64)
 
 // scorer returns the heuristic's simulator tables, building them on
 // first use.
@@ -827,16 +886,31 @@ func (h *heuristic) scorer() *sim.Scorer {
 // provided bottomLevels has been warmed first (it backs the priority
 // plan and is itself lazily cached).
 func (h *heuristic) scoreOriginal(dev []sim.DeviceID) scored {
+	return h.scoreBelow(dev, unbounded)
+}
+
+// scoreBelow is scoreOriginal for a caller that only wants makespans
+// below limit: a schedule the simulator proves reaches limit is cut
+// short (placement.sims.cut) and counts as failed, so the vector scores
+// not-ok when every schedule is cut. Every schedule still counts in
+// placement.sims.
+func (h *heuristic) scoreBelow(dev []sim.DeviceID, limit time.Duration) scored {
 	sc := h.scorer()
 	out := scored{obj: math.Inf(1)}
 	for _, plan := range h.candidatePlans(dev) {
 		h.rec.Add("placement.sims", 1)
-		mk, err := sc.Makespan(plan)
+		var mk time.Duration
+		var err error
+		if limit == unbounded {
+			mk, err = sc.Makespan(plan)
+		} else if mk, err = sc.MakespanBelow(plan, limit); err == sim.ErrAboveLimit {
+			h.rec.Add("placement.sims.cut", 1)
+		}
 		if err != nil {
 			continue
 		}
 		if o := float64(mk) / float64(h.horizon); o < out.obj {
-			out.obj = o
+			out.obj, out.mk = o, mk
 		}
 		out.ok = true
 	}
@@ -866,7 +940,7 @@ func (h *heuristic) adoptScored(assign, expanded []sim.DeviceID, s scored) {
 	h.recordOriginal(expanded, s)
 	if h.coarseBest == nil || s.obj < h.coarseBestObj {
 		h.coarseBest = append([]sim.DeviceID(nil), assign...)
-		h.coarseBestObj = s.obj
+		h.coarseBestObj, h.coarseBestMk = s.obj, s.mk
 	}
 }
 
@@ -887,13 +961,30 @@ func (h *heuristic) evalAssign(assign []sim.DeviceID) bool {
 	return s.ok
 }
 
-// adoptOriginal projects an original-graph device vector onto this
-// heuristic's coarse granularity (majority compute time per coarse
-// node) and evaluates it, letting a coarser level's result seed a finer
-// refinement.
-func (h *heuristic) adoptOriginal(devices []sim.DeviceID) {
-	h.evalOriginal(devices)
-	h.evalAssign(h.projectOriginal(devices))
+// adoptOriginals evaluates original-graph device vectors both as they
+// are and projected onto this heuristic's coarse granularity (majority
+// compute time per coarse node), letting a coarser level's result seed
+// a finer refinement. Every vector and projection is scored as one
+// batch on the pool, all of them even past ctx's deadline, and recorded
+// in order: each vector, then its projection.
+func (h *heuristic) adoptOriginals(ctx context.Context, devs ...[]sim.DeviceID) {
+	assigns := make([][]sim.DeviceID, len(devs))
+	expanded := make([][]sim.DeviceID, len(devs))
+	for i, dev := range devs {
+		assigns[i] = h.projectOriginal(dev)
+		expanded[i] = h.expandDevices(assigns[i])
+	}
+	h.bottomLevels() // warm the lazy priority cache before fanning out
+	outs, _ := engine.Map(context.WithoutCancel(ctx), h.pool, 2*len(devs), func(_ context.Context, i int) (scored, error) {
+		if i%2 == 0 {
+			return h.scoreOriginal(devs[i/2]), nil
+		}
+		return h.scoreOriginal(expanded[i/2]), nil
+	})
+	for i := range devs {
+		h.recordOriginal(devs[i], outs[2*i].Value)
+		h.adoptScored(assigns[i], expanded[i], outs[2*i+1].Value)
+	}
 }
 
 // projectOriginal maps an original-graph device vector to this
@@ -906,24 +997,25 @@ func (h *heuristic) adoptOriginal(devices []sim.DeviceID) {
 func (h *heuristic) projectOriginal(devices []sim.DeviceID) []sim.DeviceID {
 	gpus := h.sys.GPUs()
 	assign := make([]sim.DeviceID, h.cg.NumNodes())
-	nodes := h.orig.Nodes()
-	isGPU := make(map[sim.DeviceID]bool, len(gpus))
+	// weight[d] is the current coarse node's member weight on device d,
+	// counted only when isGPU[d].
+	isGPU := make([]bool, len(h.sys.Devices))
 	for _, d := range gpus {
 		isGPU[d] = true
 	}
-	weight := make(map[sim.DeviceID]time.Duration, len(gpus))
+	weight := make([]time.Duration, len(h.sys.Devices))
 	for c, ms := range h.cres.Members {
 		kind := graph.KindCPU
-		for d := range weight {
-			delete(weight, d)
+		for _, d := range gpus {
+			weight[d] = 0
 		}
 		for _, orig := range ms {
-			kind = nodes[orig].Kind
-			if kind != graph.KindGPU {
+			nd, _ := h.orig.Node(orig)
+			if kind = nd.Kind; kind != graph.KindGPU {
 				break
 			}
-			if isGPU[devices[orig]] {
-				weight[devices[orig]] += nodes[orig].Cost + 1
+			if d := devices[orig]; d >= 0 && int(d) < len(isGPU) && isGPU[d] {
+				weight[d] += nd.Cost + 1
 			}
 		}
 		if kind != graph.KindGPU {
@@ -958,6 +1050,12 @@ func (h *heuristic) expandDevices(assign []sim.DeviceID) []sim.DeviceID {
 // on ties). Because the candidate set of a round depends only on the
 // current assignment — never on worker count or completion order — the
 // climb visits the same sequence of assignments at any parallelism.
+//
+// A round scores its neighbours below the current best's makespan: a
+// schedule cut there has a makespan, hence an objective, no better
+// than the current best's, which the strict-improvement test rejects
+// anyway, and the winner is always simulated in full. The limit is
+// fixed for the round, so what is cut does not depend on timing either.
 func (h *heuristic) refine(ctx context.Context) {
 	if h.coarseBest == nil {
 		return
@@ -1037,7 +1135,7 @@ func (h *heuristic) refine(ctx context.Context) {
 				}
 			}
 		}
-		base := h.expandDevices(h.coarseBest)
+		base, limit := h.expandDevices(h.coarseBest), h.coarseBestMk
 		outs, err := engine.Map(ctx, h.pool, len(cands), func(_ context.Context, i int) (scored, error) {
 			buf := bufs.Get().(*[]sim.DeviceID)
 			defer bufs.Put(buf)
@@ -1048,7 +1146,7 @@ func (h *heuristic) refine(ctx context.Context) {
 					expanded[orig] = cands[i].target
 				}
 			}
-			return h.scoreOriginal(expanded), nil
+			return h.scoreBelow(expanded, limit), nil
 		})
 		if err != nil {
 			return // deadline or caller cancellation: keep the best so far

@@ -127,7 +127,7 @@ func (r rebalance) run(ctx context.Context, g *graph.Graph, sys sim.System, plan
 	if r.seedPrev {
 		s.h.evalOriginal(plan.Device)
 	}
-	s.h.adoptOriginal(dev)
+	s.h.adoptOriginals(ctx, dev)
 	s.h.refine(s.sctx)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%s: cancelled during refinement: %w", r.op, err)

@@ -82,7 +82,7 @@ func (s *search) seedAndRefine(ctx context.Context, adopt []sim.DeviceID) error 
 	h.seedListScheduling(ctx)
 	h.seedBaselines(ctx)
 	if adopt != nil {
-		h.adoptOriginal(adopt)
+		h.adoptOriginals(ctx, adopt)
 	}
 	seedSpan.End(obs.F64("objective", h.bestObj))
 	if err := ctx.Err(); err != nil {
