@@ -7,6 +7,7 @@ import (
 	"pesto/internal/baselines"
 	"pesto/internal/gen"
 	"pesto/internal/graph"
+	"pesto/internal/models"
 	"pesto/internal/sim"
 )
 
@@ -127,6 +128,44 @@ func TestLowerBoundHoldsForBaselinePlans(t *testing.T) {
 			if res.Makespan < lb {
 				t.Fatalf("seed %d %s: makespan %v undercuts lower bound %v", seed, name, res.Makespan, lb)
 			}
+		}
+	}
+}
+
+// TestLowerBoundHoldsAtPaperScale extends the soundness test to the
+// model zoo, paper-scale variants included: on two GPUs the bound never
+// exceeds the verified makespan of the HEFT or the single-GPU plan.
+// The bound relaxes memory away, so the GPUs get room for a whole paper
+// model: the single-GPU plan then verifies too.
+func TestLowerBoundHoldsAtPaperScale(t *testing.T) {
+	t.Parallel()
+	sys := sim.NewSystem(2, 1<<40)
+	for _, v := range append(models.SmallVariants(), models.PaperVariants()...) {
+		g, err := v.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, err := LowerBound(g, sys)
+		if err != nil {
+			t.Fatalf("%s: %v", v.Name, err)
+		}
+		plans := map[string]func() (sim.Plan, error){
+			"single-gpu": func() (sim.Plan, error) { return baselines.SingleGPU(g, sys) },
+			"heft":       func() (sim.Plan, error) { return baselines.HEFT(g, sys) },
+		}
+		for name, mk := range plans {
+			plan, err := mk()
+			if err != nil {
+				t.Fatalf("%s %s: %v", v.Name, name, err)
+			}
+			res, err := Check(g, sys, plan)
+			if err != nil {
+				t.Fatalf("%s %s: %v", v.Name, name, err)
+			}
+			if res.Makespan < lb {
+				t.Fatalf("%s %s: makespan %v undercuts lower bound %v", v.Name, name, res.Makespan, lb)
+			}
+			t.Logf("%s: bound %v ≤ %s %v", v.Name, lb, name, res.Makespan)
 		}
 	}
 }

@@ -64,6 +64,7 @@ func placeOpts() placement.Options {
 // instance; instances run in parallel through the engine pool and
 // every violation reports its seed so it can be replayed alone.
 func TestSweep(t *testing.T) {
+	t.Parallel()
 	n := sweepSize(t)
 	pool := engine.New(0)
 	results, err := engine.Map(context.Background(), pool, n, func(ctx context.Context, i int) (string, error) {

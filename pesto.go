@@ -443,9 +443,11 @@ func VerifyPlan(g *Graph, sys System, plan Plan) (StepResult, error) {
 	return verify.Check(g, sys, plan)
 }
 
-// MakespanLowerBound computes an LP-relaxation lower bound no feasible
+// MakespanLowerBound computes a lower bound no feasible
 // placement/schedule of g on sys can beat — the oracle the sweep tests
-// hold every engine to.
+// hold every engine to: the longest path under best-case op times and
+// cheapest communication, or the per-class work spread over its
+// devices, whichever is larger.
 func MakespanLowerBound(g *Graph, sys System) (time.Duration, error) {
 	return verify.LowerBound(g, sys)
 }
