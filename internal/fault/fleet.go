@@ -20,8 +20,6 @@ import (
 //	                              with restart, it returns DUR later
 //	probehole:ID@AT,dur=DUR       health probes to ID black-hole during
 //	                              [AT, AT+DUR) while traffic still flows
-//	rlat:ID@AT,dur=DUR,add=EXTRA  requests to ID take EXTRA longer
-//	                              during [AT, AT+DUR)
 //
 // Replica IDs are the router's backend IDs: any non-empty string free
 // of the spec metacharacters (';', ',', '@', '=').
@@ -44,20 +42,10 @@ type ProbeBlackhole struct {
 	Dur     time.Duration
 }
 
-// LatencySpike adds Add to every request served by a replica during
-// [At, At+Dur) — the slow-but-alive replica that hedging exists for.
-type LatencySpike struct {
-	Replica string
-	At      time.Duration
-	Dur     time.Duration
-	Add     time.Duration
-}
-
 // FleetSpec is a complete service-tier fault schedule.
 type FleetSpec struct {
 	Kills      []ReplicaKill
 	Blackholes []ProbeBlackhole
-	Spikes     []LatencySpike
 }
 
 // ParseFleetSpec parses the compact textual form documented above. The
@@ -76,8 +64,6 @@ func ParseFleetSpec(s string) (FleetSpec, error) {
 			err = spec.parseKill(clause[len("rkill:"):])
 		case strings.HasPrefix(clause, "probehole:"):
 			err = spec.parseBlackhole(clause[len("probehole:"):])
-		case strings.HasPrefix(clause, "rlat:"):
-			err = spec.parseSpike(clause[len("rlat:"):])
 		default:
 			err = fmt.Errorf("unknown clause %q", clause)
 		}
@@ -134,41 +120,6 @@ func (s *FleetSpec) parseBlackhole(body string) error {
 	return nil
 }
 
-func (s *FleetSpec) parseSpike(body string) error {
-	parts := strings.Split(body, ",")
-	if len(parts) != 3 {
-		return fmt.Errorf("rlat: expected ID@AT,dur=DUR,add=EXTRA, got %q", body)
-	}
-	id, at, err := parseReplicaAt(parts[0])
-	if err != nil {
-		return fmt.Errorf("rlat: %v", err)
-	}
-	sp := LatencySpike{Replica: id, At: at}
-	for _, kv := range parts[1:] {
-		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return fmt.Errorf("rlat: expected key=value, got %q", kv)
-		}
-		d, err := parseNonNegDuration(val)
-		if err != nil {
-			return fmt.Errorf("rlat %s: %v", key, err)
-		}
-		switch key {
-		case "dur":
-			sp.Dur = d
-		case "add":
-			sp.Add = d
-		default:
-			return fmt.Errorf("rlat: unknown key %q", key)
-		}
-	}
-	if sp.Add == 0 {
-		return fmt.Errorf("rlat: add must be > 0")
-	}
-	s.Spikes = append(s.Spikes, sp)
-	return nil
-}
-
 // parseReplicaAt splits the "ID@AT" head shared by every clause.
 func parseReplicaAt(head string) (string, time.Duration, error) {
 	id, atS, ok := strings.Cut(strings.TrimSpace(head), "@")
@@ -219,16 +170,4 @@ func (in *FleetInjector) Blackholed(replica string, t time.Duration) bool {
 		}
 	}
 	return false
-}
-
-// ExtraLatency is the added service time for a request hitting the
-// replica at elapsed time t (overlapping spikes stack).
-func (in *FleetInjector) ExtraLatency(replica string, t time.Duration) time.Duration {
-	var extra time.Duration
-	for _, sp := range in.spec.Spikes {
-		if sp.Replica == replica && t >= sp.At && t < sp.At+sp.Dur {
-			extra += sp.Add
-		}
-	}
-	return extra
 }

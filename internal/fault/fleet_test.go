@@ -7,11 +7,11 @@ import (
 )
 
 func TestParseFleetSpec(t *testing.T) {
-	spec, err := ParseFleetSpec("rkill:r1@2s,restart=1s; probehole:r0@500ms,dur=250ms; rlat:r2@1s,dur=2s,add=50ms; rkill:r2@10s")
+	spec, err := ParseFleetSpec("rkill:r1@2s,restart=1s; probehole:r0@500ms,dur=250ms; rkill:r2@10s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spec.Kills) != 2 || len(spec.Blackholes) != 1 || len(spec.Spikes) != 1 {
+	if len(spec.Kills) != 2 || len(spec.Blackholes) != 1 {
 		t.Fatalf("parsed %+v", spec)
 	}
 	k := spec.Kills[0]
@@ -25,10 +25,6 @@ func TestParseFleetSpec(t *testing.T) {
 	if b.Replica != "r0" || b.At != 500*time.Millisecond || b.Dur != 250*time.Millisecond {
 		t.Fatalf("blackhole %+v", b)
 	}
-	sp := spec.Spikes[0]
-	if sp.Replica != "r2" || sp.Dur != 2*time.Second || sp.Add != 50*time.Millisecond {
-		t.Fatalf("spike %+v", sp)
-	}
 }
 
 func TestParseFleetSpecEmpty(t *testing.T) {
@@ -36,7 +32,7 @@ func TestParseFleetSpecEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spec.Kills)+len(spec.Blackholes)+len(spec.Spikes) != 0 {
+	if len(spec.Kills)+len(spec.Blackholes) != 0 {
 		t.Fatalf("empty spec parsed to %+v", spec)
 	}
 }
@@ -51,9 +47,9 @@ func TestParseFleetSpecErrors(t *testing.T) {
 		"rkill:r0@1s,cooldown=1s",      // unknown option
 		"probehole:r0@1s",              // missing dur
 		"probehole:r0@1s,len=1s",       // unknown key
-		"rlat:r0@1s,dur=1s",            // missing add
-		"rlat:r0@1s,dur=1s,add=0s",     // zero add
-		"rlat:r0@1s,dur=1s,add=1s,x=1", // trailing garbage
+		"rlat:r0@1s,dur=1s,add=20ms",   // latency spikes are not a clause
+		"rlat:r0@1s,dur=1s,add=0s",     // nor with zero add
+		"rlat:r0@1s,dur=1s,add=1s,x=1", // nor with trailing garbage
 		"rkill:a=b@1s",                 // metacharacter in id
 	} {
 		if _, err := ParseFleetSpec(bad); !errors.Is(err, ErrBadSpec) {
@@ -63,7 +59,7 @@ func TestParseFleetSpecErrors(t *testing.T) {
 }
 
 func TestFleetInjectorWindows(t *testing.T) {
-	spec, err := ParseFleetSpec("rkill:r1@2s,restart=1s;rkill:r2@5s;probehole:r0@1s,dur=500ms;rlat:r0@1s,dur=1s,add=20ms;rlat:r0@1500ms,dur=1s,add=30ms")
+	spec, err := ParseFleetSpec("rkill:r1@2s,restart=1s;rkill:r2@5s;probehole:r0@1s,dur=500ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,28 +90,13 @@ func TestFleetInjectorWindows(t *testing.T) {
 	if in.Blackholed("r0", 999*time.Millisecond) || !in.Blackholed("r0", time.Second) || in.Blackholed("r0", 1500*time.Millisecond) {
 		t.Error("blackhole window wrong")
 	}
-	// Latency spikes stack in their overlap [1.5s, 2s).
-	for _, tc := range []struct {
-		at   time.Duration
-		want time.Duration
-	}{
-		{500 * time.Millisecond, 0},
-		{time.Second, 20 * time.Millisecond},
-		{1600 * time.Millisecond, 50 * time.Millisecond},
-		{2200 * time.Millisecond, 30 * time.Millisecond},
-		{3 * time.Second, 0},
-	} {
-		if got := in.ExtraLatency("r0", tc.at); got != tc.want {
-			t.Errorf("ExtraLatency(r0, %v) = %v, want %v", tc.at, got, tc.want)
-		}
-	}
 }
 
 // TestFleetInjectorPure holds the replayability contract: repeated
 // queries at the same elapsed time return identical answers (no hidden
 // state, no stream consumption).
 func TestFleetInjectorPure(t *testing.T) {
-	spec, err := ParseFleetSpec("rkill:r1@1s,restart=2s;rlat:r1@500ms,dur=4s,add=5ms")
+	spec, err := ParseFleetSpec("rkill:r1@1s,restart=2s;probehole:r1@500ms,dur=4s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +105,8 @@ func TestFleetInjectorPure(t *testing.T) {
 		if !in.Killed("r1", 1500*time.Millisecond) {
 			t.Fatal("answer changed across calls")
 		}
-		if in.ExtraLatency("r1", time.Second) != 5*time.Millisecond {
-			t.Fatal("latency answer changed across calls")
+		if !in.Blackholed("r1", time.Second) {
+			t.Fatal("blackhole answer changed across calls")
 		}
 	}
 }
@@ -151,9 +132,6 @@ func FuzzParseFleetSpec(f *testing.F) {
 		for _, at := range []time.Duration{0, time.Millisecond, time.Second, time.Hour} {
 			_ = in.Killed("r1", at)
 			_ = in.Blackholed("r0", at)
-			if d := in.ExtraLatency("r2", at); d < 0 {
-				t.Fatalf("negative extra latency %v", d)
-			}
 		}
 	})
 }
