@@ -165,9 +165,12 @@ func FuzzRevisedSimplex(f *testing.F) {
 // and cold. Both must report the same status, optimal objectives must
 // agree within 1e-6·max(1,|obj|), and the warm X must satisfy every
 // bound and constraint. The instances are small, so the dual simplex
-// reaches its terminal checks, and their refactorizations, quickly.
+// reaches its terminal checks, and their refactorizations, quickly —
+// well under stallBland pivots, which only a cycle reaches. Seeds 805,
+// 880, 4919 and 5057 are children whose dual once cycled on bound flips
+// until stallBland.
 func FuzzWarmResolve(f *testing.F) {
-	for _, seed := range []int64{1, 7, 42, -3, 1 << 40} {
+	for _, seed := range []int64{1, 7, 42, -3, 1 << 40, 805, 880, 4919, 5057} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
@@ -200,6 +203,9 @@ func FuzzWarmResolve(f *testing.F) {
 		cold, cerr := Solve(child)
 		if (werr == nil) != (cerr == nil) || warm.Status != cold.Status {
 			t.Fatalf("seed %d: warm %v/%v, cold %v/%v", seed, warm.Status, werr, cold.Status, cerr)
+		}
+		if warm.Iters >= stallBland {
+			t.Fatalf("seed %d: warm re-solve took %d pivots, a stall or cycle", seed, warm.Iters)
 		}
 		if cold.Status != Optimal {
 			return

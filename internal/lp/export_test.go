@@ -7,6 +7,10 @@ import (
 	"math/rand"
 )
 
+// StallBland exposes the dual simplex's stall threshold to the external
+// test package.
+const StallBland = stallBland
+
 // RandomLP exposes the differential corpus generator to the external
 // test package.
 func RandomLP(rng *rand.Rand) *Problem { return randomLP(rng) }

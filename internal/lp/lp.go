@@ -197,7 +197,8 @@ type Solution struct {
 	// DualFeasible marks Objective as a valid lower bound on the true
 	// optimum even when Status is IterLimit — set when a warm-started
 	// dual-simplex solve ran out of time before regaining primal
-	// feasibility. Branch and bound uses it to keep truncated work.
+	// feasibility, if its last basis is still dual feasible. Branch and
+	// bound uses it to keep truncated work.
 	DualFeasible bool
 }
 
@@ -212,12 +213,13 @@ const (
 
 // Observer receives named counter increments from the solver —
 // "lp.solves" once per solve, "lp.pivots" with the iteration count,
-// "lp.pivots.dual" with the dual-simplex share, "lp.refactorizations"
-// with basis rebuilds, and "lp.warmstart.hits" / "lp.warmstart.misses"
-// from SolveWarmDeadlineObs. *obs.Recorder satisfies it; lp
-// stays free of telemetry imports. Implementations must be safe for
-// concurrent use, since relaxations solve in parallel across B&B
-// batches.
+// "lp.pivots.dual" with the dual-simplex share, "lp.pivots.flip" with
+// the dual iterations that were bound flips (a subset of
+// lp.pivots.dual), "lp.refactorizations" with basis rebuilds, and
+// "lp.warmstart.hits" / "lp.warmstart.misses" from SolveWarmDeadlineObs.
+// *obs.Recorder satisfies it; lp stays free of telemetry imports.
+// Implementations must be safe for concurrent use, since relaxations
+// solve in parallel across B&B batches.
 type Observer interface {
 	Add(name string, delta int64)
 }

@@ -36,8 +36,9 @@ var pinnedFile = filepath.Join("testdata", "solve_pinned.txt")
 // variable's box; Beale's cycling LP; the exact placement model's root
 // relaxation for every gen family at 8 and 12 ops, with warm children
 // fixing each of the first 8 binaries to 0 and to 1 from the root
-// basis; and two node-capped ilp.Solve runs, whose node relaxations,
-// results and LP counters pin their dives.
+// basis, none of which may take stallBland pivots; and two node-capped
+// ilp.Solve runs, whose node relaxations, results and LP counters pin
+// their dives.
 func TestSolvePinned(t *testing.T) {
 	got := pinnedListing(t)
 	if os.Getenv("PESTO_PIN_UPDATE") != "" {
@@ -120,6 +121,9 @@ func pinnedListing(t *testing.T) []byte {
 					}
 					sol, err := lp.SolveWarmDeadlineObs(child, root.Basis, time.Time{}, nil)
 					writePinned(&buf, fmt.Sprintf("%s/b%d=%g", name, k, val), sol, err)
+					if sol.Iters >= lp.StallBland {
+						t.Errorf("%s/b%d=%g: warm child took %d pivots, a stall or cycle", name, k, val, sol.Iters)
+					}
 				}
 			}
 		}

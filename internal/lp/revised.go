@@ -247,6 +247,11 @@ type revised struct {
 	alpha       []float64 // dual-simplex pivot row ρ·A, len n
 	d           []float64 // reduced costs c − y·A of nonbasic columns, len n
 	deadlineHit bool
+	// flipped lists the columns dual() has bound-flipped since the basis
+	// last changed (etaUpdate and refactorize clear it); a repeat is a
+	// flip cycle.
+	flipped []int32
+	flips   int // dual iterations that were bound flips
 }
 
 const feasTol = 1e-7
@@ -471,6 +476,7 @@ func (s *revised) etaUpdate(r, q int, w []float64) {
 	s.basis[r] = q
 	s.rowOf[q] = int32(r)
 	s.status[q] = stBasic
+	s.flipped = s.flipped[:0]
 	s.iters++
 }
 
@@ -488,6 +494,7 @@ func (s *revised) refactorize() error {
 	s.refactors++
 	s.etas = s.etas[:0]
 	s.etaNnz = 0
+	s.flipped = s.flipped[:0]
 	assigned := make([]bool, f.m)
 	newBasis := make([]int, f.m)
 	var pending []int

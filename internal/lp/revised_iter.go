@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -236,13 +237,19 @@ func (s *revised) primal(phase1 bool) Status {
 // valid. It returns Optimal when the basis becomes primal feasible
 // (phase 2 then verifies optimality, usually with zero extra pivots),
 // Infeasible when a violated row admits no entering column, and
-// IterLimit on deadline or stall. The objective value of the current
-// basis is a valid lower bound throughout (weak duality), which is what
-// lets branch-and-bound keep deadline-truncated work.
+// IterLimit on deadline or stall.
+//
+// Row choice is the most violated row until the objective has not risen
+// for stallBland iterations, or until a column is bound-flipped twice in
+// one basis: a boxed column eligible in two violated rows is flipped back
+// and forth between them with the basis unchanged, a cycle. Either way
+// the first violated row is taken instead (Bland's rule), until the
+// objective next rises.
 func (s *revised) dual() Status {
 	f := s.f
 	lastObj := math.Inf(-1)
 	stall := 0
+	cycling := false
 	// s.d is fresh for the factorization counted by dFactor: it is
 	// computed from a BTRAN again after every rebuild and updated from
 	// the pivot row in between.
@@ -258,15 +265,16 @@ func (s *revised) dual() Status {
 		if obj > lastObj+1e-12 {
 			lastObj = obj
 			stall = 0
+			cycling = false
 		} else {
 			stall++
 			if stall > stallAbort {
 				return IterLimit
 			}
 		}
-		bland := stall >= stallBland
+		bland := cycling || stall >= stallBland
 		// Leaving row: most violated basic variable (Bland: first
-		// violated row, a fixed scan order that cannot cycle).
+		// violated row, a fixed scan order).
 		r := -1
 		viol := 0.0
 		below := false
@@ -384,8 +392,14 @@ func (s *revised) dual() Status {
 			} else {
 				s.status[q] = stLower
 			}
+			if slices.Contains(s.flipped, int32(q)) {
+				cycling = true
+			} else {
+				s.flipped = append(s.flipped, int32(q))
+			}
 			s.iters++
 			s.dualIters++
+			s.flips++
 			continue
 		}
 		enterVal := s.nbValue(q) + deltaQ
@@ -417,6 +431,20 @@ func (s *revised) dual() Status {
 	return IterLimit
 }
 
+// cutDual is the result of a dual() the deadline stopped, handed back
+// instead of lost: the current basis's objective, which is a lower bound
+// (weak duality) only while the basis is dual feasible. A bound flip of
+// a column with a nonzero reduced cost leaves that cost on the wrong side
+// of its new bound, so DualFeasible is checked, not assumed.
+func (s *revised) cutDual() Solution {
+	return Solution{
+		Status:       IterLimit,
+		Iters:        s.iters,
+		Objective:    s.objValue(),
+		DualFeasible: s.dualFeasible(),
+	}
+}
+
 // solveRevised is the driver behind Solve and the two Obs entry points. With
 // a warm basis it tries, in order: pure primal phase 2 (basis still
 // primal feasible), dual simplex (basis dual feasible after a bound
@@ -431,13 +459,14 @@ func solveRevised(p *Problem, warm *Basis, countWarm bool, deadline time.Time, o
 	var s *revised
 	warmHit := false
 	extraIters := 0
-	dualItersPrev, refacPrev := 0, 0
+	dualItersPrev, flipsPrev, refacPrev := 0, 0, 0
 	if o != nil {
 		defer func() {
 			o.Add("lp.solves", 1)
 			o.Add("lp.pivots", int64(sol.Iters))
 			if s != nil {
 				o.Add("lp.pivots.dual", int64(dualItersPrev+s.dualIters))
+				o.Add("lp.pivots.flip", int64(flipsPrev+s.flips))
 				o.Add("lp.refactorizations", int64(refacPrev+s.refactors))
 			}
 			if countWarm {
@@ -495,16 +524,8 @@ func solveRevised(p *Problem, warm *Basis, countWarm bool, deadline time.Time, o
 					return sol, fmt.Errorf("infeasible: %w", ErrNoSolution)
 				case IterLimit:
 					if s.deadlineHit {
-						// Out of time mid-dual: the basis is still dual
-						// feasible, so its objective is a valid lower
-						// bound. Hand it back instead of losing it.
 						warmHit = true
-						sol = Solution{
-							Status:       IterLimit,
-							Iters:        s.iters,
-							Objective:    s.objValue(),
-							DualFeasible: true,
-						}
+						sol = s.cutDual()
 						return sol, fmt.Errorf("dual simplex: %v: %w", st, ErrNoSolution)
 					}
 					// Numerical stall: abandon the warm state, go cold.
@@ -514,7 +535,7 @@ func solveRevised(p *Problem, warm *Basis, countWarm bool, deadline time.Time, o
 			// import bought nothing — cold restart, counted as a miss.
 		}
 		extraIters = s.iters
-		dualItersPrev, refacPrev = s.dualIters, s.refactors
+		dualItersPrev, flipsPrev, refacPrev = s.dualIters, s.flips, s.refactors
 	}
 
 	s = newRevised(f, deadline)

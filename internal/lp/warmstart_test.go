@@ -183,6 +183,81 @@ func TestDeadlineTruncatedBoundValid(t *testing.T) {
 	}
 }
 
+// TestDeadlineCutAfterFlipNotDualFeasible stops the dual simplex right
+// after a bound flip of a column with a nonzero reduced cost: min a +
+// 2b + 3c over a + b + c ≥ 3 from the basis {c} with a and b at their
+// upper bound 1, after c's lower bound rises to 2.5. The first dual
+// iteration flips b (d_b = −1) to its lower bound, where a negative
+// reduced cost is infeasible, so the cut result must not claim its
+// objective as a lower bound. Cut before any iteration it still may.
+func TestDeadlineCutAfterFlipNotDualFeasible(t *testing.T) {
+	p := NewProblem(3)
+	for v, c := range []float64{1, 2, 3} {
+		_ = p.SetObjective(v, c)
+	}
+	_ = p.SetBounds(0, 0, 1)
+	_ = p.SetBounds(1, 0, 1)
+	_ = p.SetBounds(2, 2.5, 10)
+	_ = p.AddConstraint(Constraint{Terms: []Term{{0, 1}, {1, 1}, {2, 1}}, Rel: GE, RHS: 3})
+	f, err := newStdForm(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, iters := range []int{0, 1} {
+		s := newRevised(f, time.Time{})
+		err := s.importBasis(&Basis{rows: 1, cols: 4, basic: []int32{2}, status: []int8{stUpper, stUpper, stBasic, stUpper}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.primalFeasible() || !s.dualFeasible() {
+			t.Fatal("set-up basis must be dual but not primal feasible")
+		}
+		s.maxIters = iters
+		if st := s.dual(); st != IterLimit || s.flips != iters {
+			t.Fatalf("%d iterations: dual = %v after %d flips", iters, st, s.flips)
+		}
+		if sol := s.cutDual(); sol.DualFeasible != (iters == 0) {
+			t.Fatalf("cut after %d iterations (b status %d): DualFeasible = %t", iters, s.status[1], sol.DualFeasible)
+		}
+	}
+}
+
+// TestDualFlipCycleBroken is the smallest flip cycle: rows u − q − a = 0
+// and v + q − b = 1 with u, v ≥ 5 basic and violated, and q ∈ [0, 1] at
+// zero cost, eligible in both rows at ratio 0. The most violated row
+// flips q up, which makes the other row the most violated, which flips
+// it back. The second flip of q in one basis must hand row choice to
+// Bland's rule at once, so the warm re-solve ends in a handful of
+// pivots at the cold optimum a + b = 9.
+func TestDualFlipCycleBroken(t *testing.T) {
+	const u, v, q, a, b = 0, 1, 2, 3, 4
+	p := NewProblem(5)
+	_ = p.SetObjective(a, 1)
+	_ = p.SetObjective(b, 1)
+	_ = p.SetBounds(u, 5, 10)
+	_ = p.SetBounds(v, 5, 10)
+	_ = p.SetBounds(q, 0, 1)
+	_ = p.SetBounds(a, 0, 100)
+	_ = p.SetBounds(b, 0, 100)
+	_ = p.AddConstraint(Constraint{Terms: []Term{{u, 1}, {q, -1}, {a, -1}}, Rel: EQ, RHS: 0})
+	_ = p.AddConstraint(Constraint{Terms: []Term{{v, 1}, {q, 1}, {b, -1}}, Rel: EQ, RHS: 1})
+	// u and v basic (B = I), everything else at its lower bound.
+	warm := &Basis{rows: 2, cols: 7, basic: []int32{u, v}, status: []int8{stBasic, stBasic, stLower, stLower, stLower, stLower, stLower}}
+
+	obsv := newCountObs()
+	sol, err := SolveWarmDeadlineObs(p, warm, time.Time{}, obsv)
+	cold, cerr := Solve(p)
+	if err != nil || cerr != nil || math.Abs(sol.Objective-9) > 1e-9 || math.Abs(cold.Objective-9) > 1e-9 {
+		t.Fatalf("warm %v/%v obj %g, cold %v/%v obj %g, want both optimal at 9",
+			sol.Status, err, sol.Objective, cold.Status, cerr, cold.Objective)
+	}
+	flips, dual := obsv.get("lp.pivots.flip"), obsv.get("lp.pivots.dual")
+	if obsv.get("lp.warmstart.hits") != 1 || sol.Iters > 10 || flips < 2 || flips > dual {
+		t.Fatalf("warm re-solve: hit %d, %d pivots, %d dual, %d flips; want a hit in ≤ 10 pivots, ≥ 2 of them flips",
+			obsv.get("lp.warmstart.hits"), sol.Iters, dual, flips)
+	}
+}
+
 // TestWarmStartBasisSharedAcrossChildren solves two different children
 // from the same parent basis — the sibling-share pattern — and checks
 // neither solve corrupts the other (the Basis must behave as
