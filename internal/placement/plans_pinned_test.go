@@ -160,16 +160,16 @@ func (r pinRun) run(name string, f func(ctx context.Context) (pinned, error)) si
 }
 
 // placed pins a Result: besides plan and makespan, every field a
-// placement path assembles itself — coarse size and plan, status,
-// predicted makespan, coarsening effort and the provenance's stage,
-// degradation flag and regime records.
+// placement path assembles itself — coarse size, the ILP's status, gap,
+// node count and model size, predicted makespan and the provenance's
+// stage, degradation flag and regime records.
 func placed(res *Result, err error) (pinned, error) {
 	if err != nil {
 		return pinned{}, err
 	}
-	fields := fmt.Sprintf("coarse %d %d status %v predicted %d coarse-plan %s stage %v degraded %v",
-		res.CoarseSize, res.CoarsenIterations, res.ILPStatus, int64(res.PredictedMakespan),
-		planDigest(res.CoarsePlan), res.Provenance.Stage, res.Provenance.Degraded)
+	fields := fmt.Sprintf("coarse %d status %v gap %v nodes %d lp %d %d %d predicted %d stage %v degraded %v",
+		res.CoarseSize, res.ILPStatus, res.Gap, res.Nodes, res.LPVars, res.LPRows, res.LPGroups,
+		int64(res.PredictedMakespan), res.Provenance.Stage, res.Provenance.Degraded)
 	if info := res.Provenance.Pipeline; info != nil {
 		fields += fmt.Sprintf(" pipeline %+v", *info)
 	}
