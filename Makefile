@@ -6,7 +6,7 @@ GO ?= go
 # `make verify` runs the full population.
 SWEEP ?= 1000
 
-.PHONY: build test check bench bench-ab fmt vet verify smoke obs-smoke fleet-smoke trace-smoke chaos
+.PHONY: build test check pins bench bench-ab fmt vet verify smoke obs-smoke fleet-smoke trace-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,13 @@ test:
 # bugs here, not style).
 check:
 	sh scripts/check.sh
+
+# Every behaviour pin at its full listing, without the race detector:
+# the six files scripts/pin.sh regenerates plus TestScorePinned and
+# TestFingerprintPinned. Under `make check` the race detector replays
+# only TestPlansPinned's subset.
+pins:
+	$(GO) test -count=1 -run 'Pinned$$' ./internal/...
 
 # One run of the repository benchmark (bench/), every workload, with the
 # fixed seed the A/B pairs use.

@@ -244,26 +244,24 @@ func incrementalAttempt(ctx context.Context, g *graph.Graph, sys sim.System, pri
 	h.movable = dirtyGroup
 	inherited := inheritDevices(g, sys, prior, m)
 	proj := h.projectOriginal(inherited)
-	h.repairColocAssign(proj)
-	h.repairMemory(proj)
-	h.evalAssign(proj)
+	h.submit(ctx, candidate{assign: proj})
 	// Re-seed the dirty region: a greedy earliest-task-first build is a
 	// different constructive basin than the inherited plan, and chained
 	// warm steps otherwise inherit each other's local optima. Blending
 	// its devices onto the movable groups only — clean groups keep the
 	// inherited device, honoring the partial-assignment contract —
 	// gives the climb a second start at the cost of one greedy build
-	// and two extra simulations; evalAssign keeps whichever start
+	// and two extra simulations; submit keeps whichever start
 	// scores best. Everything here is counted sims: the warm path's
 	// whole speedup is its simulation budget, so each start has to
 	// earn its place (the cold solver's full seed sweep does not).
 	etfObj := math.Inf(1)
-	if etf, eerr := greedyETF(g, h.simSystem(), false); eerr == nil {
+	if etf, eerr := greedyETF(g, s.simSys, false); eerr == nil {
 		// Score the raw build too (without adopting it — it ignores
 		// the partial-assignment pin): it doubles as the escape
 		// detector below.
-		if s := h.scoreOriginal(etf); s.ok {
-			etfObj = s.obj
+		if sc := h.scoreBelow(etf, unbounded); sc.ok {
+			etfObj = sc.obj
 		}
 		blend := append([]sim.DeviceID(nil), proj...)
 		cand := h.projectOriginal(etf)
@@ -272,9 +270,7 @@ func incrementalAttempt(ctx context.Context, g *graph.Graph, sys sim.System, pri
 				blend[c] = cand[c]
 			}
 		}
-		h.repairColocAssign(blend)
-		h.repairMemory(blend)
-		h.evalAssign(blend)
+		h.submit(ctx, candidate{assign: blend})
 	}
 	// Two quality detectors gate every warm answer, and the restricted
 	// climb runs only when they object to the cheap starts above —

@@ -106,16 +106,6 @@ type StageReport struct {
 	Stage    Stage
 	Duration time.Duration
 	Err      error
-	// LPSolves, LPPivots, WarmHits and WarmMisses count the LP-solver
-	// work the rung performed across all of its attempts — how many
-	// relaxations it solved, the simplex pivots they cost, and how
-	// many of them ran from an imported basis versus cold. All zero
-	// for skipped rungs and for rungs that never invoke a solver
-	// (the heuristic fallback).
-	LPSolves   int64
-	LPPivots   int64
-	WarmHits   int64
-	WarmMisses int64
 }
 
 // Provenance records how a plan was obtained: the rung that produced
@@ -265,28 +255,12 @@ func runLadder(ctx context.Context, g *graph.Graph, sys sim.System, opts Options
 			Err:   fmt.Errorf("ladder entered at %v: %w", stages[0].stage, ErrStageSkipped),
 		})
 	}
-	// Per-rung LP-solver accounting: counter snapshots around each rung
-	// turn the request-wide telemetry totals into per-stage deltas.
-	solverSnap := func() [4]int64 {
-		return [4]int64{
-			rec.Counter("lp.solves"), rec.Counter("lp.pivots"),
-			rec.Counter("lp.warmstart.hits"), rec.Counter("lp.warmstart.misses"),
-		}
-	}
-	fillSolver := func(r *StageReport, before [4]int64) {
-		after := solverSnap()
-		r.LPSolves = after[0] - before[0]
-		r.LPPivots = after[1] - before[1]
-		r.WarmHits = after[2] - before[2]
-		r.WarmMisses = after[3] - before[3]
-	}
 	for si, st := range stages {
 		budget := total - time.Since(start)
 		if budget < 50*time.Millisecond {
 			budget = 50 * time.Millisecond
 		}
 		stageStart := time.Now()
-		solverBefore := solverSnap()
 		var lastErr error
 		for attempt := 1; attempt <= 1+stageRetries; attempt++ {
 			if err := ctx.Err(); err != nil {
@@ -300,9 +274,7 @@ func runLadder(ctx context.Context, g *graph.Graph, sys sim.System, opts Options
 			res, err := runStageAttempt(actx, g, sys, opts, st, budget)
 			if err == nil {
 				sp.End(obs.String("outcome", "ok"))
-				rep := StageReport{Stage: st.stage, Duration: time.Since(stageStart)}
-				fillSolver(&rep, solverBefore)
-				reports = append(reports, rep)
+				reports = append(reports, StageReport{Stage: st.stage, Duration: time.Since(stageStart)})
 				res.Provenance = Provenance{Stage: st.stage, Degraded: si > 0, Attempts: attempts, Stages: reports}
 				res.PlacementTime = time.Since(start)
 				return res, nil
@@ -324,9 +296,7 @@ func runLadder(ctx context.Context, g *graph.Graph, sys sim.System, opts Options
 				break
 			}
 		}
-		rep := StageReport{Stage: st.stage, Duration: time.Since(stageStart), Err: lastErr}
-		fillSolver(&rep, solverBefore)
-		reports = append(reports, rep)
+		reports = append(reports, StageReport{Stage: st.stage, Duration: time.Since(stageStart), Err: lastErr})
 	}
 	p := Provenance{Degraded: true, Attempts: attempts, Stages: reports}
 	return nil, fmt.Errorf("pesto: every ladder stage failed (%w): %w", p.Err(), ErrNoPlacement)
@@ -371,12 +341,9 @@ func placeFallback(ctx context.Context, g *graph.Graph, sys sim.System, opts Opt
 	}
 	bestPlan, bestMk := plans[i].Plan, plans[i].Makespan
 	if opts.ScheduleFromILP {
-		if r, err := sim.Run(g, sys, bestPlan); err == nil {
-			ordered, err := orderPlanByStarts(g, bestPlan, r.Start, len(sys.Devices))
-			if err == nil {
-				if _, serr := sim.Makespan(g, sys, ordered); serr == nil {
-					bestPlan = ordered
-				}
+		if ordered, err := orderByRun(g, sys, bestPlan); err == nil {
+			if _, err := sim.Makespan(g, sys, ordered); err == nil {
+				bestPlan = ordered
 			}
 		}
 	}
