@@ -149,11 +149,14 @@ type node struct {
 }
 
 // maxWarmFrontier bounds how many open nodes may carry a basis
-// snapshot. A Basis holds its basic set, a status per column and an
-// eta file (shared with the solves that import it, but kept alive by
-// it), so an adversarial frontier could otherwise pin unbounded
-// memory; beyond the cap children solve cold, which affects speed but
-// not the search trajectory's correctness.
+// snapshot. A Basis holds its basic set, a status per column and its
+// eta file in one idx and one val slab. A child that imports it reads
+// the slabs in place, and exports them again, shared, when its solve
+// makes no pivot and no rebuild; every other child exports a copy of
+// its own. So each open node can pin a whole eta file, and an
+// adversarial frontier could otherwise pin unbounded memory; beyond
+// the cap children solve cold, which affects speed but not the search
+// trajectory's correctness.
 const maxWarmFrontier = 512
 
 // Solve runs branch and bound and returns the best solution found. The

@@ -137,20 +137,20 @@ func (p *Problem) AddConstraint(c Constraint) error {
 
 // Clone returns a copy whose objective and bounds are independent of
 // p's; the branch-and-bound layer clones the root problem to apply
-// branching bounds. Constraint term slices are never mutated after
-// AddConstraint, so the clone shares them, and with them the standard
-// form its solves build, until either problem adds a constraint.
+// branching bounds. Constraints are never mutated after AddConstraint,
+// so the clone shares p's constraint list, and with it the standard
+// form its solves build, until either problem adds a constraint. The
+// shared list's capacity is clipped, so neither side's AddConstraint
+// can write into a slot the other one sees.
 func (p *Problem) Clone() *Problem {
-	c := &Problem{
+	return &Problem{
 		numVars: p.numVars,
 		obj:     append([]float64(nil), p.obj...),
 		lower:   append([]float64(nil), p.lower...),
 		upper:   append([]float64(nil), p.upper...),
-		cons:    make([]Constraint, len(p.cons)),
+		cons:    p.cons[:len(p.cons):len(p.cons)],
 		form:    p.form,
 	}
-	copy(c.cons, p.cons)
-	return c
 }
 
 // Status reports the outcome of Solve.

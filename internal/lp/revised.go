@@ -1,10 +1,10 @@
 package lp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 )
@@ -71,30 +71,31 @@ type shape struct {
 	slackLo, slackHi []float64
 }
 
-// newStdForm pairs p's shared shape with a copy of its cost and bounds.
-func newStdForm(p *Problem) (*stdForm, error) {
+// loadForm points s.f at p's shared shape and copies p's cost and
+// bounds into the workspace's per-solve arrays.
+func (s *revised) loadForm(p *Problem) error {
 	for v := 0; v < p.numVars; v++ {
 		if p.lower[v] > p.upper[v] {
-			return nil, fmt.Errorf("var %d: inverted bounds", v)
+			return fmt.Errorf("var %d: inverted bounds", v)
 		}
 	}
 	sh := p.form
 	sh.once.Do(func() { sh.err = sh.build(p) })
 	if sh.err != nil {
-		return nil, sh.err
+		return sh.err
 	}
-	f := &stdForm{
-		shape: sh,
-		cost:  make([]float64, sh.n),
-		lo:    make([]float64, sh.n),
-		hi:    make([]float64, sh.n),
-	}
+	f := &s.form
+	f.shape = sh
+	f.cost = zeroed(f.cost, sh.n)
+	f.lo = zeroed(f.lo, sh.n)
+	f.hi = zeroed(f.hi, sh.n)
 	copy(f.cost, p.obj)
 	copy(f.lo, p.lower)
 	copy(f.hi, p.upper)
 	copy(f.lo[sh.nStruct:], sh.slackLo)
 	copy(f.hi[sh.nStruct:], sh.slackHi)
-	return f, nil
+	s.f = f
+	return nil
 }
 
 func (f *shape) build(p *Problem) error {
@@ -184,8 +185,10 @@ func insertionSortInts(a []int) {
 //	x[r] /= w_r;  x[i] -= w_i * x[r]  (i ≠ r)
 //
 // stored sparsely as invDiag = 1/w_r and the nonzero off-diagonal w_i.
-// Etas are immutable once appended; warm-started children share their
-// parent's eta prefix by slice copy.
+// Etas are immutable once appended. An eta a solve appends lives in its
+// workspace's arena (revised.etaIdx/etaVal) and dies with the next
+// rebuild; a Basis owns its etas in slabs of its own, which a
+// warm-started child reads in place (see exportBasis).
 type eta struct {
 	r       int32
 	invDiag float64
@@ -200,11 +203,13 @@ type eta struct {
 // and possibly different bounds — the branch-and-bound child case.
 //
 // Alongside the combinatorial basis it carries the eta-file
-// representation of B^{-1}, so importing costs a slice copy rather than
-// a refactorization; etaNnz tracks its size so overly long or dense
-// files are rebuilt on import instead. A Basis is immutable once
-// created; concurrent reads are safe (B&B siblings share their
-// parent's Basis).
+// representation of B^{-1}, so importing costs a copy of the eta headers
+// rather than a refactorization; etaNnz tracks its size so overly long
+// or dense files are rebuilt on import instead. The etas' indices and
+// values sit in one idx and one val slab owned by the Basis (or by the
+// Basis it was imported from, when the solve changed nothing); none of
+// it aliases a solver workspace. A Basis is immutable once created;
+// concurrent reads are safe (B&B siblings share their parent's Basis).
 type Basis struct {
 	rows, cols int
 	basic      []int32
@@ -216,9 +221,13 @@ type Basis struct {
 // Rows reports the constraint-row count the basis was built for.
 func (b *Basis) Rows() int { return b.rows }
 
-// revised is the mutable solver state for one solve.
+// revised is the mutable solver state for one solve. Workspaces are
+// pooled (getRevised, release): every slice below is resized per
+// problem and reused by later solves, so nothing a Solution returns may
+// point into one.
 type revised struct {
-	f        *stdForm
+	f        *stdForm // &form while loaded
+	form     stdForm
 	basis    []int   // basis[i] = column basic in row i
 	rowOf    []int32 // rowOf[j] = row where j is basic, -1 if nonbasic
 	status   []int8
@@ -236,12 +245,19 @@ type revised struct {
 	// work holds the last FTRAN result and pat its possibly nonzero
 	// rows; patDense records that pat was read off a dense pass, so the
 	// next FTRAN clears all of work. inPat is ftran's mark scratch.
-	work        []float64
-	pat         []int32
-	patDense    bool
-	inPat       []bool
-	etaIdx      []int32   // appendEta scratch, len m
-	etaVal      []float64 // appendEta scratch, len m
+	work     []float64
+	pat      []int32
+	patDense bool
+	inPat    []bool
+	// etaIdx/etaVal are the arena every appended eta's idx/val is a
+	// capacity-clipped window of. Only the etas since the last reset of
+	// the eta file live there, so initSlackBasis, importBasis and
+	// refactorize empty it.
+	etaIdx []int32
+	etaVal []float64
+	// imported is the Basis whose eta file s.etas still equals, nil once
+	// a pivot or a rebuild has changed it.
+	imported    *Basis
 	ybuf        []float64 // dual-price scratch, len m
 	rbuf        []float64 // dual-simplex row scratch, len m
 	alpha       []float64 // dual-simplex pivot row ρ·A, len n
@@ -252,6 +268,11 @@ type revised struct {
 	// flip cycle.
 	flipped []int32
 	flips   int // dual iterations that were bound flips
+	// Scratch of importBasis (seen, len n) and refactorize (the rest).
+	seen              []bool
+	assigned          []bool
+	newBasis          []int
+	pending, deferred []int
 }
 
 const feasTol = 1e-7
@@ -271,29 +292,77 @@ func (s *revised) etaOverBudget() bool {
 	return s.etaNnz > 2*s.nnzBase+8*m+1024
 }
 
-func newRevised(f *stdForm, deadline time.Time) *revised {
-	s := &revised{
-		f:        f,
-		basis:    make([]int, f.m),
-		rowOf:    make([]int32, f.n),
-		status:   make([]int8, f.n),
-		xB:       make([]float64, f.m),
-		work:     make([]float64, f.m),
-		pat:      make([]int32, 0, f.m),
-		inPat:    make([]bool, f.m),
-		etaIdx:   make([]int32, 0, f.m),
-		etaVal:   make([]float64, 0, f.m),
-		ybuf:     make([]float64, f.m),
-		rbuf:     make([]float64, f.m),
-		alpha:    make([]float64, f.n),
-		d:        make([]float64, f.n),
-		deadline: deadline,
+var revisedPool = sync.Pool{New: func() any { return new(revised) }}
+
+// getRevised takes a workspace from the pool and loads p's standard
+// form into it, ready for initSlackBasis or importBasis.
+func getRevised(p *Problem, deadline time.Time) (*revised, error) {
+	s := revisedPool.Get().(*revised)
+	if err := s.loadForm(p); err != nil {
+		s.release()
+		return nil, err
 	}
-	s.maxIters = 2000 + 50*(f.m+f.n)
+	s.reset(deadline)
+	return s, nil
+}
+
+// reset returns the solver state over the loaded form to what a freshly
+// allocated one holds: every buffer sized to the form and zeroed, no
+// etas, no counters.
+func (s *revised) reset(deadline time.Time) {
+	m, n := s.f.m, s.f.n
+	s.basis = zeroed(s.basis, m)
+	s.rowOf = zeroed(s.rowOf, n)
+	s.status = zeroed(s.status, n)
+	s.xB = zeroed(s.xB, m)
+	s.work = zeroed(s.work, m)
+	if cap(s.pat) < m {
+		s.pat = make([]int32, 0, m)
+	}
+	s.pat, s.patDense = s.pat[:0], false
+	s.inPat = zeroed(s.inPat, m)
+	s.ybuf = zeroed(s.ybuf, m)
+	s.rbuf = zeroed(s.rbuf, m)
+	s.alpha = zeroed(s.alpha, n)
+	s.d = zeroed(s.d, n)
+	s.flipped = s.flipped[:0]
+	s.resetEtas()
+	s.etasBase, s.nnzBase = 0, 0
+	s.deadline, s.deadlineHit = deadline, false
+	s.iters, s.dualIters, s.refactors, s.flips = 0, 0, 0, 0
+	s.maxIters = 2000 + 50*(m+n)
 	if s.maxIters > 60000 {
 		s.maxIters = 60000
 	}
-	return s
+}
+
+// release drops the workspace's references to the problem and to any
+// imported Basis, then returns it to the pool.
+func (s *revised) release() {
+	clear(s.etas[:cap(s.etas)])
+	s.etas, s.imported = s.etas[:0], nil
+	s.f, s.form.shape = nil, nil
+	revisedPool.Put(s)
+}
+
+// resetEtas empties the eta file and its arena. The budget marks
+// etasBase and nnzBase are the caller's to set.
+func (s *revised) resetEtas() {
+	s.etas = s.etas[:0]
+	s.etaIdx, s.etaVal = s.etaIdx[:0], s.etaVal[:0]
+	s.imported = nil
+	s.etaNnz = 0
+}
+
+// zeroed returns b resized to n zero elements, reusing its array when
+// that is large enough.
+func zeroed[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // initSlackBasis sets the all-slack basis: B = I (empty eta file),
@@ -318,8 +387,7 @@ func (s *revised) initSlackBasis() {
 		s.rowOf[j] = int32(i)
 		s.status[j] = stBasic
 	}
-	s.etas = s.etas[:0]
-	s.etaNnz = 0
+	s.resetEtas()
 	s.etasBase, s.nnzBase = 0, 0
 	s.computeXB()
 }
@@ -449,22 +517,27 @@ func (s *revised) ftran(q int) []float64 {
 
 // appendEta records the product-form update for entering column q
 // replacing the basic column of row r, where w = B^{-1} A_q is the last
-// FTRAN result.
+// FTRAN result. The eta's entries go to the end of the arena; when the
+// arena grows, the etas already in the file keep the old array.
 func (s *revised) appendEta(r int, w []float64) {
-	idx, val := s.etaIdx[:0], s.etaVal[:0]
+	idx, val := s.etaIdx, s.etaVal
+	start := len(idx)
 	for _, i := range s.pat {
 		if int(i) != r && math.Abs(w[i]) > 1e-12 {
 			idx = append(idx, i)
 			val = append(val, w[i])
 		}
 	}
+	end := len(idx)
+	s.etaIdx, s.etaVal = idx, val
 	s.etas = append(s.etas, eta{
 		r:       int32(r),
 		invDiag: 1 / w[r],
-		idx:     append(make([]int32, 0, len(idx)), idx...),
-		val:     append(make([]float64, 0, len(val)), val...),
+		idx:     idx[start:end:end],
+		val:     val[start:end:end],
 	})
-	s.etaNnz += len(idx)
+	s.etaNnz += end - start
+	s.imported = nil
 }
 
 // etaUpdate applies the basis bookkeeping and the eta append for
@@ -492,12 +565,12 @@ func (s *revised) etaUpdate(r, q int, w []float64) {
 func (s *revised) refactorize() error {
 	f := s.f
 	s.refactors++
-	s.etas = s.etas[:0]
-	s.etaNnz = 0
+	s.resetEtas()
 	s.flipped = s.flipped[:0]
-	assigned := make([]bool, f.m)
-	newBasis := make([]int, f.m)
-	var pending []int
+	assigned := zeroed(s.assigned, f.m)
+	newBasis := zeroed(s.newBasis, f.m)
+	pending := s.pending[:0]
+	s.assigned, s.newBasis = assigned, newBasis
 	for i := 0; i < f.m; i++ {
 		j := s.basis[i]
 		if j >= f.nStruct && !assigned[j-f.nStruct] {
@@ -511,17 +584,18 @@ func (s *revised) refactorize() error {
 	}
 	// Sparsest columns first (a static Markowitz-style ordering): early
 	// etas then touch few rows, which sharply limits fill-in in the
-	// FTRANs of the denser columns processed later. Stable tie-break on
-	// column index keeps the rebuild deterministic.
-	sort.SliceStable(pending, func(a, b int) bool {
-		na, nb := len(f.cols[pending[a]].idx), len(f.cols[pending[b]].idx)
-		if na != nb {
-			return na < nb
+	// FTRANs of the denser columns processed later. The tie-break on
+	// column index makes the order total, so the rebuild is
+	// deterministic.
+	slices.SortStableFunc(pending, func(a, b int) int {
+		if c := cmp.Compare(len(f.cols[a].idx), len(f.cols[b].idx)); c != 0 {
+			return c
 		}
-		return pending[a] < pending[b]
+		return cmp.Compare(a, b)
 	})
+	deferred := s.deferred[:0]
 	for len(pending) > 0 {
-		var deferred []int
+		deferred = deferred[:0]
 		progressed := false
 		for _, j := range pending {
 			w := s.ftran(j)
@@ -544,10 +618,12 @@ func (s *revised) refactorize() error {
 			progressed = true
 		}
 		if !progressed {
+			s.pending, s.deferred = pending, deferred
 			return fmt.Errorf("singular basis (%d columns unpivotable)", len(deferred))
 		}
-		pending = deferred
+		pending, deferred = deferred, pending
 	}
+	s.pending, s.deferred = pending, deferred
 	copy(s.basis, newBasis)
 	for i, j := range s.basis {
 		s.rowOf[j] = int32(i)
@@ -617,21 +693,39 @@ func (s *revised) objValue() float64 {
 	return z
 }
 
-// exportBasis snapshots the current basis (sharing the immutable eta
-// file) for reuse by a later warm-started solve.
+// exportBasis snapshots the current basis for reuse by a later
+// warm-started solve. The eta file is the imported Basis's own when the
+// solve changed nothing since importBasis, and is shared as it is;
+// otherwise its etas sit in the workspace's arena and are copied into
+// one exact-size idx slab and one val slab.
 func (s *revised) exportBasis() *Basis {
 	b := &Basis{
 		rows:   s.f.m,
 		cols:   s.f.n,
 		basic:  make([]int32, s.f.m),
 		status: make([]int8, s.f.n),
-		etas:   append([]eta(nil), s.etas...),
 		etaNnz: s.etaNnz,
 	}
 	for i, j := range s.basis {
 		b.basic[i] = int32(j)
 	}
 	copy(b.status, s.status)
+	if s.imported != nil {
+		b.etas = s.imported.etas
+		return b
+	}
+	nnz := 0
+	for k := range s.etas {
+		nnz += len(s.etas[k].idx)
+	}
+	idx, val := make([]int32, 0, nnz), make([]float64, 0, nnz)
+	b.etas = make([]eta, len(s.etas))
+	for k, e := range s.etas {
+		start := len(idx)
+		idx, val = append(idx, e.idx...), append(val, e.val...)
+		end := len(idx)
+		b.etas[k] = eta{r: e.r, invDiag: e.invDiag, idx: idx[start:end:end], val: val[start:end:end]}
+	}
 	return b
 }
 
@@ -643,7 +737,8 @@ func (s *revised) importBasis(b *Basis) error {
 	if b == nil || b.rows != f.m || b.cols != f.n {
 		return fmt.Errorf("basis shape mismatch")
 	}
-	seen := make([]bool, f.n)
+	seen := zeroed(s.seen, f.n)
+	s.seen = seen
 	for i := 0; i < f.m; i++ {
 		j := int(b.basic[i])
 		if j < 0 || j >= f.n || seen[j] {
@@ -694,11 +789,13 @@ func (s *revised) importBasis(b *Basis) error {
 		s.status[j] = stBasic
 	}
 	// Adopt the exporter's eta file when it is within budget (the etas
-	// themselves are immutable and safely shared; the slice header is
+	// themselves are immutable and safely shared; their headers are
 	// copied so our appends never alias the exporter's file). An
 	// oversized file is rebuilt instead.
-	s.etas = append(s.etas[:0], b.etas...)
+	s.resetEtas()
+	s.etas = append(s.etas, b.etas...)
 	s.etaNnz = b.etaNnz
+	s.imported = b
 	s.etasBase = len(s.etas)
 	s.nnzBase = s.etaNnz
 	if len(s.etas) > 2*f.m+128 || s.etaNnz > 16*f.m+2048 {

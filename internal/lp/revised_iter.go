@@ -450,13 +450,17 @@ func (s *revised) cutDual() Solution {
 // primal feasible), dual simplex (basis dual feasible after a bound
 // change — the B&B child case), and otherwise falls back to a cold
 // two-phase solve. countWarm controls whether warm-start hit/miss
-// counters are emitted (true only for SolveWarmDeadlineObs).
+// counters are emitted (true only for SolveWarmDeadlineObs). One pooled
+// workspace serves the whole solve, a cold restart included, and goes
+// back to the pool on every return.
 func solveRevised(p *Problem, warm *Basis, countWarm bool, deadline time.Time, o Observer) (sol Solution, err error) {
-	f, ferr := newStdForm(p)
+	s, ferr := getRevised(p, deadline)
 	if ferr != nil {
 		return Solution{}, ferr
 	}
-	var s *revised
+	// Deferred calls run last-registered first: the observer reads the
+	// workspace's counters before release hands it to another solve.
+	defer s.release()
 	warmHit := false
 	extraIters := 0
 	dualItersPrev, flipsPrev, refacPrev := 0, 0, 0
@@ -464,11 +468,9 @@ func solveRevised(p *Problem, warm *Basis, countWarm bool, deadline time.Time, o
 		defer func() {
 			o.Add("lp.solves", 1)
 			o.Add("lp.pivots", int64(sol.Iters))
-			if s != nil {
-				o.Add("lp.pivots.dual", int64(dualItersPrev+s.dualIters))
-				o.Add("lp.pivots.flip", int64(flipsPrev+s.flips))
-				o.Add("lp.refactorizations", int64(refacPrev+s.refactors))
-			}
+			o.Add("lp.pivots.dual", int64(dualItersPrev+s.dualIters))
+			o.Add("lp.pivots.flip", int64(flipsPrev+s.flips))
+			o.Add("lp.refactorizations", int64(refacPrev+s.refactors))
 			if countWarm {
 				if warmHit {
 					o.Add("lp.warmstart.hits", 1)
@@ -506,7 +508,6 @@ func solveRevised(p *Problem, warm *Basis, countWarm bool, deadline time.Time, o
 	}
 
 	if warm != nil {
-		s = newRevised(f, deadline)
 		if s.importBasis(warm) == nil {
 			switch {
 			case s.primalFeasible():
@@ -536,9 +537,9 @@ func solveRevised(p *Problem, warm *Basis, countWarm bool, deadline time.Time, o
 		}
 		extraIters = s.iters
 		dualItersPrev, flipsPrev, refacPrev = s.dualIters, s.flips, s.refactors
+		s.reset(deadline)
 	}
 
-	s = newRevised(f, deadline)
 	s.initSlackBasis()
 	if !s.primalFeasible() {
 		st := s.primal(true)

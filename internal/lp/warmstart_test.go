@@ -199,13 +199,13 @@ func TestDeadlineCutAfterFlipNotDualFeasible(t *testing.T) {
 	_ = p.SetBounds(1, 0, 1)
 	_ = p.SetBounds(2, 2.5, 10)
 	_ = p.AddConstraint(Constraint{Terms: []Term{{0, 1}, {1, 1}, {2, 1}}, Rel: GE, RHS: 3})
-	f, err := newStdForm(p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, iters := range []int{0, 1} {
-		s := newRevised(f, time.Time{})
-		err := s.importBasis(&Basis{rows: 1, cols: 4, basic: []int32{2}, status: []int8{stUpper, stUpper, stBasic, stUpper}})
+		s, err := getRevised(p, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.release()
+		err = s.importBasis(&Basis{rows: 1, cols: 4, basic: []int32{2}, status: []int8{stUpper, stUpper, stBasic, stUpper}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,11 +314,11 @@ func TestDualTinyPivotOnFreshFactorization(t *testing.T) {
 	_ = p.AddConstraint(Constraint{Terms: []Term{{0, 0.5296712812748865}, {1, 0.5019038945142367}, {2, 0.5772538691487273}}, Rel: EQ, RHS: 1.8154051709333605})
 	_ = p.AddConstraint(Constraint{Terms: []Term{{0, 0.5028430411748626}, {1, 0.4764820931358264}, {2, 0.5480155359642015}}, Rel: EQ, RHS: 1.8780117586523999})
 
-	f, err := newStdForm(p)
+	s, err := getRevised(p, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newRevised(f, time.Time{})
+	defer s.release()
 	// x0 and x1 basic, x2 and both (fixed) slacks nonbasic: x2 is the only
 	// column dual simplex may bring in.
 	err = s.importBasis(&Basis{rows: 2, cols: 5, basic: []int32{0, 1}, status: []int8{stBasic, stBasic, stLower, stLower, stLower}})
@@ -353,7 +353,8 @@ func TestDualTinyPivotOnFreshFactorization(t *testing.T) {
 // builds it while the others wait. Each child must match a solve of the
 // same child on a problem that shares nothing. A clone that adds a
 // constraint gets a form of its own, leaving the original's answers
-// unchanged.
+// unchanged, and a constraint either side adds never shows in the
+// other's shared constraint list.
 func TestSharedFormConcurrentChildren(t *testing.T) {
 	build := func() *Problem {
 		rng := rand.New(rand.NewSource(3))
@@ -431,5 +432,59 @@ func TestSharedFormConcurrentChildren(t *testing.T) {
 	}
 	if cutSol.Objective <= before.Objective+1e-6 {
 		t.Fatalf("the clone's cut Σx ≤ 1 left its optimum at %g (original %g)", cutSol.Objective, before.Objective)
+	}
+
+	// A clone shares the original's constraint list, which has spare
+	// capacity. When both add a constraint, in either order, each must
+	// solve as a problem that was built with its own constraint alone.
+	sumAtMost := func(p *Problem, rhs float64) {
+		var terms []Term
+		for v := 0; v < p.NumVars(); v++ {
+			terms = append(terms, Term{Var: v, Coef: 1})
+		}
+		if err := p.AddConstraint(Constraint{Terms: terms, Rel: LE, RHS: rhs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alone := func(rhs float64) Solution {
+		p := build()
+		sumAtMost(p, rhs)
+		sol, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol
+	}
+	wantOrig, wantClone := alone(1), alone(2)
+	if wantOrig.Objective == wantClone.Objective {
+		t.Fatal("Σx ≤ 1 and Σx ≤ 2 give the same optimum; the check below could not tell them apart")
+	}
+	for _, cloneFirst := range []bool{false, true} {
+		orig := build()
+		if cap(orig.cons) == len(orig.cons) {
+			t.Fatal("the original's constraint list has no spare capacity")
+		}
+		cl := orig.Clone()
+		if cloneFirst {
+			sumAtMost(cl, 2)
+			sumAtMost(orig, 1)
+		} else {
+			sumAtMost(orig, 1)
+			sumAtMost(cl, 2)
+		}
+		for _, c := range []struct {
+			name string
+			p    *Problem
+			want Solution
+		}{{"original", orig, wantOrig}, {"clone", cl, wantClone}} {
+			got, err := Solve(c.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Objective != c.want.Objective || got.Iters != c.want.Iters {
+				t.Fatalf("clone first %t: the %s solves to %.17g in %d pivots, built alone %.17g in %d",
+					cloneFirst, c.name, got.Objective, got.Iters, c.want.Objective, c.want.Iters)
+			}
+		}
 	}
 }

@@ -46,6 +46,7 @@ func BenchmarkLPRung(b *testing.B) {
 			if solver.name == "dense" && testing.Short() {
 				b.Skip("dense reference takes seconds per solve")
 			}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if sol, err := solver.solve(m.lp); err != nil || sol.Status != lp.Optimal {
 					b.Fatalf("%s: %v (%v)", solver.name, sol.Status, err)
