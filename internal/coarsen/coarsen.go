@@ -211,7 +211,7 @@ func newState(g *graph.Graph) *state {
 	n := g.NumNodes()
 	s := &state{
 		alive: make([]bool, n),
-		node:  g.Nodes(),
+		node:  slices.Clone(g.Nodes()), // merges write to it
 		succ:  make([][]arc, n),
 		pred:  make([][]arc, n),
 		head:  make([]int, n),

@@ -205,11 +205,13 @@ func (g *Graph) SetColoc(id NodeID, group string) error {
 	return nil
 }
 
-// Nodes returns a copy of the node slice in ID order.
+// Nodes returns the nodes in ID order. The slice is a read-only view
+// of the graph's node list, with the same rules as Succ: callers must
+// not write through it, and must copy it before mutating the graph or
+// keeping it past a mutation. Its capacity is clipped, so appending to
+// it copies instead of touching the graph.
 func (g *Graph) Nodes() []Node {
-	out := make([]Node, len(g.nodes))
-	copy(out, g.nodes)
-	return out
+	return g.nodes[:len(g.nodes):len(g.nodes)]
 }
 
 // Succ returns the outgoing edges of id. The slice is a read-only view

@@ -56,8 +56,9 @@ func TestAddEdgeRejectsBadEdges(t *testing.T) {
 }
 
 // TestAdjacencyViewsAreClipped: Succ and Pred return views of the
-// graph's adjacency; appending to one must copy rather than write into
-// spare capacity the graph's next AddEdge would reuse.
+// graph's adjacency, and Nodes one of its node list; appending to one
+// must copy rather than write into spare capacity the graph's next
+// AddEdge or AddNode would reuse.
 func TestAdjacencyViewsAreClipped(t *testing.T) {
 	g := New(6)
 	for i := 0; i < 6; i++ {
@@ -93,6 +94,23 @@ func TestAdjacencyViewsAreClipped(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+
+	// New(8) leaves the node list two slots spare.
+	h := New(8)
+	for i := 0; i < 6; i++ {
+		h.AddNode(Node{Name: "n"})
+	}
+	nodes := append(h.Nodes(), Node{Name: "view"})
+	if len(h.Nodes()) != 6 {
+		t.Fatalf("appending to a Nodes view changed the graph: %v", h.Nodes())
+	}
+	h.AddNode(Node{Name: "graph"})
+	if nodes[6].Name != "view" {
+		t.Fatalf("a Nodes view shares spare capacity with the graph: nodes[6]=%v", nodes[6])
+	}
+	if got := h.Nodes(); len(got) != 7 || got[6].Name != "graph" {
+		t.Fatalf("Nodes() = %v after AddNode", got)
 	}
 }
 

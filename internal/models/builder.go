@@ -121,7 +121,8 @@ func scaleMemory(g *graph.Graph, target int64) {
 		return
 	}
 	f := float64(target) / float64(total)
-	for _, nd := range g.Nodes() {
-		_ = g.SetMemory(nd.ID, int64(math.Round(float64(nd.Memory)*f)))
+	for id := range graph.NodeID(g.NumNodes()) {
+		nd, _ := g.Node(id)
+		_ = g.SetMemory(id, int64(math.Round(float64(nd.Memory)*f)))
 	}
 }
