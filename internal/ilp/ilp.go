@@ -141,23 +141,13 @@ type node struct {
 	depth int
 	// basis is the parent relaxation's optimal basis, used to warm-start
 	// this node's LP with dual simplex (only bounds changed, so the
-	// parent basis stays dual feasible). Siblings share the same
+	// parent basis stays dual feasible). It is one status byte per
+	// column, so every open node keeps one. Siblings share the same
 	// immutable Basis; each solve copies what it needs, so the batch
-	// fan-out never mutates shared state. Nil (root, or memory guard)
-	// falls back to a cold solve.
+	// fan-out never mutates shared state. Nil (the root) is a cold
+	// solve.
 	basis *lp.Basis
 }
-
-// maxWarmFrontier bounds how many open nodes may carry a basis
-// snapshot. A Basis holds its basic set, a status per column and its
-// eta file in one idx and one val slab. A child that imports it reads
-// the slabs in place, and exports them again, shared, when its solve
-// makes no pivot and no rebuild; every other child exports a copy of
-// its own. So each open node can pin a whole eta file, and an
-// adversarial frontier could otherwise pin unbounded memory; beyond
-// the cap children solve cold, which affects speed but not the search
-// trajectory's correctness.
-const maxWarmFrontier = 512
 
 // Solve runs branch and bound and returns the best solution found. The
 // context cancels the search early (the best incumbent so far is still
@@ -359,17 +349,13 @@ func Solve(ctx context.Context, p Problem, opts Options) (Solution, error) {
 				}
 				continue
 			}
-			childBasis := rel.Basis
-			if len(open) >= maxWarmFrontier {
-				childBasis = nil
-			}
 			for _, val := range [2]float64{roundDir(rel.X[branchVar]), 1 - roundDir(rel.X[branchVar])} {
 				fixes := make(map[int]float64, len(nd.fixes)+1)
 				for k, v := range nd.fixes {
 					fixes[k] = v
 				}
 				fixes[branchVar] = val
-				open = append(open, node{fixes: fixes, bound: rel.Objective, depth: nd.depth + 1, basis: childBasis})
+				open = append(open, node{fixes: fixes, bound: rel.Objective, depth: nd.depth + 1, basis: rel.Basis})
 			}
 		}
 		if rec != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"pesto/internal/engine"
 	"pesto/internal/lp"
 	"pesto/internal/obs"
 )
@@ -86,5 +87,47 @@ func TestSolveNoRecorderUnchanged(t *testing.T) {
 	if plain.Objective != traced.Objective || plain.Nodes != traced.Nodes || plain.Status != traced.Status {
 		t.Errorf("telemetry perturbed search: plain={obj %g nodes %d %v} traced={obj %g nodes %d %v}",
 			plain.Objective, plain.Nodes, plain.Status, traced.Objective, traced.Nodes, traced.Status)
+	}
+}
+
+// TestWideFrontierStaysWarm runs a best-bound search whose frontier
+// grows past 512 open nodes and checks that every child still
+// warm-starts: the root is the only warm-start miss. The problem is
+// Jeroslow's 2·Σx = n over n binaries with n odd, which no 0-1 point
+// satisfies, so every relaxation that is feasible has a fractional
+// variable and is branched; an incumbent the hook supplies at the
+// first node, far above every bound, switches the search to best-bound
+// order and prunes nothing. Each solved node then either is infeasible
+// or was offered to the hook and branched into two children, so the
+// frontier the search leaves open is 1 + 2·offered − nodes. Batches run
+// on four workers, so siblings import their parent's basis
+// concurrently.
+func TestWideFrontierStaysWarm(t *testing.T) {
+	const n, maxNodes = 21, 1200
+	pr := binaryProblem(n)
+	terms := make([]lp.Term, n)
+	for i := range terms {
+		_ = pr.LP.SetObjective(i, 1+float64(i)/64)
+		terms[i] = lp.Term{Var: i, Coef: 2}
+	}
+	_ = pr.LP.AddConstraint(lp.Constraint{Terms: terms, Rel: lp.EQ, RHS: n})
+	offered := 0
+	hook := func(relaxed []float64) ([]float64, float64, bool) {
+		offered++
+		return relaxed, 1e9, offered == 1
+	}
+	rec := obs.NewRecorder()
+	sol, err := Solve(obs.Into(context.Background(), rec), pr, Options{MaxNodes: maxNodes, Incumbent: hook, Pool: engine.New(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Nodes < maxNodes {
+		t.Fatalf("search stopped after %d nodes, before its %d-node cap", sol.Nodes, maxNodes)
+	}
+	if open := 1 + 2*offered - sol.Nodes; open <= 512 {
+		t.Fatalf("frontier left %d open nodes; the test needs more than 512", open)
+	}
+	if misses, solves := rec.Counter("lp.warmstart.misses"), rec.Counter("lp.solves"); misses != 1 {
+		t.Fatalf("%d warm-start misses over %d LP solves; want 1, the cold root", misses, solves)
 	}
 }

@@ -11,19 +11,20 @@ import (
 	"pesto/internal/lp"
 )
 
-// TestExportedBasisSurvivesReuse: solver workspaces, eta storage
-// included, are pooled and reused by later solves, so a Solution must
-// own everything it returns. Digest a cold root solution and its warm
-// children, run 50 further cold and warm solves of other problems, and
-// the digests must not have moved.
+// TestExportedBasisSurvivesReuse: solver workspaces, the status vector
+// an exported Basis copies included, are pooled and reused by later
+// solves, so a Solution must own everything it returns. Digest a cold
+// root solution and its warm children, run 50 further cold and warm
+// solves of other problems, and the digests must not have moved.
 func TestExportedBasisSurvivesReuse(t *testing.T) {
 	// One P keeps every solve on the same pooled workspace.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// 25 other problems, each solved cold and then warm from its own
 	// basis with variable 0's box halved (a nil basis makes that solve
 	// cold). One pass runs before the kept solves too: it grows the
-	// pooled eta storage to the size later passes need, so they write
-	// over the memory the kept etas came from instead of a fresh array.
+	// pooled buffers to the size later passes need, so they write over
+	// the memory the kept statuses were copied from instead of a fresh
+	// array.
 	others := []*lp.Problem{exactModel(t, gen.Diamond, 12).LP, exactModel(t, gen.Layered, 8).LP}
 	for seed := int64(1); len(others) < 25; seed++ {
 		others = append(others, lp.RandomLP(rand.New(rand.NewSource(seed))))
@@ -83,10 +84,10 @@ func TestExportedBasisSurvivesReuse(t *testing.T) {
 }
 
 // maxWarmResolveAllocs bounds the allocations of one warm re-solve: the
-// Solution's X and its exported Basis (the struct, basic, status, eta
-// headers and one idx and one val slab), with room for a workspace the
-// garbage collector took from the pool. None of them is per pivot.
-const maxWarmResolveAllocs = 10
+// Solution's X and its exported Basis (the struct and its status
+// vector), with room for one more, a workspace the garbage collector
+// took from the pool. None of them is per pivot.
+const maxWarmResolveAllocs = 4
 
 // TestWarmResolveAllocs re-solves warm children of a generated exact
 // model, one of them hundreds of pivots long, and holds each to a fixed

@@ -85,8 +85,9 @@ func TestWarmStartAfterBoundTightening(t *testing.T) {
 }
 
 // TestWarmStartNilAndIncompatibleBases asserts the miss paths: a nil
-// basis and a basis from a structurally different problem must both
-// fall back to a correct cold solve, counted as misses.
+// basis, a basis from a structurally different problem, and status
+// vectors of the right shape that mark one column too few or too many
+// basic must all fall back to a correct cold solve, counted as misses.
 func TestWarmStartNilAndIncompatibleBases(t *testing.T) {
 	p := NewProblem(2)
 	_ = p.SetObjective(0, -1)
@@ -124,6 +125,31 @@ func TestWarmStartNilAndIncompatibleBases(t *testing.T) {
 	if obsv.get("lp.warmstart.misses") != 1 || obsv.get("lp.warmstart.hits") != 0 {
 		t.Fatalf("incompatible basis: hits=%d misses=%d, want 0/1",
 			obsv.get("lp.warmstart.hits"), obsv.get("lp.warmstart.misses"))
+	}
+
+	// p has one row and three columns (x0, x1, the slack).
+	cold, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		status []int8
+	}{
+		{"m-1 basic", []int8{stLower, stLower, stLower}},
+		{"m+1 basic", []int8{stBasic, stLower, stBasic}},
+	} {
+		name := tc.name
+		obsv = newCountObs()
+		sol, err = SolveWarmDeadlineObs(p, &Basis{rows: 1, status: tc.status}, time.Time{}, obsv)
+		if err != nil || sol.Status != cold.Status || sol.Objective != cold.Objective || sol.Iters != cold.Iters {
+			t.Fatalf("%s: status=%v obj=%g iters=%d err=%v, want Solve's %v obj=%g iters=%d",
+				name, sol.Status, sol.Objective, sol.Iters, err, cold.Status, cold.Objective, cold.Iters)
+		}
+		if obsv.get("lp.warmstart.misses") != 1 || obsv.get("lp.warmstart.hits") != 0 {
+			t.Fatalf("%s: hits=%d misses=%d, want 0/1", name,
+				obsv.get("lp.warmstart.hits"), obsv.get("lp.warmstart.misses"))
+		}
 	}
 }
 
@@ -200,7 +226,7 @@ func TestDualPivotsInsteadOfCostlyFlip(t *testing.T) {
 	_ = p.SetBounds(1, 0, 1)
 	_ = p.SetBounds(2, 2.5, 10)
 	_ = p.AddConstraint(Constraint{Terms: []Term{{0, 1}, {1, 1}, {2, 1}}, Rel: GE, RHS: 3})
-	warm := &Basis{rows: 1, cols: 4, basic: []int32{2}, status: []int8{stUpper, stUpper, stBasic, stUpper}}
+	warm := &Basis{rows: 1, status: []int8{stUpper, stUpper, stBasic, stUpper}}
 	for _, iters := range []int{0, 1} {
 		s, err := getRevised(p, time.Time{})
 		if err != nil {
@@ -316,7 +342,7 @@ func TestDualFlipCycleBroken(t *testing.T) {
 	_ = p.AddConstraint(Constraint{Terms: []Term{{u, 1}, {q, -1}, {a, -1}}, Rel: EQ, RHS: 0})
 	_ = p.AddConstraint(Constraint{Terms: []Term{{v, 1}, {q, 1}, {b, -1}}, Rel: EQ, RHS: 1})
 	// u and v basic (B = I), everything else at its lower bound.
-	warm := &Basis{rows: 2, cols: 7, basic: []int32{u, v}, status: []int8{stBasic, stBasic, stLower, stLower, stLower, stLower, stLower}}
+	warm := &Basis{rows: 2, status: []int8{stBasic, stBasic, stLower, stLower, stLower, stLower, stLower}}
 
 	obsv := newCountObs()
 	sol, err := SolveWarmDeadlineObs(p, warm, time.Time{}, obsv)
@@ -394,15 +420,11 @@ func TestDualTinyPivotOnFreshFactorization(t *testing.T) {
 	}
 	defer s.release()
 	// x0 and x1 basic, x2 and both (fixed) slacks nonbasic: x2 is the only
-	// column dual simplex may bring in.
-	err = s.importBasis(&Basis{rows: 2, cols: 5, basic: []int32{0, 1}, status: []int8{stBasic, stBasic, stLower, stLower, stLower}})
+	// column dual simplex may bring in. The import is the set-up rebuild.
+	err = s.importBasis(&Basis{rows: 2, status: []int8{stBasic, stBasic, stLower, stLower, stLower}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.refactorize(); err != nil {
-		t.Fatal(err)
-	}
-	s.computeXB()
 	if s.primalFeasible() || !s.dualFeasible() {
 		t.Fatal("set-up basis must be dual but not primal feasible")
 	}
