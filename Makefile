@@ -21,7 +21,7 @@ check:
 	sh scripts/check.sh
 
 # Every behaviour pin at its full listing, without the race detector:
-# the six files scripts/pin.sh regenerates plus TestScorePinned and
+# the seven files scripts/pin.sh regenerates plus TestScorePinned and
 # TestFingerprintPinned. Under `make check` the race detector replays
 # only TestPlansPinned's subset.
 pins:

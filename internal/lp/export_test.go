@@ -29,3 +29,29 @@ func DigestSolution(w io.Writer, sol Solution) {
 		fmt.Fprintf(w, "basis %d\nstatus %v\n", b.rows, b.status)
 	}
 }
+
+// DigestForm writes what a solve of p reads to w: each variable's
+// objective coefficient and bounds, then each row of the standard form
+// shape.build makes — its slack bounds, b and its equilibrated
+// coefficients in ascending column order — all as IEEE-754 bits. It
+// digests the standard form, not p's constraint list, so rows whose
+// terms are listed in another order digest the same.
+func DigestForm(w io.Writer, p *Problem) error {
+	var f shape
+	if err := f.build(p); err != nil {
+		return err
+	}
+	for j := 0; j < p.numVars; j++ {
+		fmt.Fprintf(w, "var %d %016x %016x %016x\n", j,
+			math.Float64bits(p.obj[j]), math.Float64bits(p.lower[j]), math.Float64bits(p.upper[j]))
+	}
+	for i, r := range f.rows {
+		fmt.Fprintf(w, "row %d slack %016x %016x b %016x", i,
+			math.Float64bits(f.slackLo[i]), math.Float64bits(f.slackHi[i]), math.Float64bits(f.b[i]))
+		for k, j := range r.idx {
+			fmt.Fprintf(w, " %d:%016x", j, math.Float64bits(r.val[k]))
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}

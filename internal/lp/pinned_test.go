@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"pesto/internal/gen"
+	"pesto/internal/graph"
 	"pesto/internal/ilp"
 	"pesto/internal/lp"
 	"pesto/internal/obs"
@@ -40,15 +41,21 @@ var pinnedFile = filepath.Join("testdata", "solve_pinned.txt")
 // ilp.Solve runs, whose node relaxations, results and LP counters pin
 // their dives.
 func TestSolvePinned(t *testing.T) {
-	got := pinnedListing(t)
+	checkPinned(t, pinnedFile, pinnedListing(t), "LP solutions")
+}
+
+// checkPinned compares a computed listing with its pin file, or, under
+// PESTO_PIN_UPDATE, writes it there: scripts/pin.sh regenerates the pins
+// on an export of a base commit.
+func checkPinned(t *testing.T, file string, got []byte, what string) {
+	t.Helper()
 	if os.Getenv("PESTO_PIN_UPDATE") != "" {
-		// scripts/pin.sh regenerates the file on an export of a base commit.
-		if err := os.WriteFile(pinnedFile, got, 0o644); err != nil {
+		if err := os.WriteFile(file, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(pinnedFile)
+	want, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatalf("%v\ncomputed listing:\n%s", err, got)
 	}
@@ -60,8 +67,73 @@ func TestSolvePinned(t *testing.T) {
 				break
 			}
 		}
-		t.Fatalf("LP solutions changed (%d vs %d lines); computed listing:\n%s", len(gl), len(wl), got)
+		t.Fatalf("%s changed (%d vs %d lines); computed listing:\n%s", what, len(gl), len(wl), got)
 	}
+}
+
+// TestModelPinned digests the exact placement model as a solve reads it
+// (lp.DigestForm: objective, bounds and standard form, plus the Binary
+// list) for every gen family × seeds 1–3 × 8, 12 and 24 GPU ops with
+// three CPU ops — gen's default single CPU op leaves no CPU pair — on
+// three systems: homogeneous, GPU 1 1.5× as fast as GPU 0, and GPUs
+// holding 60 % of the GPU ops' footprint each, which emits the memory
+// balance rows. Each graph is built under four option variants. Every
+// row family of buildModel appears in the corpus, so a change to any of
+// them, to a big-M, a pair cap or the memory slack, moves a line.
+func TestModelPinned(t *testing.T) {
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "# placement.ExactModel digests: case vars rows sha256[:16]\n")
+	variants := []struct {
+		name string
+		opts placement.Options
+	}{
+		{"default", placement.Options{}},
+		{"per-op", placement.Options{PerOpModel: true}},
+		{"no-congestion", placement.Options{DisableCongestion: true}},
+		{"no-memory", placement.Options{DisableMemory: true}},
+	}
+	for _, fam := range gen.Families() {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, n := range []int{8, 12, 24} {
+				g, err := gen.Generate(gen.Config{Family: fam, Seed: seed, Nodes: n, CPUOps: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var gpuMem int64
+				for _, nd := range g.Nodes() {
+					if nd.Kind == graph.KindGPU {
+						gpuMem += nd.Memory
+					}
+				}
+				hetero := sim.NewSystem(2, 0)
+				hetero.Devices[hetero.GPUs()[1]].Speed = 1.5
+				systems := []struct {
+					name string
+					sys  sim.System
+				}{
+					{"homo", sim.NewSystem(2, 0)},
+					{"hetero", hetero},
+					{"tight", sim.NewSystem(2, gpuMem*6/10)},
+				}
+				for _, sy := range systems {
+					for _, v := range variants {
+						prob, err := placement.ExactModel(g, sy.sys, v.opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						h := sha256.New()
+						if err := lp.DigestForm(h, prob.LP); err != nil {
+							t.Fatal(err)
+						}
+						fmt.Fprintf(h, "binary %v\n", prob.Binary)
+						fmt.Fprintf(&buf, "%v/s%d/n%d/%s/%s %d %d %s\n", fam, seed, n, sy.name, v.name,
+							prob.LP.NumVars(), prob.LP.NumConstraints(), hex.EncodeToString(h.Sum(nil)[:16]))
+					}
+				}
+			}
+		}
+	}
+	checkPinned(t, filepath.Join("testdata", "model_pinned.txt"), buf.Bytes(), "exact models")
 }
 
 func pinnedListing(t *testing.T) []byte {

@@ -145,6 +145,80 @@ func TestModelCongestionSerializesTransfers(t *testing.T) {
 	}
 }
 
+// TestModelCPUNonOverlapHolds: two independent CPU ops share the single
+// CPU, so the ILP schedule runs them one after the other.
+func TestModelCPUNonOverlapHolds(t *testing.T) {
+	g := graph.New(2)
+	a := g.AddNode(graph.Node{Name: "a", Kind: graph.KindCPU, Cost: 100 * time.Microsecond})
+	b := g.AddNode(graph.Node{Name: "b", Kind: graph.KindCPU, Cost: 100 * time.Microsecond})
+	m, sol := solveExact(t, g, Options{})
+	sa, sb := sol.X[m.sOp[a]], sol.X[m.sOp[b]]
+	p := float64(100*time.Microsecond) / float64(m.horizon)
+	if sep := math.Abs(sa - sb); sep < p-1e-4 {
+		t.Errorf("CPU ops overlap: S_a=%g S_b=%g p=%g", sa, sb, p)
+	}
+	if sol.Objective < 2*p-1e-4 {
+		t.Errorf("C_max %g below serial bound %g", sol.Objective, 2*p)
+	}
+}
+
+// TestModelHostLinkCongestion: two CPU→GPU transfers share the host link
+// of the GPU they feed. Into one GPU they serialize; into different GPUs
+// they overlap, and C_max is the parallel bound: the CPU op, one
+// transfer, one GPU op.
+func TestModelHostLinkCongestion(t *testing.T) {
+	const bytes = 8 << 20
+	build := func(t *testing.T, sameGPU bool) (*model, ilp.Solution) {
+		g := graph.New(3)
+		c := g.AddNode(graph.Node{Name: "c", Kind: graph.KindCPU, Cost: time.Microsecond})
+		g1 := g.AddNode(gpuNode("g1", time.Microsecond))
+		g2 := g.AddNode(gpuNode("g2", time.Microsecond))
+		mustEdge(t, g, c, g1, bytes)
+		mustEdge(t, g, c, g2, bytes)
+		if sameGPU {
+			_ = g.SetColoc(g1, "grp")
+			_ = g.SetColoc(g2, "grp")
+		} else {
+			// Two 9 GiB ops cannot share a 16 GiB GPU.
+			_ = g.SetMemory(g1, 9<<30)
+			_ = g.SetMemory(g2, 9<<30)
+		}
+		return solveExact(t, g, Options{})
+	}
+	transfers := func(t *testing.T, m *model, sol ilp.Solution) (s [2]float64, dur float64) {
+		k := 0
+		for ci, cv := range m.comms {
+			if cv.kind == commCG {
+				s[k] = sol.X[m.sComm[ci]]
+				dur = float64(cv.cost) / float64(m.horizon)
+				k++
+			}
+		}
+		if k != 2 {
+			t.Fatalf("%d CPU→GPU transfers, want 2", k)
+		}
+		return s, dur
+	}
+	t.Run("same GPU", func(t *testing.T) {
+		m, sol := build(t, true)
+		s, dur := transfers(t, m, sol)
+		if sep := math.Abs(s[0] - s[1]); sep < dur-1e-4 {
+			t.Errorf("transfers into one GPU overlap: S=%v dur=%g", s, dur)
+		}
+	})
+	t.Run("different GPUs", func(t *testing.T) {
+		m, sol := build(t, false)
+		if dev := m.assignmentFromX(sol.X); dev[1] == dev[2] {
+			t.Fatalf("memory did not split the GPU ops: %v", dev)
+		}
+		_, dur := transfers(t, m, sol)
+		op := float64(time.Microsecond) / float64(m.horizon)
+		if want := 2*op + dur; math.Abs(sol.Objective-want) > 1e-6 {
+			t.Errorf("C_max %g, want the parallel bound %g", sol.Objective, want)
+		}
+	})
+}
+
 // TestModelPredictionMatchesSimulation: for a tiny graph with all
 // constraint pairs materialized, the ILP's C_max must match the
 // simulator's makespan for the extracted plan (the §3.2.2 1-1

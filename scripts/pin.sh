@@ -12,13 +12,14 @@
 #   internal/placement/testdata/plans_pinned.txt   (TestPlansPinned)
 #   internal/sim/testdata/run_pinned.txt           (TestRunResultPinned)
 #   internal/lp/testdata/solve_pinned.txt          (TestSolvePinned)
+#   internal/lp/testdata/model_pinned.txt          (TestModelPinned)
 #   internal/profile/testdata/comm_pinned.txt      (TestCommPinned)
 #   internal/trace/testdata/gantt_pinned.txt       (TestGanttPinned)
 #   internal/coarsen/testdata/coarsen_pinned.txt   (TestCoarsenPinned)
 #
 # `git diff` then shows every line BASE disagrees with. The copied pin
-# tests must compile against BASE. On exit, for any reason, the temp dir
-# is removed.
+# tests, and the test helpers listed beside them, must compile against
+# BASE. On exit, for any reason, the temp dir is removed.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -32,10 +33,11 @@ trap 'exit 130' INT TERM HUP
 
 export GOTOOLCHAIN=local GOPROXY=off
 
-# package  test  pin-test file  pin file
+# package  test  pin-test files (comma-separated)  pin file
 PINS="internal/placement TestPlansPinned plans_pinned_test.go testdata/plans_pinned.txt
 internal/sim TestRunResultPinned pinned_test.go testdata/run_pinned.txt
-internal/lp TestSolvePinned pinned_test.go testdata/solve_pinned.txt
+internal/lp TestSolvePinned pinned_test.go,export_test.go testdata/solve_pinned.txt
+internal/lp TestModelPinned pinned_test.go,export_test.go testdata/model_pinned.txt
 internal/profile TestCommPinned pinned_test.go testdata/comm_pinned.txt
 internal/trace TestGanttPinned gantt_pinned_test.go testdata/gantt_pinned.txt
 internal/coarsen TestCoarsenPinned pinned_test.go testdata/coarsen_pinned.txt"
@@ -45,7 +47,9 @@ echo "pin: exporting $BASE ($base_rev)" >&2
 git archive "$BASE" | tar -x -C "$WORK"
 
 while read -r pkg test src pin; do
-    cp "$pkg/$src" "$WORK/$pkg/$src"
+    for f in ${src//,/ }; do
+        cp "$pkg/$f" "$WORK/$pkg/$f"
+    done
     mkdir -p "$(dirname "$WORK/$pkg/$pin")" "$(dirname "$pkg/$pin")"
     echo "pin: $test at $base_rev" >&2
     (cd "$WORK" && PESTO_PIN_UPDATE=1 go test -count=1 -timeout 10m -run "^$test\$" "./$pkg") >&2
