@@ -57,19 +57,28 @@ type search struct {
 // span and sets up a session searching sys from start. opts must already
 // carry its defaults. The caller releases the deadline with cancel.
 func newSearch(ctx context.Context, g *graph.Graph, sys sim.System, opts Options, start time.Time) (*search, error) {
-	_, span := obs.Start(ctx, "placement.coarsen", obs.Int("target", int64(opts.CoarsenTarget)))
-	cres, err := coarsen.Coarsen(g, coarsen.Options{Target: opts.CoarsenTarget})
+	cres, err := coarsenTo(ctx, g, opts.CoarsenTarget)
 	if err != nil {
-		span.End(obs.String("outcome", "error"))
-		return nil, fmt.Errorf("pesto coarsen: %w", err)
+		return nil, err
 	}
-	span.End(obs.Int("coarse-nodes", int64(cres.Coarse.NumNodes())))
 	simSys := simSystem(sys, opts)
 	s := &search{g: g, sys: sys, opts: opts, start: start, pool: engine.New(opts.Parallel), rec: obs.From(ctx),
 		simSys: simSys, sc: sim.NewScorer(g, simSys), prio: bottomLevels(g)}
 	s.sctx, s.cancel = context.WithDeadline(ctx, start.Add(opts.ILPTimeLimit))
 	s.h = s.level(cres, nil)
 	return s, nil
+}
+
+// coarsenTo coarsens g to target under a placement.coarsen span.
+func coarsenTo(ctx context.Context, g *graph.Graph, target int) (*coarsen.Result, error) {
+	_, span := obs.Start(ctx, "placement.coarsen", obs.Int("target", int64(target)))
+	cres, err := coarsen.Coarsen(g, coarsen.Options{Target: target})
+	if err != nil {
+		span.End(obs.String("outcome", "error"))
+		return nil, fmt.Errorf("pesto coarsen: %w", err)
+	}
+	span.End(obs.Int("coarse-nodes", int64(cres.Coarse.NumNodes())))
+	return cres, nil
 }
 
 // level builds a heuristic over one coarsening of the session's graph.
