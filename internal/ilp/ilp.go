@@ -121,7 +121,9 @@ type Solution struct {
 	Objective float64
 	// Bound is the best proven lower bound on the optimum.
 	Bound float64
-	// Gap is (Objective-Bound)/max(|Objective|,1), zero when optimal.
+	// Gap is (Objective-Bound)/max(|Objective|,1), zero when optimal:
+	// relative to the objective when |Objective| ≥ 1, the absolute
+	// difference Objective-Bound below that.
 	Gap float64
 	// Nodes is the number of explored branch-and-bound nodes.
 	Nodes int
@@ -173,10 +175,6 @@ func Solve(ctx context.Context, p Problem, opts Options) (Solution, error) {
 	if rec != nil {
 		lpObs = rec
 	}
-	newIncumbent := func(source string, objective float64) {
-		rec.Add("ilp.incumbents", 1)
-		rec.Point("ilp.incumbent", obs.String("source", source), obs.F64("objective", objective))
-	}
 
 	isBinary := make(map[int]bool, len(p.Binary))
 	for _, v := range p.Binary {
@@ -188,6 +186,27 @@ func Solve(ctx context.Context, p Problem, opts Options) (Solution, error) {
 	}
 
 	best := Solution{Status: NoSolutionStatus, Objective: math.Inf(1), Bound: math.Inf(-1)}
+	// adopt makes a feasible point the incumbent when it improves on it,
+	// recording where it came from.
+	adopt := func(source string, x []float64, objective float64) {
+		if objective >= best.Objective {
+			return
+		}
+		best.X = append([]float64(nil), x...)
+		best.Objective = objective
+		best.Status = FeasibleStatus
+		rec.Add("ilp.incumbents", 1)
+		rec.Point("ilp.incumbent", obs.String("source", source), obs.F64("objective", objective))
+	}
+	// offer hands a relaxation to the caller's rounding heuristic.
+	offer := func(source string, relaxed []float64) {
+		if opts.Incumbent == nil {
+			return
+		}
+		if hx, hobj, ok := opts.Incumbent(relaxed); ok {
+			adopt(source, hx, hobj)
+		}
+	}
 	lpStalled := false
 	// stalledBound is the weakest dual-feasible bound among dropped
 	// (deadline-truncated) subtrees; it caps the final proven Bound.
@@ -278,13 +297,8 @@ func Solve(ctx context.Context, p Problem, opts Options) (Solution, error) {
 								stalledBound = rel.Objective
 							}
 						}
-						if opts.Incumbent != nil && len(rel.X) > 0 {
-							if hx, hobj, ok := opts.Incumbent(rel.X); ok && hobj < best.Objective {
-								best.X = append([]float64(nil), hx...)
-								best.Objective = hobj
-								best.Status = FeasibleStatus
-								newIncumbent("stalled-relaxation", hobj)
-							}
+						if len(rel.X) > 0 {
+							offer("stalled-relaxation", rel.X)
 						}
 						continue
 					}
@@ -308,25 +322,14 @@ func Solve(ctx context.Context, p Problem, opts Options) (Solution, error) {
 			if best.Status != NoSolutionStatus && rel.Objective >= best.Objective-gapTolerance*math.Max(math.Abs(best.Objective), 1) {
 				continue
 			}
-			// Offer the relaxation to the caller's heuristic.
-			if opts.Incumbent != nil {
-				if hx, hobj, ok := opts.Incumbent(rel.X); ok && hobj < best.Objective {
-					best.X = append([]float64(nil), hx...)
-					best.Objective = hobj
-					best.Status = FeasibleStatus
-					newIncumbent("heuristic", hobj)
-				}
-			}
+			offer("heuristic", rel.X)
 			// Rounding dive: a built-in primal heuristic that fixes
 			// near-integral binaries in bulk and re-solves until an
 			// integral point falls out. Run at the root and
 			// periodically, and always while no incumbent exists.
 			if best.Nodes == 1 || best.Status == NoSolutionStatus || best.Nodes%16 == 0 {
-				if dx, dobj, ok := dive(p, nd.fixes, rel.X, rel.Basis, deadline, lpObs); ok && dobj < best.Objective {
-					best.X = dx
-					best.Objective = dobj
-					best.Status = FeasibleStatus
-					newIncumbent("dive", dobj)
+				if dx, dobj, ok := dive(p, nd.fixes, rel.X, rel.Basis, deadline, lpObs); ok {
+					adopt("dive", dx, dobj)
 				}
 			}
 			// Find most fractional binary.
@@ -340,13 +343,7 @@ func Solve(ctx context.Context, p Problem, opts Options) (Solution, error) {
 				}
 			}
 			if branchVar < 0 {
-				// Integral: candidate incumbent.
-				if rel.Objective < best.Objective {
-					best.X = append([]float64(nil), rel.X...)
-					best.Objective = rel.Objective
-					best.Status = FeasibleStatus
-					newIncumbent("integral-leaf", rel.Objective)
-				}
+				adopt("integral-leaf", rel.X, rel.Objective)
 				continue
 			}
 			for _, val := range [2]float64{roundDir(rel.X[branchVar]), 1 - roundDir(rel.X[branchVar])} {
