@@ -130,13 +130,14 @@ func pivotCap(p *Problem) int {
 
 // FuzzRevisedSimplex derives small LPs from fuzz bytes and checks the
 // revised solver terminates within its pivot cap and agrees with the
-// dense reference on feasibility and objective.
+// dense reference on feasibility and objective. Seeds 11, 55 and 61 are
+// optimal and seed 29 infeasible LPs whose slack basis is dual feasible
+// and primal infeasible, so every run holds the cold solve's dual
+// simplex start to the reference.
 func FuzzRevisedSimplex(f *testing.F) {
-	f.Add(int64(1))
-	f.Add(int64(7))
-	f.Add(int64(42))
-	f.Add(int64(-3))
-	f.Add(int64(1 << 40))
+	for _, seed := range []int64{1, 7, 42, -3, 1 << 40, 11, 29, 55, 61} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomLP(rng)

@@ -261,8 +261,8 @@ type revised struct {
 	dFactor     int
 	deadlineHit bool
 	// flipped lists the columns dual() has bound-flipped since the basis
-	// last changed (etaUpdate and refactorize clear it); a repeat is a
-	// flip cycle.
+	// last changed (etaUpdate and refactorize clear it); a repeat is
+	// pivoted in instead of flipped again.
 	flipped []int32
 	flips   int // dual iterations that were bound flips
 	// Scratch of refactorize.

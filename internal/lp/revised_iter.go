@@ -239,17 +239,15 @@ func (s *revised) primal(phase1 bool) Status {
 // Infeasible when a violated row admits no entering column, and
 // IterLimit on deadline or stall.
 //
-// Row choice is the most violated row until the objective has not risen
-// for stallBland iterations, or until a column is bound-flipped twice in
-// one basis: a boxed column eligible in two violated rows is flipped back
-// and forth between them with the basis unchanged, a cycle. Either way
-// the first violated row is taken instead (Bland's rule), until the
-// objective next rises.
+// Row choice is the most violated row, and near-ties in the ratio test go
+// to the larger |α|, until the objective has not risen for stallBland
+// iterations. From then until it rises, both choices follow Bland's rule:
+// the violated basic variable and the near-tied entering column of lowest
+// column index.
 func (s *revised) dual() Status {
 	f := s.f
 	lastObj := math.Inf(-1)
 	stall := 0
-	cycling := false
 	// s.d is fresh for the factorization counted by s.dFactor: it is
 	// computed from a BTRAN again after every rebuild and updated from
 	// the pivot row in between. The reduced costs dualFeasible() left
@@ -265,16 +263,15 @@ func (s *revised) dual() Status {
 		if obj > lastObj+1e-12 {
 			lastObj = obj
 			stall = 0
-			cycling = false
 		} else {
 			stall++
 			if stall > stallAbort {
 				return IterLimit
 			}
 		}
-		bland := cycling || stall >= stallBland
-		// Leaving row: most violated basic variable (Bland: first
-		// violated row, a fixed scan order).
+		bland := stall >= stallBland
+		// Leaving row: most violated basic variable (Bland: lowest
+		// column index).
 		r := -1
 		viol := 0.0
 		below := false
@@ -289,11 +286,8 @@ func (s *revised) dual() Status {
 			} else {
 				continue
 			}
-			if r < 0 || (!bland && v > viol) {
+			if r < 0 || (!bland && v > viol) || (bland && bi < s.basis[r]) {
 				viol, r, below = v, i, bel
-			}
-			if bland {
-				break
 			}
 		}
 		if r < 0 {
@@ -304,7 +298,8 @@ func (s *revised) dual() Status {
 		}
 		// Entering column: dual ratio test over row r of B^{-1}A. The
 		// min ratio keeps every reduced cost on its feasible side; ties
-		// prefer the larger |alpha| for stability.
+		// prefer the larger |alpha| for stability (Bland: the lowest
+		// column index, the first scanned).
 		if s.dFactor != s.refactors {
 			s.reducedCosts()
 		}
@@ -341,7 +336,7 @@ func (s *revised) dual() Status {
 				ratio = 0
 			}
 			if q < 0 || ratio < ratioBest-eps ||
-				(ratio < ratioBest+eps && math.Abs(alpha) > math.Abs(alphaQ)) {
+				(!bland && ratio < ratioBest+eps && math.Abs(alpha) > math.Abs(alphaQ)) {
 				q, alphaQ, ratioBest = j, alpha, ratio
 			}
 		}
@@ -381,9 +376,12 @@ func (s *revised) dual() Status {
 		// new bound, and the dual objective could then fall and cycle,
 		// so such a column is pivoted in: it becomes basic beyond its
 		// bound, a violated row for a later iteration, and the objective
-		// rises by θ·violation.
+		// rises by θ·violation. A column flipped once already since the
+		// basis last changed is pivoted in too: eligible in two violated
+		// rows, it would be flipped back and forth between them, a cycle.
 		span := f.hi[q] - f.lo[q]
-		if s.status[q] != stFree && !math.IsInf(span, 1) && math.Abs(deltaQ) > span+eps && math.Abs(s.d[q]) <= feasTol {
+		if s.status[q] != stFree && !math.IsInf(span, 1) && math.Abs(deltaQ) > span+eps && math.Abs(s.d[q]) <= feasTol &&
+			!slices.Contains(s.flipped, int32(q)) {
 			step := span
 			if deltaQ < 0 {
 				step = -span
@@ -397,11 +395,7 @@ func (s *revised) dual() Status {
 			} else {
 				s.status[q] = stLower
 			}
-			if slices.Contains(s.flipped, int32(q)) {
-				cycling = true
-			} else {
-				s.flipped = append(s.flipped, int32(q))
-			}
+			s.flipped = append(s.flipped, int32(q))
 			s.iters++
 			s.dualIters++
 			s.flips++
@@ -451,14 +445,17 @@ func (s *revised) cutDual() Solution {
 	}
 }
 
-// solveRevised is the driver behind Solve and the two Obs entry points. With
-// a warm basis it tries, in order: pure primal phase 2 (basis still
-// primal feasible), dual simplex (basis dual feasible after a bound
-// change — the B&B child case), and otherwise falls back to a cold
-// two-phase solve. countWarm controls whether warm-start hit/miss
-// counters are emitted (true only for SolveWarmDeadlineObs). One pooled
-// workspace serves the whole solve, a cold restart included, and goes
-// back to the pool on every return.
+// solveRevised is the driver behind Solve and the two Obs entry points. It
+// runs one ladder from either start, the imported warm basis or the slack
+// basis: phase 2 if the basis is primal feasible; else, if it is dual
+// feasible (a B&B child after a bound change, or a slack basis whose costs
+// all sit at their favourable bound), the dual simplex and then phase 2. A
+// warm basis that fits neither, or whose dual stalls, is dropped for the
+// slack basis and the ladder runs again from there; from the slack basis
+// the last resort is composite phase 1. countWarm controls whether
+// warm-start hit/miss counters are emitted (true only for
+// SolveWarmDeadlineObs). One pooled workspace serves the whole solve, a
+// cold restart included, and goes back to the pool on every return.
 func solveRevised(p *Problem, warm *Basis, countWarm bool, deadline time.Time, o Observer) (sol Solution, err error) {
 	s, ferr := getRevised(p, deadline)
 	if ferr != nil {
@@ -485,6 +482,14 @@ func solveRevised(p *Problem, warm *Basis, countWarm bool, deadline time.Time, o
 				}
 			}
 		}()
+	}
+	// restart drops the current basis for the slack basis, keeping the
+	// counts of the work done so far.
+	restart := func() {
+		extraIters += s.iters
+		dualItersPrev, flipsPrev, refacPrev = dualItersPrev+s.dualIters, flipsPrev+s.flips, refacPrev+s.refactors
+		s.reset(deadline)
+		s.initSlackBasis()
 	}
 
 	finishPhase2 := func() (Solution, error) {
@@ -513,49 +518,42 @@ func solveRevised(p *Problem, warm *Basis, countWarm bool, deadline time.Time, o
 		}
 	}
 
-	if warm != nil {
-		if s.importBasis(warm) == nil {
-			switch {
-			case s.primalFeasible():
-				warmHit = true
+	for cold := warm == nil || s.importBasis(warm) != nil; ; cold = true {
+		if cold {
+			restart()
+		}
+		warmHit = !cold
+		switch {
+		case s.primalFeasible():
+			return finishPhase2()
+		case s.dualFeasible():
+			switch st := s.dual(); {
+			case st == Optimal:
 				return finishPhase2()
-			case s.dualFeasible():
-				st := s.dual()
-				switch st {
-				case Optimal:
-					warmHit = true
-					return finishPhase2()
-				case Infeasible:
-					warmHit = true
-					sol = Solution{Status: Infeasible, Iters: s.iters}
-					return sol, fmt.Errorf("infeasible: %w", ErrNoSolution)
-				case IterLimit:
-					if s.deadlineHit {
-						warmHit = true
-						sol = s.cutDual()
-						return sol, fmt.Errorf("dual simplex: %v: %w", st, ErrNoSolution)
-					}
-					// Numerical stall: abandon the warm state, go cold.
-				}
-			}
-			// Neither primal nor dual feasible (or dual stalled): the
-			// import bought nothing — cold restart, counted as a miss.
-		}
-		extraIters = s.iters
-		dualItersPrev, flipsPrev, refacPrev = s.dualIters, s.flips, s.refactors
-		s.reset(deadline)
-	}
-
-	s.initSlackBasis()
-	if !s.primalFeasible() {
-		st := s.primal(true)
-		if st != Optimal {
-			sol = Solution{Status: st, Iters: extraIters + s.iters}
-			if st == Infeasible {
+			case st == Infeasible:
+				sol = Solution{Status: Infeasible, Iters: extraIters + s.iters}
 				return sol, fmt.Errorf("infeasible: %w", ErrNoSolution)
+			case s.deadlineHit:
+				sol = s.cutDual()
+				sol.Iters += extraIters
+				return sol, fmt.Errorf("dual simplex: %v: %w", st, ErrNoSolution)
 			}
-			return sol, fmt.Errorf("phase 1: %v: %w", st, ErrNoSolution)
+			// Numerical stall: the basis the dual left is dropped, for
+			// the slack basis of the next pass or of phase 1.
+			if cold {
+				restart()
+			}
 		}
+		if cold {
+			break
+		}
+	}
+	if st := s.primal(true); st != Optimal {
+		sol = Solution{Status: st, Iters: extraIters + s.iters}
+		if st == Infeasible {
+			return sol, fmt.Errorf("infeasible: %w", ErrNoSolution)
+		}
+		return sol, fmt.Errorf("phase 1: %v: %w", st, ErrNoSolution)
 	}
 	return finishPhase2()
 }

@@ -325,10 +325,12 @@ func TestWarmImportIgnoresFixedColumns(t *testing.T) {
 // TestDualFlipCycleBroken is the smallest flip cycle: rows u − q − a = 0
 // and v + q − b = 1 with u, v ≥ 5 basic and violated, and q ∈ [0, 1] at
 // zero cost, eligible in both rows at ratio 0. The most violated row
-// flips q up, which makes the other row the most violated, which flips
-// it back. The second flip of q in one basis must hand row choice to
-// Bland's rule at once, so the warm re-solve ends in a handful of
-// pivots at the cold optimum a + b = 9.
+// flips q up, which makes the other row the most violated, where q is
+// the entering column again. Flipped once since the basis last changed,
+// q must be pivoted in rather than flipped back: after two iterations the
+// dual has made exactly one flip and q is basic, it makes no other flip,
+// and the warm re-solve ends in a handful of pivots at the cold optimum
+// a + b = 9.
 func TestDualFlipCycleBroken(t *testing.T) {
 	const u, v, q, a, b = 0, 1, 2, 3, 4
 	p := NewProblem(5)
@@ -344,6 +346,24 @@ func TestDualFlipCycleBroken(t *testing.T) {
 	// u and v basic (B = I), everything else at its lower bound.
 	warm := &Basis{rows: 2, status: []int8{stBasic, stBasic, stLower, stLower, stLower, stLower, stLower}}
 
+	s, err := getRevised(p, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.release()
+	if err := s.importBasis(warm); err != nil || s.primalFeasible() || !s.dualFeasible() {
+		t.Fatalf("set-up: import %v, primal feasible %t; want a dual-feasible, primal-infeasible start", err, s.primalFeasible())
+	}
+	s.maxIters = 2
+	if st := s.dual(); st != IterLimit || s.dualIters != 2 || s.flips != 1 || s.status[q] != stBasic {
+		t.Fatalf("first two dual iterations: %v after %d, %d flips, q status %d; want a flip of q, then q pivoted in",
+			st, s.dualIters, s.flips, s.status[q])
+	}
+	s.maxIters = 100
+	if st := s.dual(); st != Optimal || s.flips != 1 {
+		t.Fatalf("dual: %v after %d iterations, %d flips; want optimal after one flip", st, s.dualIters, s.flips)
+	}
+
 	obsv := newCountObs()
 	sol, err := SolveWarmDeadlineObs(p, warm, time.Time{}, obsv)
 	cold, cerr := Solve(p)
@@ -352,9 +372,45 @@ func TestDualFlipCycleBroken(t *testing.T) {
 			sol.Status, err, sol.Objective, cold.Status, cerr, cold.Objective)
 	}
 	flips, dual := obsv.get("lp.pivots.flip"), obsv.get("lp.pivots.dual")
-	if obsv.get("lp.warmstart.hits") != 1 || sol.Iters > 10 || flips < 2 || flips > dual {
-		t.Fatalf("warm re-solve: hit %d, %d pivots, %d dual, %d flips; want a hit in ≤ 10 pivots, ≥ 2 of them flips",
+	if obsv.get("lp.warmstart.hits") != 1 || sol.Iters > 10 || flips != 1 || dual <= flips {
+		t.Fatalf("warm re-solve: hit %d, %d pivots, %d dual, %d flips; want a hit in ≤ 10 pivots, exactly one of them a flip",
 			obsv.get("lp.warmstart.hits"), sol.Iters, dual, flips)
+	}
+}
+
+// TestColdSolveStartsInDual holds the cold start's ladder. min x + 2y
+// over x + y ≥ 3 and x ≤ 2 is primal infeasible at the slack basis (the
+// first row's slack is out of bounds) but dual feasible (both costs are
+// non-negative at lower bounds), so every pivot of the cold solve must
+// be a dual one. Flipping x's cost to −1 makes the slack basis dual
+// infeasible too, and that solve must take composite phase 1: no dual
+// pivot. Both answers must equal the dense reference.
+func TestColdSolveStartsInDual(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		costX float64
+		dual  bool
+	}{
+		{"dual feasible", 1, true},
+		{"negative cost at lower", -1, false},
+	} {
+		p := NewProblem(2)
+		_ = p.SetObjective(0, tc.costX)
+		_ = p.SetObjective(1, 2)
+		_ = p.SetBounds(0, 0, 10)
+		_ = p.SetBounds(1, 0, 10)
+		_ = p.AddConstraint(Constraint{Terms: []Term{{0, 1}, {1, 1}}, Rel: GE, RHS: 3})
+		_ = p.AddConstraint(Constraint{Terms: []Term{{0, 1}}, Rel: LE, RHS: 2})
+		obsv := newCountObs()
+		sol, err := SolveDeadlineObs(p, time.Time{}, obsv)
+		dense, derr := SolveDense(p)
+		if err != nil || derr != nil || math.Abs(sol.Objective-dense.Objective) > 1e-9 {
+			t.Fatalf("%s: revised %v/%v obj %g, dense %v/%v obj %g", tc.name, sol.Status, err, sol.Objective, dense.Status, derr, dense.Objective)
+		}
+		pivots, dual := obsv.get("lp.pivots"), obsv.get("lp.pivots.dual")
+		if pivots == 0 || (tc.dual && dual != pivots) || (!tc.dual && dual != 0) {
+			t.Fatalf("%s: %d pivots, %d of them dual; want all dual: %t", tc.name, pivots, dual, tc.dual)
+		}
 	}
 }
 
