@@ -8,10 +8,11 @@
 // default engine is a bounded-variable revised simplex with sparse
 // column storage and a product-form (eta-file) basis — Dantzig pricing
 // with a Bland's-rule anti-cycling fallback, periodic refactorization,
-// and warm starts from an exported Basis with a dual-simplex repair
-// loop (revised.go / revised_iter.go). The original dense two-phase
-// full-tableau solver is retained in tableau.go as the reference
-// implementation behind SolveDense and the differential tests.
+// warm starts from an exported Basis, and a dual simplex that every
+// dual-feasible start runs first (revised.go / revised_iter.go). The
+// original dense two-phase full-tableau solver is retained in tableau.go
+// as the reference implementation behind SolveDense and the
+// differential tests.
 package lp
 
 import (

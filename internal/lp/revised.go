@@ -13,10 +13,11 @@ import (
 // sparse column storage and a product-form (eta-file) basis: B^{-1} is
 // never materialized, it is represented as a sequence of sparse eta
 // transformations applied by FTRAN/BTRAN. Pricing is Dantzig with a
-// Bland fallback, and a dual-simplex loop (revised_iter.go) re-solves
-// warm-started problems after bound changes — the branch-and-bound
-// child case. Periodic refactorization rebuilds the eta file from the
-// basis columns to contain both drift and eta-file growth.
+// Bland fallback, and a dual-simplex loop (revised_iter.go) runs first
+// from any dual-feasible start: a branch-and-bound child's warm basis
+// after a bound change, or a cold slack basis. Periodic refactorization
+// rebuilds the eta file from the basis columns to contain both drift and
+// eta-file growth.
 //
 // The dense full-tableau solver in tableau.go is kept as the reference
 // implementation; differential tests assert the two agree.

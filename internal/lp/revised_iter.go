@@ -8,8 +8,8 @@ import (
 )
 
 // Iteration loops of the revised simplex: composite-phase-1 and phase-2
-// primal, the dual simplex used for warm-started re-solves, and the
-// top-level driver.
+// primal, the dual simplex tried first from any dual-feasible start,
+// and the top-level driver.
 
 const (
 	stallBland = 2000 // degenerate iterations before Bland's rule kicks in
