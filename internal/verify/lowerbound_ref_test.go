@@ -140,9 +140,10 @@ func twinSystems() []twinSystem {
 
 // checkLowerBoundTwin fails t unless LowerBound and refLowerBound
 // return the same value and the same error class on (g, sys). The LP is
-// feasible on every DAG, so when the revised simplex gives up on it
-// (its phase 1 hits the iteration limit on ops of about 1e8 ns) the
-// dense tableau solves the same LP instead.
+// feasible on every DAG, so when the revised simplex gives up on it the
+// dense tableau solves the same LP instead. No graph of the twin tests
+// needs that today, but RNNLM-16-1024's reference LP still does: its
+// dual stalls, and phase 1 then calls it infeasible.
 func checkLowerBoundTwin(t *testing.T, name string, g *graph.Graph, sys sim.System) {
 	t.Helper()
 	got, gotErr := LowerBound(g, sys)
