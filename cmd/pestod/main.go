@@ -83,7 +83,7 @@ func run(args []string) error {
 		addr     = fs.String("addr", ":8080", "listen address")
 		solvers  = fs.Int("solvers", 2, "max concurrent solves")
 		queue    = fs.Int("queue", 8, "max requests waiting for a solver slot (-1 = none)")
-		cache    = fs.Int("cache", 256, "plan cache entries")
+		cache    = fs.Int("cache", 256, "plan cache entries (also the bound of the request decode memo)")
 		budget   = fs.Duration("budget", 10*time.Second, "default solve budget")
 		maxBud   = fs.Duration("max-budget", 60*time.Second, "maximum solve budget a request may ask for")
 		parallel = fs.Int("parallel", 0, "per-solve worker count (0 = GOMAXPROCS)")

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -68,6 +67,9 @@ const (
 	// 32 MiB place bodies a replica accepts. Each entry is then held to
 	// the replicas' own body and graph-size limits.
 	batchMaxBytes = 128 << 20
+	// fingerprintMemo bounds the memo from a place body's SHA-256 to
+	// its graph fingerprint: about 150 bytes an entry, so ~150 KB.
+	fingerprintMemo = 1024
 )
 
 // replicaBreaker is every replica's breaker: one failing at least half of
@@ -139,6 +141,7 @@ type Router struct {
 	lat     *obs.Ring[time.Duration] // answered attempts' latencies, for hedgeDelay
 	pool    *engine.Pool
 	traces  *obs.Store[*liveTrace]
+	fps     *obs.Store[[32]byte] // place bodies' fingerprints by body SHA-256
 }
 
 // New builds a Router over the backends. Backend IDs must be non-empty
@@ -166,6 +169,7 @@ func New(cfg Config, backends ...Backend) (*Router, error) {
 		mux:     http.NewServeMux(),
 		pool:    engine.New(2 * len(backends)),
 		traces:  obs.NewStore[*liveTrace](traceHistory),
+		fps:     obs.NewStore[[32]byte](fingerprintMemo),
 		repByID: make(map[string]*replica, len(backends)),
 	}
 	for _, b := range backends {
@@ -621,11 +625,7 @@ func (rt *Router) Stats() (retries, hedges, failovers, warmsyncKeys int64) {
 // the fleet, and relay the replica's answer verbatim (byte-identity
 // with a single replica is the contract).
 func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, endpoint, path string) {
-	// The decoder holds the body to the replicas' own size limits; the
-	// tee keeps the bytes it read for forwarding.
-	var raw bytes.Buffer
-	req, err := service.DecodePlaceRequest(io.TeeReader(r.Body, &raw), 0, 0)
-	body := raw.Bytes()
+	fp, body, err := rt.fingerprint(r)
 	if err != nil {
 		code, outcome := http.StatusBadRequest, "bad_request"
 		if errors.Is(err, service.ErrTooLarge) {
@@ -639,13 +639,37 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, endpoint, 
 	// is echoed so the caller can fetch the stitched trace afterwards.
 	tc := clientTraceContext(r)
 	w.Header().Set(obs.TraceHeader, tc.TraceID)
-	resp, _, err := rt.DoTraced(r.Context(), http.MethodPost, path, body, req.Graph.Fingerprint(), tc)
+	resp, _, err := rt.DoTraced(r.Context(), http.MethodPost, path, body, fp, tc)
 	if err != nil {
 		rt.writeError(w, endpoint, http.StatusServiceUnavailable, "unavailable", err)
 		return
 	}
 	relay(w, resp)
 	rt.met.request(endpoint, outcomeFor(resp.Status))
+}
+
+// fingerprint reads a place body, held to the replicas' own limits,
+// and returns its graph fingerprint with the bytes to forward. Bodies
+// that decoded are memoised by the SHA-256 of their exact bytes, so a
+// repeated body is hashed, not decoded; a rejected one is decoded and
+// rejected again every time it is sent.
+func (rt *Router) fingerprint(r *http.Request) (fp [32]byte, body []byte, err error) {
+	body, err = service.ReadBody(r.Body, r.ContentLength, 0)
+	if err != nil {
+		return fp, nil, err
+	}
+	digest := sha256.Sum256(body)
+	key := string(digest[:])
+	if fp, ok := rt.fps.Get(key); ok {
+		return fp, body, nil
+	}
+	req, err := service.DecodePlaceBody(body, 0)
+	if err != nil {
+		return fp, nil, err
+	}
+	fp = req.Graph.Fingerprint()
+	rt.fps.Put(key, fp)
+	return fp, body, nil
 }
 
 // clientTraceContext parses the request's X-Pesto-Trace, minting a

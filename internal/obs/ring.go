@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"slices"
 	"sync"
 	"time"
 )
@@ -55,15 +54,59 @@ func (r *Ring[T]) Total() uint64 {
 // Quantile returns the nearest-rank pct-th percentile (1 ≤ pct ≤ 100)
 // of the window's latencies — the value of rank ⌈pct·n/100⌉ in sorted
 // order, 0 when empty — together with the window's size n. Windows of
-// up to 512 values are sorted on the stack.
+// up to 512 values are copied to the stack, and the rank is selected
+// there without sorting the whole window.
 func Quantile(window *Ring[time.Duration], pct int) (q time.Duration, n int) {
 	var stack [512]time.Duration
-	sorted := window.Snapshot(stack[:0])
-	if n = len(sorted); n == 0 {
+	vals := window.Snapshot(stack[:0])
+	if n = len(vals); n == 0 {
 		return 0, 0
 	}
-	slices.Sort(sorted)
-	return sorted[(pct*n+99)/100-1], n
+	return nth(vals, (pct*n+99)/100-1), n
+}
+
+// nth returns the k-th smallest value of xs (k from 0), reordering xs:
+// quickselect with a median-of-three pivot and a three-way partition,
+// so runs of equal values end the search instead of slowing it, and
+// insertion sort once a range is short.
+func nth(xs []time.Duration, k int) time.Duration {
+	lo, hi := 0, len(xs)
+	for hi-lo > 12 {
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
+		if a > b {
+			a, b = b, a
+		}
+		p := min(max(a, c), b) // the median of a ≤ b and c
+		// xs[lo:lt] < p, xs[lt:i] == p, xs[gt:hi] > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := xs[i]; {
+			case v < p:
+				xs[lt], xs[i] = v, xs[lt]
+				lt++
+				i++
+			case v > p:
+				gt--
+				xs[gt], xs[i] = v, xs[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return p
+		}
+	}
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
+	return xs[k]
 }
 
 // Store is a bounded map from string keys to values with FIFO

@@ -61,10 +61,33 @@ func checkQuantiles(t *testing.T, label string, r *Ring[time.Duration]) {
 	}
 }
 
+// TestQuantileMatchesSortOracle holds Quantile's selection to sorting:
+// at every window size from 1 to 512 and every pct from 1 to 100 it
+// returns the value at rank ⌈pct·n/100⌉ of the sorted window. The
+// windows cycle through values drawn from a wide range, from 3 values
+// and from one, so ties of every length are exercised.
+func TestQuantileMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for n := 1; n <= 512; n++ {
+		spread := []int64{int64(time.Second), 3, 1}[n%3]
+		r := NewRing[time.Duration](n)
+		for i := 0; i < n; i++ {
+			r.Add(time.Duration(rng.Int63n(spread)))
+		}
+		sorted := sortedCopy(r.Snapshot(nil))
+		for pct := 1; pct <= 100; pct++ {
+			q, got := Quantile(r, pct)
+			if want := sorted[(pct*n+99)/100-1]; q != want || got != n {
+				t.Fatalf("n %d pct %d: Quantile = %v over %d, sorted window gives %v", n, pct, q, got, want)
+			}
+		}
+	}
+}
+
 // TestQuantile holds the shared nearest-rank quantile to the flight
 // recorder's latP99 and the router's former p95 on the windows their
-// own tests used, at every window size up to 600, and to sorting the
-// window sizes in use (256 and 512) without allocating.
+// own tests used, at every window size up to 600, and to answering on
+// the window sizes in use (256 and 512) without allocating.
 func TestQuantile(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	sample := func() time.Duration { return time.Duration(rng.Int63n(int64(time.Second))) }

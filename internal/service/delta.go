@@ -117,7 +117,7 @@ func deltaCacheKey(baseFP, editsFP [32]byte, o RequestOptions) [32]byte {
 // most limit bytes, under the same no-panic contract as
 // DecodePlaceRequest.
 func DecodeDeltaRequest(r io.Reader, limit int64) (*DeltaRequest, error) {
-	data, err := readBody(r, limit)
+	data, err := ReadBody(r, -1, limit)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -141,7 +140,10 @@ func FuzzDecodePlaceRequest(f *testing.F) {
 }
 
 // FuzzPlaceHandler drives the full HTTP surface: malformed bodies must
-// come back 400/413, never 500, and never crash the server.
+// come back 400/413, never 500, and never crash the server. Every input
+// is sent twice through the one server, and the second send must get
+// the first one's status and body: the decode memo (and the plan cache)
+// may make an answer cheaper, never different.
 func FuzzPlaceHandler(f *testing.F) {
 	f.Add(`{"graph": [`)
 	f.Add(`{"graph": {"nodes": [{"id": 0, "kind": "gpu", "costNanos": 5}], "edges": []}, "options": {"budgetMs": 1}}`)
@@ -149,9 +151,7 @@ func FuzzPlaceHandler(f *testing.F) {
 
 	s := New(Config{MaxBodyBytes: 1 << 16, MaxGraphNodes: 64, DefaultBudget: 10 * time.Millisecond})
 	f.Fuzz(func(t *testing.T, body string) {
-		req := httptest.NewRequest(http.MethodPost, "/v1/place", strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, req)
+		rec := serve(s, "/v1/place", []byte(body))
 		switch rec.Code {
 		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
 			http.StatusUnprocessableEntity, http.StatusTooManyRequests, http.StatusServiceUnavailable:
@@ -165,6 +165,10 @@ func FuzzPlaceHandler(f *testing.F) {
 			}
 		} else if !bytes.Contains(rec.Body.Bytes(), []byte(`"verified":true`)) {
 			t.Fatalf("200 response without verified plan: %s", rec.Body.String())
+		}
+		again := serve(s, "/v1/place", []byte(body))
+		if again.Code != rec.Code || !bytes.Equal(again.Body.Bytes(), rec.Body.Bytes()) {
+			t.Fatalf("body %q answered %d %s, then %d %s", body, rec.Code, rec.Body.Bytes(), again.Code, again.Body.Bytes())
 		}
 	})
 }
