@@ -2,9 +2,12 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
+	"fmt"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -25,7 +28,7 @@ func TestRouterMemoSameReplica(t *testing.T) {
 			t.Fatalf("seed %d: status %d: %s", seed, first.Code, first.Body.Bytes())
 		}
 		digest := sha256.Sum256(body)
-		if got, ok := rt.fps.Get(string(digest[:])); !ok || got != fp {
+		if got, ok := rt.fps.Peek(digest); !ok || got != fp {
 			t.Fatalf("seed %d: memo holds %x (%v), want the graph fingerprint %x", seed, got, ok, fp)
 		}
 		repeat := postJSON(t, rt, "/v1/place", body)
@@ -48,9 +51,21 @@ func TestRouterMemoSameReplica(t *testing.T) {
 }
 
 // TestRouterMemoRejectsEveryTime sends bodies the router rejects twice:
-// both sends get the same status and bytes, and neither is memoised.
+// both sends get the same status and bytes, no replica sees either, and
+// neither is memoised. Options a replica would refuse are among them.
 func TestRouterMemoRejectsEveryTime(t *testing.T) {
-	rt, _ := newServiceFleet(t, 2, Config{DisableHedge: true})
+	var forwarded atomic.Int64
+	backends := make([]Backend, 2)
+	for i := range backends {
+		backends[i] = &fakeBackend{id: fmt.Sprintf("r%d", i), fn: func(context.Context, string, string, []byte) (*Response, error) {
+			forwarded.Add(1)
+			return ok200("{}"), nil
+		}}
+	}
+	rt, err := New(Config{DisableHedge: true}, backends...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
 		body []byte
@@ -58,6 +73,7 @@ func TestRouterMemoRejectsEveryTime(t *testing.T) {
 	}{
 		{"malformed", []byte(`{"graph": [`), http.StatusBadRequest},
 		{"empty graph", []byte(`{"graph":{"nodes":[]}}`), http.StatusBadRequest},
+		{"options", []byte(`{"graph":{"nodes":[{"id":0}]},"options":{"gpus":1}}`), http.StatusBadRequest},
 		{"over the body limit", []byte(`{"graph":` + strings.Repeat(" ", 32<<20) + `}`), http.StatusRequestEntityTooLarge},
 	} {
 		first := postJSON(t, rt, "/v1/place", c.body)
@@ -68,9 +84,15 @@ func TestRouterMemoRejectsEveryTime(t *testing.T) {
 		if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
 			t.Fatalf("%s: rejections differ:\n%s\n%s", c.name, first.Body.Bytes(), second.Body.Bytes())
 		}
+		if n := forwarded.Load(); n != 0 {
+			t.Fatalf("%s: %d requests reached a replica", c.name, n)
+		}
 		digest := sha256.Sum256(c.body)
-		if _, ok := rt.fps.Get(string(digest[:])); ok {
+		if _, ok := rt.fps.Peek(digest); ok {
 			t.Fatalf("%s: rejected body memoised", c.name)
 		}
+	}
+	if n := rt.fps.Len(); n != 0 {
+		t.Fatalf("memo holds %d entries after rejections only", n)
 	}
 }

@@ -140,8 +140,8 @@ type Router struct {
 	met     *fleetMetrics
 	lat     *obs.Ring[time.Duration] // answered attempts' latencies, for hedgeDelay
 	pool    *engine.Pool
-	traces  *obs.Store[*liveTrace]
-	fps     *obs.Store[[32]byte] // place bodies' fingerprints by body SHA-256
+	traces  *obs.LRU[string, *liveTrace]
+	fps     *obs.LRU[[32]byte, [32]byte] // place bodies' fingerprints by body SHA-256
 }
 
 // New builds a Router over the backends. Backend IDs must be non-empty
@@ -168,8 +168,8 @@ func New(cfg Config, backends ...Backend) (*Router, error) {
 		lat:     obs.NewRing[time.Duration](hedgeWindow),
 		mux:     http.NewServeMux(),
 		pool:    engine.New(2 * len(backends)),
-		traces:  obs.NewStore[*liveTrace](traceHistory),
-		fps:     obs.NewStore[[32]byte](fingerprintMemo),
+		traces:  obs.NewLRU[string, *liveTrace](traceHistory),
+		fps:     obs.NewLRU[[32]byte, [32]byte](fingerprintMemo),
 		repByID: make(map[string]*replica, len(backends)),
 	}
 	for _, b := range backends {
@@ -627,11 +627,7 @@ func (rt *Router) Stats() (retries, hedges, failovers, warmsyncKeys int64) {
 func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, endpoint, path string) {
 	fp, body, err := rt.fingerprint(r)
 	if err != nil {
-		code, outcome := http.StatusBadRequest, "bad_request"
-		if errors.Is(err, service.ErrTooLarge) {
-			code, outcome = http.StatusRequestEntityTooLarge, "too_large"
-		}
-		rt.writeError(w, endpoint, code, outcome, err)
+		rt.writeBodyError(w, endpoint, err)
 		return
 	}
 	// Adopt the client's trace context when it sent a valid one (a
@@ -648,27 +644,29 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, endpoint, 
 	rt.met.request(endpoint, outcomeFor(resp.Status))
 }
 
-// fingerprint reads a place body, held to the replicas' own limits,
-// and returns its graph fingerprint with the bytes to forward. Bodies
-// that decoded are memoised by the SHA-256 of their exact bytes, so a
-// repeated body is hashed, not decoded; a rejected one is decoded and
-// rejected again every time it is sent.
+// fingerprint reads a place body, held to the replicas' own limits and
+// option checks, and returns its graph fingerprint with the bytes to
+// forward. Accepted bodies are memoised by the SHA-256 of their exact
+// bytes, so a repeated body is hashed, not decoded; a rejected one is
+// decoded and rejected again every time it is sent, without a hop.
 func (rt *Router) fingerprint(r *http.Request) (fp [32]byte, body []byte, err error) {
 	body, err = service.ReadBody(r.Body, r.ContentLength, 0)
 	if err != nil {
 		return fp, nil, err
 	}
 	digest := sha256.Sum256(body)
-	key := string(digest[:])
-	if fp, ok := rt.fps.Get(key); ok {
+	if fp, ok := rt.fps.Get(digest); ok {
 		return fp, body, nil
 	}
 	req, err := service.DecodePlaceBody(body, 0)
 	if err != nil {
 		return fp, nil, err
 	}
+	if err := req.Options.Validate(); err != nil {
+		return fp, nil, err
+	}
 	fp = req.Graph.Fingerprint()
-	rt.fps.Put(key, fp)
+	rt.fps.Put(digest, fp)
 	return fp, body, nil
 }
 
@@ -715,9 +713,9 @@ type batchKey struct {
 // entries fan out across the ring concurrently, and results come back
 // in submission order.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, batchMaxBytes)
+	body, err := service.ReadBody(r.Body, r.ContentLength, batchMaxBytes)
 	if err != nil {
-		rt.writeError(w, "batch", http.StatusRequestEntityTooLarge, "too_large", err)
+		rt.writeBodyError(w, "batch", err)
 		return
 	}
 	var breq BatchRequest
@@ -889,18 +887,14 @@ func (rt *Router) writeError(w http.ResponseWriter, endpoint string, code int, o
 	rt.met.request(endpoint, outcome)
 }
 
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	body, err := readAllLimited(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		return nil, fmt.Errorf("read body: %v: %w", err, service.ErrTooLarge)
+// writeBodyError answers a request whose body was refused: 413 when
+// it is over a limit, 400 when it could not be read or is invalid.
+func (rt *Router) writeBodyError(w http.ResponseWriter, endpoint string, err error) {
+	code, outcome := http.StatusBadRequest, "bad_request"
+	if errors.Is(err, service.ErrTooLarge) {
+		code, outcome = http.StatusRequestEntityTooLarge, "too_large"
 	}
-	return body, nil
-}
-
-func readAllLimited(r interface{ Read([]byte) (int, error) }) ([]byte, error) {
-	var buf bytes.Buffer
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
+	rt.writeError(w, endpoint, code, outcome, err)
 }
 
 // relay copies a replica response to the client, preserving the body

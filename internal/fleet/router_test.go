@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"pesto/internal/fault"
@@ -357,6 +359,17 @@ func TestRouterLastResortIgnoresGates(t *testing.T) {
 	}
 	if resp.Status != http.StatusOK {
 		t.Fatalf("status %d", resp.Status)
+	}
+}
+
+// TestBatchBrokenBody: a batch body that fails to read is a 400; only
+// a body over the limit is a 413.
+func TestBatchBrokenBody(t *testing.T) {
+	rt, _ := newServiceFleet(t, 1, Config{DisableHedge: true})
+	w := httptest.NewRecorder()
+	rt.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/place/batch", iotest.ErrReader(errors.New("connection reset"))))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", w.Code, w.Body.Bytes())
 	}
 }
 

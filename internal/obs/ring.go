@@ -108,42 +108,3 @@ func nth(xs []time.Duration, k int) time.Duration {
 	}
 	return xs[k]
 }
-
-// Store is a bounded map from string keys to values with FIFO
-// eviction: admitting a new key beyond the limit evicts the oldest,
-// while a repeated key overwrites its value in place without taking a
-// slot. It retains the span dumps of recent requests and the router's
-// recent traces. Safe for concurrent use.
-type Store[V any] struct {
-	mu    sync.Mutex
-	byKey map[string]V
-	order []string
-	limit int
-}
-
-// NewStore builds a store holding at most limit keys.
-func NewStore[V any](limit int) *Store[V] {
-	return &Store[V]{byKey: make(map[string]V), limit: limit}
-}
-
-// Put stores v under key.
-func (s *Store[V]) Put(key string, v V) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.byKey[key]; !ok {
-		for len(s.order) >= s.limit {
-			delete(s.byKey, s.order[0])
-			s.order = s.order[1:]
-		}
-		s.order = append(s.order, key)
-	}
-	s.byKey[key] = v
-}
-
-// Get reads the value stored under key.
-func (s *Store[V]) Get(key string) (V, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.byKey[key]
-	return v, ok
-}

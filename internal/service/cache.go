@@ -1,137 +1,125 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"sync"
 	"sync/atomic"
+
+	"pesto/internal/obs"
 )
 
-// cacheEntry is one content-addressed plan. An entry is inserted
-// before its fill completes so concurrent requests for the same key
-// coalesce onto one solve (singleflight): the fill runs on its own
-// goroutine and every requester — including the one that triggered it
-// — just waits on ready. The fill's context stays alive while at
-// least one requester is still interested; when the last waiter
-// abandons (client disconnect, deadline), the fill is cancelled so an
-// orphaned solve cannot hold a solver slot.
-type cacheEntry struct {
-	key  [32]byte
-	fp   [32]byte // graph fingerprint: the fleet ring's shard coordinate
-	elem *list.Element
+// fill is one in-flight solve of a missing key. Concurrent requests
+// for the key coalesce onto it (singleflight): the fill runs on its
+// own goroutine and every requester — including the one that
+// triggered it — just waits on ready. The fill's context stays alive
+// while at least one requester is still interested; when the last
+// waiter abandons (client disconnect, deadline), the fill is cancelled
+// so an orphaned solve cannot hold a solver slot.
+type fill struct {
 	// ready is closed once body/err are final.
 	ready chan struct{}
-	// done is written under the cache mutex strictly before ready is
-	// closed; the evictor reads it under the same mutex, so it never
-	// needs to poll the channel.
-	done bool
-	body []byte
-	err  error
-	// interest counts requesters currently waiting on ready. When it
-	// drops to zero before done, cancelFill aborts the solve: nobody is
+	body  []byte
+	err   error
+	// interest counts requesters waiting on ready. When a waiter that
+	// leaves early drops it to zero, cancel aborts the solve: nobody is
 	// left to consume the answer. Guarded by the cache mutex.
-	interest   int
-	cancelFill context.CancelFunc
+	interest int
+	cancel   context.CancelFunc
 }
 
-// planCache is the content-addressed plan store: a bounded LRU map
-// from cache key (graph fingerprint + normalized options) to the
-// serialized response body, with singleflight fill. Hits return the
-// stored bytes verbatim, which is what makes repeated identical
-// requests byte-identical.
+// cachedPlan is one completed entry: the serialized response body and
+// the graph fingerprint, the fleet ring's shard coordinate.
+type cachedPlan struct {
+	fp   [32]byte
+	body []byte
+}
+
+// planCache is the content-addressed plan store: a bounded LRU from
+// cache key (graph fingerprint + normalized options) to the serialized
+// response body, with singleflight fill. Hits return the stored bytes
+// verbatim, which is what makes repeated identical requests
+// byte-identical. Only completed bodies take a slot of the bound;
+// in-flight fills live beside the LRU until they finish.
 type planCache struct {
+	plans *obs.LRU[[32]byte, cachedPlan]
+	// mu guards filling and orders a fill's hand-over to plans against
+	// getOrFill and install, which check both: neither ever sees a key
+	// in both or, mid-hand-over, in neither.
 	mu      sync.Mutex
-	cap     int
-	entries map[[32]byte]*cacheEntry
-	lru     *list.List // front = most recently used; values are *cacheEntry
+	filling map[[32]byte]*fill
 
 	// fills counts fill functions started — the singleflight
 	// observable: after any mix of concurrent requests with no
 	// evictions, fills == distinct keys.
 	fills atomic.Int64
-	// evictions counts entries dropped by the LRU bound.
-	evictions atomic.Int64
-	// imports counts entries installed by bulk import (fleet warm-sync).
-	imports atomic.Int64
 }
 
 func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		capacity = 256
-	}
 	return &planCache{
-		cap:     capacity,
-		entries: make(map[[32]byte]*cacheEntry, capacity),
-		lru:     list.New(),
+		plans:   obs.NewLRU[[32]byte, cachedPlan](capacity),
+		filling: make(map[[32]byte]*fill),
 	}
 }
 
-// getOrFill returns the body stored under key, running fill to produce
+// getOrFill returns the body stored under key, running fn to produce
 // it on first request. Exactly one fill runs per live key regardless
-// of concurrency; it executes on a dedicated goroutine under fillCtx,
+// of concurrency; it executes on a dedicated goroutine under a context
 // which is cancelled only when every waiter has abandoned the key —
 // so a singleflight leader hanging up never strands its followers
 // (the solve keeps running for them), while a solve nobody wants
 // anymore is cancelled and its solver slot freed.
-// A failed fill is not cached — the entry is removed so a later
-// request retries — but every follower already waiting shares the
-// fill's error rather than stampeding the solver.
+// A failed fill is not cached, so a later request retries, but every
+// follower already waiting shares the fill's error rather than
+// stampeding the solver.
 //
 // hit reports whether the body came from the cache: false only for the
-// requester that triggered fill.
-func (c *planCache) getOrFill(ctx context.Context, key, fp [32]byte, fill func(ctx context.Context) ([]byte, error)) (body []byte, hit bool, err error) {
+// requester that triggered the fill.
+func (c *planCache) getOrFill(ctx context.Context, key, fp [32]byte, fn func(ctx context.Context) ([]byte, error)) (body []byte, hit bool, err error) {
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(e.elem)
-		if e.done {
-			c.mu.Unlock()
-			return e.body, true, e.err
-		}
-		e.interest++
+	if p, ok := c.plans.Get(key); ok {
 		c.mu.Unlock()
-		return c.wait(ctx, e, true)
+		return p.body, true, nil
+	}
+	if f, ok := c.filling[key]; ok {
+		f.interest++
+		c.mu.Unlock()
+		return c.wait(ctx, f, true)
 	}
 	fillCtx, cancel := context.WithCancel(context.Background())
-	e := &cacheEntry{key: key, fp: fp, ready: make(chan struct{}), interest: 1, cancelFill: cancel}
-	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
-	c.evictLocked()
+	f := &fill{ready: make(chan struct{}), interest: 1, cancel: cancel}
+	c.filling[key] = f
 	c.mu.Unlock()
 
 	c.fills.Add(1)
 	go func() {
 		defer cancel()
-		body, err := fill(fillCtx)
+		body, err := fn(fillCtx)
 		c.mu.Lock()
-		e.body, e.err = body, err
-		e.done = true
-		if err != nil {
-			c.removeLocked(e)
+		f.body, f.err = body, err
+		delete(c.filling, key)
+		if err == nil {
+			c.plans.Put(key, cachedPlan{fp: fp, body: body})
 		}
 		c.mu.Unlock()
-		close(e.ready)
+		close(f.ready)
 	}()
-	return c.wait(ctx, e, false)
+	return c.wait(ctx, f, false)
 }
 
-// wait blocks until the entry's fill completes or ctx ends. Leaving
-// early decrements the entry's interest count under the cache mutex;
-// the waiter that drops it to zero cancels the fill (still under the
+// wait blocks until the fill completes or ctx ends. Leaving early
+// decrements the fill's interest count under the cache mutex; the
+// waiter that drops it to zero cancels the fill (still under the
 // mutex, so a new requester arriving concurrently either raises the
-// count first — and keeps the fill alive — or finds the entry already
-// failed and retries).
-func (c *planCache) wait(ctx context.Context, e *cacheEntry, hit bool) ([]byte, bool, error) {
+// count first — and keeps the fill alive — or joins a cancelled fill
+// and shares its error).
+func (c *planCache) wait(ctx context.Context, f *fill, hit bool) ([]byte, bool, error) {
 	select {
-	case <-e.ready:
-		c.mu.Lock()
-		e.interest--
-		c.mu.Unlock()
-		return e.body, hit, e.err
+	case <-f.ready:
+		return f.body, hit, f.err
 	case <-ctx.Done():
 		c.mu.Lock()
-		e.interest--
-		if e.interest == 0 && !e.done {
-			e.cancelFill()
+		if f.interest--; f.interest == 0 {
+			f.cancel()
 		}
 		c.mu.Unlock()
 		return nil, false, ctx.Err()
@@ -143,81 +131,36 @@ func (c *planCache) wait(ctx context.Context, e *cacheEntry, hit bool) ([]byte, 
 // in-flight fill and never starts one — the delta near-hit check uses
 // it to reuse an existing cold solve without blocking.
 func (c *planCache) lookup(key [32]byte) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || !e.done || e.err != nil {
-		return nil, false
-	}
-	c.lru.MoveToFront(e.elem)
-	return e.body, true
+	p, ok := c.plans.Get(key)
+	return p.body, ok
 }
 
 // peek reports whether key is cached and filled, without touching LRU
-// order. The health endpoint and tests use it.
+// order. Tests use it.
 func (c *planCache) peek(key [32]byte) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	return ok && e.done && e.err == nil
+	_, ok := c.plans.Peek(key)
+	return ok
 }
 
-// len reports the number of live entries (including in-flight fills).
+// len reports the number of live entries, in-flight fills included.
 func (c *planCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.plans.Len() + len(c.filling)
 }
 
-// exportShard returns the completed entries whose graph fingerprint
-// ring-point lies in the arc (lo, hi] — wrapped when lo >= hi — in
-// deterministic (LRU back-to-front, i.e. coldest-first) order. The
-// fleet warm-sync protocol pulls these from a rejoining replica's ring
-// neighbors. Export does not touch LRU order: a peer syncing a shard
-// must not look like traffic.
-func (c *planCache) exportShard(lo, hi uint64) []exportedEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []exportedEntry
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*cacheEntry)
-		if !e.done || e.err != nil {
-			continue
-		}
-		if !arcContains(lo, hi, RingPoint(e.fp)) {
-			continue
-		}
-		out = append(out, exportedEntry{key: e.key, fp: e.fp, body: e.body})
-	}
-	return out
-}
-
-// install inserts one completed entry (fleet warm-sync import). An
-// existing entry for the key — filled, filling, or failed-and-racing —
-// is left untouched: local solves outrank synced copies. It reports
-// whether the entry was installed.
+// install inserts one completed entry (fleet warm-sync import) at the
+// cold end: it is restored state, not observed traffic, and must not
+// evict genuinely hot entries. An existing entry for the key, filled
+// or filling, is left untouched: local solves outrank synced copies.
+// It reports whether the entry was installed.
 func (c *planCache) install(key, fp [32]byte, body []byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
+	if _, ok := c.filling[key]; ok {
 		return false
 	}
-	e := &cacheEntry{key: key, fp: fp, ready: make(chan struct{}), done: true, body: body}
-	close(e.ready)
-	// Imported entries enter at the cold end: they are restored state,
-	// not observed traffic, and must not evict genuinely hot entries.
-	e.elem = c.lru.PushBack(e)
-	c.entries[key] = e
-	c.imports.Add(1)
-	c.evictLocked()
-	return true
-}
-
-// exportedEntry is one cache entry leaving through exportShard.
-type exportedEntry struct {
-	key  [32]byte
-	fp   [32]byte
-	body []byte
+	return c.plans.AddCold(key, cachedPlan{fp: fp, body: body})
 }
 
 // arcContains reports whether point p lies on the ring arc (lo, hi].
@@ -231,38 +174,4 @@ func arcContains(lo, hi, p uint64) bool {
 		return lo < p && p <= hi
 	}
 	return p > lo || p <= hi
-}
-
-// evictLocked drops least-recently-used completed entries until the
-// cache fits its bound. In-flight fills are never evicted — their
-// waiters hold references — so the cache can transiently exceed cap by
-// the number of concurrent distinct fills.
-func (c *planCache) evictLocked() {
-	for len(c.entries) > c.cap {
-		victim := (*cacheEntry)(nil)
-		for el := c.lru.Back(); el != nil; el = el.Prev() {
-			if e := el.Value.(*cacheEntry); e.done {
-				victim = e
-				break
-			}
-		}
-		if victim == nil {
-			return // everything over the bound is in flight
-		}
-		c.removeLocked(victim)
-		c.evictions.Add(1)
-	}
-}
-
-// removeLocked detaches an entry from both indexes. Idempotent: a
-// fill finishing after its entry was evicted must not corrupt the
-// list.
-func (c *planCache) removeLocked(e *cacheEntry) {
-	if cur, ok := c.entries[e.key]; ok && cur == e {
-		delete(c.entries, e.key)
-	}
-	if e.elem != nil {
-		c.lru.Remove(e.elem)
-		e.elem = nil
-	}
 }

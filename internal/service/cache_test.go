@@ -135,7 +135,7 @@ func TestCacheEvictionStress(t *testing.T) {
 	if got := c.len(); got > 4 {
 		t.Fatalf("cache over capacity after quiescence: %d", got)
 	}
-	if c.evictions.Load() == 0 {
+	if c.plans.Evictions() == 0 {
 		t.Fatal("no evictions despite keys > capacity")
 	}
 }
@@ -273,6 +273,22 @@ func TestServiceEvictRefillByteIdentical(t *testing.T) {
 	_, evictions, _ := s.CacheStats()
 	if evictions == 0 {
 		t.Fatal("working set over capacity produced no evictions")
+	}
+}
+
+// TestMetricsCountEvictions: a plan the cache's bound evicts shows up
+// in the scrape as event="evict".
+func TestMetricsCountEvictions(t *testing.T) {
+	s := New(Config{CacheEntries: 1})
+	for seed := int64(1); seed <= 2; seed++ {
+		if rec := serve(s, "/v1/place", testBody(t, seed, fastOptions())); rec.Code != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, rec.Code, rec.Body.Bytes())
+		}
+	}
+	var buf bytes.Buffer
+	s.met.write(&buf)
+	if want := `pestod_cache_events_total{event="evict"} 1` + "\n"; !bytes.Contains(buf.Bytes(), []byte(want)) {
+		t.Fatalf("scrape lacks %q:\n%s", want, buf.Bytes())
 	}
 }
 

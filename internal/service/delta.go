@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -146,7 +145,6 @@ type baseEntry struct {
 	plan   sim.Plan
 	chain  int
 	anchor float64
-	elem   *list.Element
 }
 
 // baseStore is a bounded LRU of graphs the server has placed, keyed by
@@ -156,52 +154,25 @@ type baseEntry struct {
 // client ever re-uploading a graph. Eviction only limits which bases
 // deltas can target — plans live in the plan cache, not here.
 type baseStore struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[[32]byte]*baseEntry
-	lru     *list.List // front = most recently used; values are [32]byte keys
+	// mu orders writes, so restart's compare-and-reset is atomic
+	// against put.
+	mu  sync.Mutex
+	lru *obs.LRU[[32]byte, baseEntry]
 }
 
 func newBaseStore(capacity int) *baseStore {
-	if capacity <= 0 {
-		capacity = 128
-	}
-	return &baseStore{
-		cap:     capacity,
-		entries: make(map[[32]byte]*baseEntry, capacity),
-		lru:     list.New(),
-	}
+	return &baseStore{lru: obs.NewLRU[[32]byte, baseEntry](capacity)}
 }
 
 // get returns the resident entry for fp, refreshing its LRU position.
-func (b *baseStore) get(fp [32]byte) (*baseEntry, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e, ok := b.entries[fp]
-	if ok {
-		b.lru.MoveToFront(e.elem)
-	}
-	return e, ok
-}
+func (b *baseStore) get(fp [32]byte) (baseEntry, bool) { return b.lru.Get(fp) }
 
 // put registers (or refreshes) the graph under fp with the plan that
 // currently serves it and the response body that plan was read from.
 func (b *baseStore) put(fp [32]byte, g *graph.Graph, body []byte, plan sim.Plan, chain int, anchor float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if e, ok := b.entries[fp]; ok {
-		e.g, e.body, e.plan, e.chain, e.anchor = g, body, plan, chain, anchor
-		b.lru.MoveToFront(e.elem)
-		return
-	}
-	e := &baseEntry{g: g, body: body, plan: plan, chain: chain, anchor: anchor}
-	e.elem = b.lru.PushFront(fp)
-	b.entries[fp] = e
-	for len(b.entries) > b.cap {
-		back := b.lru.Back()
-		delete(b.entries, back.Value.([32]byte))
-		b.lru.Remove(back)
-	}
+	b.lru.Put(fp, baseEntry{g: g, body: body, plan: plan, chain: chain, anchor: anchor})
 }
 
 // restart resets fp's entry to chain depth zero under g, exactly as put
@@ -210,20 +181,16 @@ func (b *baseStore) put(fp [32]byte, g *graph.Graph, body []byte, plan sim.Plan,
 func (b *baseStore) restart(fp [32]byte, g *graph.Graph, body []byte) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e, ok := b.entries[fp]
+	e, ok := b.lru.Peek(fp)
 	if !ok || !bytes.Equal(e.body, body) {
 		return false
 	}
 	e.g, e.chain, e.anchor = g, 0, 0
-	b.lru.MoveToFront(e.elem)
+	b.lru.Put(fp, e)
 	return true
 }
 
-func (b *baseStore) len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.entries)
-}
+func (b *baseStore) len() int { return b.lru.Len() }
 
 // registerBase makes a successfully placed graph a valid delta base.
 // The plan is recovered from the serialized response body — parsed

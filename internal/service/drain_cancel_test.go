@@ -233,8 +233,8 @@ func TestLeaderCancelPromotesFollower(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		e := c.entries[key]
-		return e != nil && e.interest == 2
+		f := c.filling[key]
+		return f != nil && f.interest == 2
 	}, "follower to join")
 	cancelLeader()
 	if err := <-leaderDone; !errors.Is(err, context.Canceled) {

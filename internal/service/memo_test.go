@@ -26,8 +26,7 @@ func serve(s *Server, path string, body []byte) *httptest.ResponseRecorder {
 
 // memoised reports whether the server's decode memo holds body.
 func memoised(s *Server, body []byte) bool {
-	digest := sha256.Sum256(body)
-	_, ok := s.decoded.Get(string(digest[:]))
+	_, ok := s.decoded.Peek(sha256.Sum256(body))
 	return ok
 }
 
@@ -95,6 +94,26 @@ func TestDecodeMemoHitAllocs(t *testing.T) {
 	t.Logf("allocations: memoised decode %v, cold decode and fingerprint %v", hit, cold)
 	if hit > 8 || hit*10 > cold {
 		t.Fatalf("memoised decode allocates %v times, a cold decode %v; want at most 8 and a tenth", hit, cold)
+	}
+}
+
+// TestDecodeMemoKeepsHotBody: the decode memo evicts the least
+// recently used body, so a body re-sent between each of CacheEntries
+// distinct colder bodies stays memoised, as its plan stays cached.
+func TestDecodeMemoKeepsHotBody(t *testing.T) {
+	const entries = 3
+	s := New(Config{CacheEntries: entries})
+	hot := testBody(t, 1, fastOptions())
+	for seed := int64(2); seed <= entries+2; seed++ {
+		if rec := serve(s, "/v1/place", hot); rec.Code != http.StatusOK {
+			t.Fatalf("hot body: status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		if rec := serve(s, "/v1/place", testBody(t, seed, fastOptions())); rec.Code != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, rec.Code, rec.Body.Bytes())
+		}
+		if !memoised(s, hot) {
+			t.Fatalf("hot body evicted by cold body %d of %d", seed-1, entries+1)
+		}
 	}
 }
 

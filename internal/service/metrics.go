@@ -16,7 +16,8 @@ type metrics struct {
 	mu sync.Mutex
 	// requests[endpoint][outcome] counts finished requests.
 	requests map[string]map[string]int64
-	// cacheEvents[event] counts hit / miss / evict.
+	// cacheEvents[event] counts hits and misses; evictions are read
+	// from the cache at scrape time.
 	cacheEvents map[string]int64
 	// planStages[stage] counts served plans by degradation-ladder rung
 	// (provenance).
@@ -51,10 +52,12 @@ type metrics struct {
 	warmHits   int64
 	warmMisses int64
 
-	// Gauges read live at scrape time.
-	queueDepth   func() int64
-	inFlight     func() int64
-	cacheEntries func() int64
+	// Gauges, and the plan cache's eviction count, read live at scrape
+	// time.
+	queueDepth     func() int64
+	inFlight       func() int64
+	cacheEntries   func() int64
+	cacheEvictions func() int64
 	// sloSnapshot reads the SLO tracker's objectives (sorted by name);
 	// flightStats reads the flight recorder's capture counters. Both
 	// take only their owner's lock, never this one.
@@ -156,6 +159,9 @@ func (m *metrics) write(w io.Writer) {
 		for _, oc := range obs.ScrapeOrder(m.requests[ep]) {
 			p.Sample("pestod_requests_total", m.requests[ep][oc], "endpoint", ep, "outcome", oc)
 		}
+	}
+	if n := gauge(m.cacheEvictions); n > 0 {
+		m.cacheEvents["evict"] = n
 	}
 	p.CounterVec("pestod_cache_events_total", "Plan-cache events (hit, miss, evict).", "event", m.cacheEvents)
 	p.CounterVec("pestod_plans_total", "Served plans by degradation-ladder rung.", "stage", m.planStages)

@@ -34,11 +34,12 @@ func TestMetricsGoldenBusy(t *testing.T) {
 			}
 		}
 	}
-	for ev, n := range map[string]int{"hit": 5, "miss": 3, "evict": 1} {
+	for ev, n := range map[string]int{"hit": 5, "miss": 3} {
 		for k := 0; k < n; k++ {
 			m.cacheEvent(ev)
 		}
 	}
+	m.cacheEvictions = func() int64 { return 1 } // the plan cache's count, read at scrape time
 	for _, st := range []string{"ilp-exact", "warm-start+refine", "warm-start+refine", "heuristic-fallback", "pipeline-dp"} {
 		m.planServed(st)
 	}

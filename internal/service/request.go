@@ -81,30 +81,49 @@ type RequestOptions struct {
 	PipelineSchedule string `json:"pipelineSchedule,omitempty"`
 }
 
-// normalized resolves defaults and enforces bounds. The returned
-// options are what the cache key and the solver consume; requests that
-// normalize equal are the same request.
+// Validate reports the first option a server rejects, wrapping
+// ErrBadRequest. No check depends on a server's Config (a budget over
+// the maximum is clamped, not rejected), so a fleet router turns a
+// request away with the replicas' own rules before forwarding it.
+func (o RequestOptions) Validate() error {
+	switch {
+	case o.GPUs != 0 && (o.GPUs < 2 || o.GPUs > 64):
+		return fmt.Errorf("gpus %d out of range [2,64]: %w", o.GPUs, ErrBadRequest)
+	case o.Hosts < 0 || o.Hosts > 16:
+		return fmt.Errorf("hosts %d out of range [1,16]: %w", o.Hosts, ErrBadRequest)
+	case o.GPUMemBytes < 0:
+		return fmt.Errorf("gpuMemBytes %d negative: %w", o.GPUMemBytes, ErrBadRequest)
+	case o.BudgetMs < 0:
+		return fmt.Errorf("budgetMs %d negative: %w", o.BudgetMs, ErrBadRequest)
+	case o.PipelineMicrobatches < 0 || o.PipelineMicrobatches > pipeline.MaxMicrobatches:
+		return fmt.Errorf("pipelineMicrobatches %d out of range [0,%d]: %w",
+			o.PipelineMicrobatches, pipeline.MaxMicrobatches, ErrBadRequest)
+	case o.PipelineSchedule != "" && o.PipelineMicrobatches == 0:
+		return fmt.Errorf("pipelineSchedule without pipelineMicrobatches: %w", ErrBadRequest)
+	}
+	if o.PipelineSchedule != "" {
+		if _, err := pipeline.ParseSchedule(o.PipelineSchedule); err != nil {
+			return fmt.Errorf("pipelineSchedule %q: %v: %w", o.PipelineSchedule, err, ErrBadRequest)
+		}
+	}
+	return nil
+}
+
+// normalized validates the options and resolves their defaults and
+// bounds. The returned options are what the cache key and the solver
+// consume; requests that normalize equal are the same request.
 func (o RequestOptions) normalized(cfg Config) (RequestOptions, error) {
+	if err := o.Validate(); err != nil {
+		return o, err
+	}
 	if o.GPUs == 0 {
 		o.GPUs = 2
-	}
-	if o.GPUs < 2 || o.GPUs > 64 {
-		return o, fmt.Errorf("gpus %d out of range [2,64]: %w", o.GPUs, ErrBadRequest)
 	}
 	if o.Hosts == 0 {
 		o.Hosts = 1
 	}
-	if o.Hosts < 1 || o.Hosts > 16 {
-		return o, fmt.Errorf("hosts %d out of range [1,16]: %w", o.Hosts, ErrBadRequest)
-	}
 	if o.GPUMemBytes == 0 {
 		o.GPUMemBytes = 16 << 30
-	}
-	if o.GPUMemBytes < 0 {
-		return o, fmt.Errorf("gpuMemBytes %d negative: %w", o.GPUMemBytes, ErrBadRequest)
-	}
-	if o.BudgetMs < 0 {
-		return o, fmt.Errorf("budgetMs %d negative: %w", o.BudgetMs, ErrBadRequest)
 	}
 	if o.BudgetMs == 0 {
 		// A sub-millisecond server default must not truncate to zero:
@@ -116,21 +135,11 @@ func (o RequestOptions) normalized(cfg Config) (RequestOptions, error) {
 	if max := cfg.MaxBudget.Milliseconds(); o.BudgetMs > max {
 		o.BudgetMs = max
 	}
-	if o.PipelineMicrobatches < 0 || o.PipelineMicrobatches > pipeline.MaxMicrobatches {
-		return o, fmt.Errorf("pipelineMicrobatches %d out of range [0,%d]: %w",
-			o.PipelineMicrobatches, pipeline.MaxMicrobatches, ErrBadRequest)
-	}
 	if o.PipelineSchedule != "" {
-		if o.PipelineMicrobatches == 0 {
-			return o, fmt.Errorf("pipelineSchedule without pipelineMicrobatches: %w", ErrBadRequest)
-		}
-		kind, err := pipeline.ParseSchedule(o.PipelineSchedule)
-		if err != nil {
-			return o, fmt.Errorf("pipelineSchedule %q: %v: %w", o.PipelineSchedule, err, ErrBadRequest)
-		}
 		// Canonical name, so aliases ("fill-drain", "pipedream") share a
 		// cache key with their canonical spelling; "auto" folds into the
 		// empty default for the same reason.
+		kind, _ := pipeline.ParseSchedule(o.PipelineSchedule) // Validate accepted it
 		if kind == pipeline.ScheduleAuto {
 			o.PipelineSchedule = ""
 		} else {

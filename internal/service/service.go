@@ -155,11 +155,11 @@ type Server struct {
 	cfg     Config
 	cache   *planCache
 	bases   *baseStore
-	decoded *obs.Store[decodedRequest] // accepted bodies by SHA-256 (decode)
+	decoded *obs.LRU[[32]byte, decodedRequest] // accepted bodies by SHA-256 (decode)
 	admit   *admission
 	met     *metrics
 	mux     *http.ServeMux
-	spans   *obs.Store[[]obs.Record]
+	spans   *obs.LRU[string, []obs.Record]
 	flight  *flight.Recorder
 	slo     *sloTracker
 
@@ -204,11 +204,11 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   newPlanCache(cfg.CacheEntries),
 		bases:   newBaseStore(baseGraphEntries),
-		decoded: obs.NewStore[decodedRequest](cfg.CacheEntries),
+		decoded: obs.NewLRU[[32]byte, decodedRequest](cfg.CacheEntries),
 		admit:   newAdmission(cfg.MaxConcurrentSolves, cfg.QueueDepth),
 		met:     newMetrics(),
 		mux:     http.NewServeMux(),
-		spans:   obs.NewStore[[]obs.Record](cfg.SpanHistory),
+		spans:   obs.NewLRU[string, []obs.Record](cfg.SpanHistory),
 		flight: flight.New(flight.Config{
 			Dir:        cfg.FlightDir,
 			MaxBundles: cfg.FlightMaxBundles,
@@ -228,6 +228,7 @@ func New(cfg Config) *Server {
 	s.met.queueDepth = s.admit.queueLen
 	s.met.inFlight = s.admit.inFlight
 	s.met.cacheEntries = func() int64 { return int64(s.cache.len()) }
+	s.met.cacheEvictions = s.cache.plans.Evictions
 	s.met.sloSnapshot = s.slo.snapshot
 	s.met.flightStats = s.flight.Stats
 	s.mux.HandleFunc("POST /v1/place", s.handlePlace)
@@ -438,8 +439,7 @@ func (s *Server) decode(r *http.Request) (decodedRequest, error) {
 		return decodedRequest{}, err
 	}
 	digest := sha256.Sum256(data)
-	key := string(digest[:])
-	if req, ok := s.decoded.Get(key); ok {
+	if req, ok := s.decoded.Get(digest); ok {
 		return req, nil
 	}
 	pr, err := DecodePlaceBody(data, s.cfg.MaxGraphNodes)
@@ -451,7 +451,7 @@ func (s *Server) decode(r *http.Request) (decodedRequest, error) {
 		return decodedRequest{}, err
 	}
 	req := decodedRequest{graph: pr.Graph, opts: opts, fp: pr.Graph.Fingerprint()}
-	s.decoded.Put(key, req)
+	s.decoded.Put(digest, req)
 	return req, nil
 }
 
@@ -703,5 +703,5 @@ func (s *Server) WarmFromDir(ctx context.Context, dir string) (int, error) {
 
 // CacheStats reports fill/eviction counters for tests and operators.
 func (s *Server) CacheStats() (fills, evictions int64, entries int) {
-	return s.cache.fills.Load(), s.cache.evictions.Load(), s.cache.len()
+	return s.cache.fills.Load(), s.cache.plans.Evictions(), s.cache.len()
 }

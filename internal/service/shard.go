@@ -57,15 +57,18 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("lo/hi must be decimal uint64 ring points: %w", ErrBadRequest))
 		return
 	}
-	entries := s.cache.exportShard(lo, hi)
-	out := CacheExport{Entries: make([]CacheEntryWire, 0, len(entries))}
-	for _, e := range entries {
-		out.Entries = append(out.Entries, CacheEntryWire{
-			Key:         hex.EncodeToString(e.key[:]),
-			Fingerprint: hex.EncodeToString(e.fp[:]),
-			Body:        json.RawMessage(e.body),
-		})
-	}
+	// Coldest first, and without touching LRU order: a peer syncing a
+	// shard must not look like traffic.
+	out := CacheExport{Entries: []CacheEntryWire{}}
+	s.cache.plans.ColdFirst(func(key [32]byte, p cachedPlan) {
+		if arcContains(lo, hi, RingPoint(p.fp)) {
+			out.Entries = append(out.Entries, CacheEntryWire{
+				Key:         hex.EncodeToString(key[:]),
+				Fingerprint: hex.EncodeToString(p.fp[:]),
+				Body:        json.RawMessage(p.body),
+			})
+		}
+	})
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
 	s.met.request("cache_export", "ok")
