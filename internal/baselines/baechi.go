@@ -61,9 +61,9 @@ func Baechi(g *graph.Graph, sys sim.System, h BaechiHeuristic) (sim.Plan, error)
 	case MTopo:
 		dev, err = mTopo(g, sys, gpus)
 	case METF:
-		dev, err = mETFLike(g, sys, gpus, false)
+		dev, err = ListSchedule(g, sys, NoFavorite)
 	case MSCT:
-		dev, err = mETFLike(g, sys, gpus, true)
+		dev, err = ListSchedule(g, sys, LastParentCredit)
 	default:
 		return sim.Plan{}, fmt.Errorf("unknown baechi heuristic %d", h)
 	}
@@ -162,9 +162,32 @@ func mTopo(g *graph.Graph, sys sim.System, gpus []sim.DeviceID) ([]sim.DeviceID,
 	return dev, nil
 }
 
-// mETFLike is the scheduling core shared by m-ETF and m-SCT. It builds
-// a tentative schedule (earliest start times with communication and
-// device-availability constraints) and keeps the resulting placement.
+// FavoriteRule selects how ListSchedule credits a ready op on the
+// device of a parent whose favorite child it is. A node's favorite
+// child is its successor over the largest tensor (SCT's "small
+// communication times" preference).
+type FavoriteRule int
+
+const (
+	// NoFavorite scores every (op, device) pair by earliest start
+	// alone: m-ETF.
+	NoFavorite FavoriteRule = iota
+	// LastParentCredit takes half the favorite tensor's transfer time
+	// off an op's start on the device whose last op is its favorite
+	// parent, so the child may run right after it: m-SCT.
+	LastParentCredit
+	// ParentCount takes an eighth off an op's start on a device for
+	// each favorite parent placed there: Pesto's SCT warm-start seed.
+	ParentCount
+)
+
+// ListSchedule is the memory-aware earliest-start list scheduler
+// behind m-ETF, m-SCT and Pesto's list-scheduling seeds. It repeatedly
+// assigns the ready op that can start soonest on a device with room
+// for it, accounting for communication from its placed parents, with
+// rule's favorite-child credit, and returns the resulting device per
+// op before colocation is applied. CPU and kernel ops run on the CPU,
+// so cross CPU–GPU communication is accounted for.
 //
 // An op's data arrival on each device is fixed once it is ready (every
 // parent is placed and finished), so it is computed once, into a row
@@ -172,53 +195,59 @@ func mTopo(g *graph.Graph, sys sim.System, gpus []sim.DeviceID) ([]sim.DeviceID,
 // device's free time. The ready list stays sorted by ID and the scan
 // keeps the first strict minimum, ties to the lower ID, then the
 // earlier device.
-func mETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) ([]sim.DeviceID, error) {
-	dev, _ := cpuPlacement(g, sys)
+func ListSchedule(g *graph.Graph, sys sim.System, rule FavoriteRule) ([]sim.DeviceID, error) {
+	gpus := sys.GPUs()
+	cpuOnly := []sim.DeviceID{sys.CPUID()}
 	n, nd := g.NumNodes(), len(sys.Devices)
-	if _, err := g.TopoSort(); err != nil {
-		return nil, err
-	}
+	dev := make([]sim.DeviceID, n)
 
-	// Favorite child per node: the successor with the largest tensor
-	// (SCT's "small communication times" preference), and that tensor's
+	// Favorite child per node, and with LastParentCredit that tensor's
 	// size.
-	fav := make([]graph.NodeID, n)
-	favBytes := make([]int64, n)
-	for i := range fav {
-		fav[i] = -1
-	}
-	if sct {
-		for i := 0; i < n; i++ {
+	var (
+		fav      []graph.NodeID
+		favBytes []int64
+	)
+	if rule != NoFavorite {
+		fav = make([]graph.NodeID, n)
+		if rule == LastParentCredit {
+			favBytes = make([]int64, n)
+		}
+		for i := range fav {
+			fav[i] = -1
 			var best int64 = -1
 			for _, e := range g.Succ(graph.NodeID(i)) {
 				if e.Bytes > best {
-					best = e.Bytes
-					fav[i], favBytes[i] = e.To, e.Bytes
+					best, fav[i] = e.Bytes, e.To
 				}
+			}
+			if favBytes != nil {
+				favBytes[i] = best
 			}
 		}
 	}
 
-	// Device state. The CPU participates for CPU/kernel ops so cross
-	// CPU-GPU communication is accounted for. lastOn[d] is the op that
-	// ran last on d, -1 before any.
-	cpuOnly := []sim.DeviceID{sys.CPUID()}
+	// Device state. lastOn[d] is the op that ran last on d, -1 before
+	// any; only LastParentCredit reads it.
 	caps := make([]int64, nd)
 	for d, dv := range sys.Devices {
 		caps[d] = dv.Memory
 	}
 	devFree := make([]time.Duration, nd)
 	memUsed := make([]int64, nd)
-	lastOn := make([]graph.NodeID, nd)
-	for d := range lastOn {
-		lastOn[d] = -1
+	var lastOn []graph.NodeID
+	if rule == LastParentCredit {
+		lastOn = make([]graph.NodeID, nd)
+		for d := range lastOn {
+			lastOn[d] = -1
+		}
 	}
 	finish := make([]time.Duration, n)
 	pending := make([]int, n)
 
 	// ready is sorted by id. Row r of arrive holds the op's data arrival
-	// per device (math.MinInt64 before any parent's); freed rows are
-	// reused.
+	// per device (math.MinInt64 before any parent's) and row r of favs,
+	// with ParentCount, how many of its favorite parents sit on each
+	// device; freed rows are reused.
 	type readyOp struct {
 		id    graph.NodeID
 		row   int
@@ -229,6 +258,7 @@ func mETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) ([]
 	var (
 		ready   []readyOp
 		arrive  []time.Duration
+		favs    []int
 		freeRow []int
 	)
 	push := func(id graph.NodeID) {
@@ -242,6 +272,9 @@ func mETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) ([]
 		} else {
 			op.row = len(arrive) / nd
 			arrive = append(arrive, make([]time.Duration, nd)...)
+			if rule == ParentCount {
+				favs = append(favs, make([]int, nd)...)
+			}
 		}
 		row := arrive[op.row*nd:][:nd]
 		for _, d := range op.cands {
@@ -256,6 +289,15 @@ func mETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) ([]
 				row[d] = max(row[d], arr)
 			}
 		}
+		if rule == ParentCount {
+			fr := favs[op.row*nd:][:nd]
+			clear(fr)
+			for _, e := range g.Pred(id) {
+				if fav[e.From] == id {
+					fr[dev[e.From]]++
+				}
+			}
+		}
 		at, _ := slices.BinarySearchFunc(ready, id, func(r readyOp, id graph.NodeID) int { return cmp.Compare(r.id, id) })
 		ready = slices.Insert(ready, at, op)
 	}
@@ -266,9 +308,8 @@ func mETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) ([]
 		}
 	}
 
+	placed := 0
 	for len(ready) > 0 {
-		// Pick the (op, device) pair with minimum EST; m-SCT biases
-		// favorite children towards their parent's device.
 		bestI, bestScore := -1, time.Duration(math.MaxInt64)
 		var bestDev sim.DeviceID
 		for ri, op := range ready {
@@ -278,19 +319,20 @@ func mETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) ([]
 					continue // memory-aware: skip full devices
 				}
 				score := max(devFree[d], row[d])
-				// Prefer running a favorite child right after its
-				// parent on the same device: only the op that ran last
-				// on d can be that parent.
-				if p := lastOn[d]; sct && p >= 0 && fav[p] == op.id {
-					score -= sys.TransferTime(d, otherGPU(gpus, d), favBytes[p]) / 2
-					if score < 0 {
-						score = 0
+				switch rule {
+				case LastParentCredit:
+					// Only the op that ran last on d can be the parent
+					// the child would run right after.
+					if p := lastOn[d]; p >= 0 && fav[p] == op.id {
+						score = max(score-sys.TransferTime(d, otherGPU(gpus, d), favBytes[p])/2, 0)
+					}
+				case ParentCount:
+					for k := favs[op.row*nd+int(d)]; k > 0; k-- {
+						score -= score / 8
 					}
 				}
 				if score < bestScore {
-					bestScore = score
-					bestI = ri
-					bestDev = d
+					bestScore, bestI, bestDev = score, ri, d
 				}
 			}
 		}
@@ -304,7 +346,10 @@ func mETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) ([]
 		finish[op.id] = max(devFree[bestDev], arrive[op.row*nd+int(bestDev)]) + nd0.Cost
 		devFree[bestDev] = finish[op.id]
 		dev[op.id] = bestDev
-		lastOn[bestDev] = op.id
+		placed++
+		if rule == LastParentCredit {
+			lastOn[bestDev] = op.id
+		}
 		if op.gpu {
 			memUsed[bestDev] += op.mem
 		}
@@ -314,6 +359,11 @@ func mETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) ([]
 				push(e.To)
 			}
 		}
+	}
+	if placed < n {
+		// The ready list ran dry before every op was placed: a cycle.
+		_, err := g.TopoSort()
+		return nil, err
 	}
 	return dev, nil
 }

@@ -15,13 +15,13 @@ import (
 	"pesto/internal/sim"
 )
 
-// refMETFLike is the reference mETFLike is held to: it rescans every
-// ready op's predecessors and re-sorts the ready list on every step,
-// over map-held device state. It is the scheduling core shared by m-ETF
-// and m-SCT. It builds
-// a tentative schedule (earliest start times with communication and
-// device-availability constraints) and keeps the resulting placement.
-func refMETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) ([]sim.DeviceID, error) {
+// refMETFLike is the reference ListSchedule is held to: it rescans
+// every ready op's predecessors and re-sorts the ready list on every
+// step, over map-held device state. It builds a tentative schedule
+// (earliest start times with communication and device-availability
+// constraints) and keeps the resulting placement.
+func refMETFLike(g *graph.Graph, sys sim.System, rule FavoriteRule) ([]sim.DeviceID, error) {
+	gpus := sys.GPUs()
 	dev, _ := cpuPlacement(g, sys)
 	n := g.NumNodes()
 	if _, err := g.TopoSort(); err != nil {
@@ -34,7 +34,7 @@ func refMETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) 
 	for i := range fav {
 		fav[i] = -1
 	}
-	if sct {
+	if rule != NoFavorite {
 		for i := 0; i < n; i++ {
 			var best int64 = -1
 			for _, e := range g.Succ(graph.NodeID(i)) {
@@ -81,8 +81,8 @@ func refMETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) 
 	}
 
 	for len(ready) > 0 {
-		// Pick the (op, device) pair with minimum EST; m-SCT biases
-		// favorite children towards their parent's device.
+		// Pick the (op, device) pair with minimum EST, less the rule's
+		// favorite-child credit.
 		bestI, bestScore := -1, time.Duration(math.MaxInt64)
 		var bestDev sim.DeviceID
 		sort.Slice(ready, func(a, b int) bool { return ready[a] < ready[b] })
@@ -99,16 +99,22 @@ func refMETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) 
 					continue // memory-aware: skip full devices
 				}
 				score := est(id, d)
-				if sct {
-					// Prefer running a favorite child right after its
-					// parent on the same device.
-					for _, e := range g.Pred(id) {
-						if fav[e.From] == id && dev[e.From] == d && lastOn[d] == e.From {
+				for _, e := range g.Pred(id) {
+					if fav[e.From] != id || dev[e.From] != d {
+						continue
+					}
+					switch rule {
+					case LastParentCredit:
+						// Prefer running a favorite child right after
+						// its parent on the same device.
+						if lastOn[d] == e.From {
 							score -= sys.TransferTime(d, otherGPU(gpus, d), e.Bytes) / 2
 							if score < 0 {
 								score = 0
 							}
 						}
+					case ParentCount:
+						score -= score / 8
 					}
 				}
 				if score < bestScore {
@@ -146,7 +152,8 @@ func refMETFLike(g *graph.Graph, sys sim.System, gpus []sim.DeviceID, sct bool) 
 // g: two GPUs with roomy memory, with memory that fills one GPU, and
 // with memory too tight for any plan (ErrOOM); three GPUs with the
 // last failed; two hosts of two GPUs; and two GPUs without a memory
-// capacity.
+// capacity, as the placement search's simulated system lifts it under
+// DisableMemory.
 func listSystems(g *graph.Graph) []sim.System {
 	uncapped := sim.NewSystem(2, 1<<20)
 	for i := range uncapped.Devices {
@@ -162,25 +169,28 @@ func listSystems(g *graph.Graph) []sim.System {
 	}
 }
 
-// sameListSchedule fails when mETFLike and refMETFLike disagree on g and
-// sys: device vectors, or error class and message.
+// sameListSchedule fails when ListSchedule and refMETFLike disagree on g
+// and sys under any favorite-child rule: device vectors, or error class
+// and message.
 func sameListSchedule(t *testing.T, name string, g *graph.Graph, sys sim.System) {
 	t.Helper()
-	for _, sct := range []bool{false, true} {
-		got, err := mETFLike(g, sys, sys.GPUs(), sct)
-		want, werr := refMETFLike(g, sys, sys.GPUs(), sct)
+	for _, rule := range []FavoriteRule{NoFavorite, LastParentCredit, ParentCount} {
+		got, err := ListSchedule(g, sys, rule)
+		want, werr := refMETFLike(g, sys, rule)
 		if (err == nil) != (werr == nil) || err != nil && (err.Error() != werr.Error() || errors.Is(err, sim.ErrOOM) != errors.Is(werr, sim.ErrOOM)) {
-			t.Fatalf("%s sct=%v: error %v, reference %v", name, sct, err, werr)
+			t.Fatalf("%s rule=%d: error %v, reference %v", name, rule, err, werr)
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s sct=%v: devices differ from the reference\n got  %v\n want %v", name, sct, got, want)
+			t.Fatalf("%s rule=%d: devices differ from the reference\n got  %v\n want %v", name, rule, got, want)
 		}
 	}
 }
 
-// TestListSchedulersMatchReference holds m-ETF and m-SCT to their
-// rescanning reference over every gen family × seeds 1–5 × 8–400 ops
-// and the five ladder_zoo graphs, on every listSystems system.
+// TestListSchedulersMatchReference holds the list scheduler, under
+// each favorite-child rule (m-ETF, m-SCT and Pesto's parent-count
+// seed), to its rescanning reference over every gen family × seeds
+// 1–5 × 8–400 ops and the five ladder_zoo graphs, on every listSystems
+// system.
 func TestListSchedulersMatchReference(t *testing.T) {
 	sizes := []int{8, 16, 48, 200, 400}
 	if testing.Short() {
@@ -217,8 +227,9 @@ func TestListSchedulersMatchReference(t *testing.T) {
 	}
 }
 
-// FuzzListSchedulersMatchReference holds m-ETF and m-SCT to their
-// reference on generated graphs under a fuzzed memory cap.
+// FuzzListSchedulersMatchReference holds the list scheduler, under each
+// favorite-child rule, to its reference on generated graphs under a
+// fuzzed memory cap.
 func FuzzListSchedulersMatchReference(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(20), uint8(2), uint16(0))
 	f.Add(int64(2), uint8(1), uint8(60), uint8(3), uint16(300))
@@ -241,4 +252,31 @@ func FuzzListSchedulersMatchReference(f *testing.F) {
 		}
 		sameListSchedule(t, "fuzz", g, sys)
 	})
+}
+
+// BenchmarkListSchedule times one ListSchedule call per favorite-child
+// rule on two ladder_zoo graphs at two 16 GiB GPUs; -benchmem gives the
+// per-call allocations the list scheduler is held to.
+func BenchmarkListSchedule(b *testing.B) {
+	for _, name := range []string{"NASNet-6-148", "RNNLM-2-2048"} {
+		v, err := models.FindVariant(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := v.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys := sim.NewSystem(2, 16<<30)
+		for _, rule := range []FavoriteRule{NoFavorite, LastParentCredit, ParentCount} {
+			b.Run(fmt.Sprintf("%s/rule%d", name, rule), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := ListSchedule(g, sys, rule); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

@@ -67,14 +67,14 @@ func (l *LRU[K, V]) Put(key K, v V) {
 }
 
 // AddCold stores v under key as the least recently used entry unless
-// key is present, and reports whether it was absent. Restored state
-// (a warm-sync import) enters this way, so it never evicts an entry
-// that traffic touched: into a full LRU the new entry is itself the
-// one evicted.
+// key is present or the LRU is full, and reports whether it stored it.
+// Restored state (a warm-sync import) enters this way, so it never
+// evicts an entry that traffic touched: a full LRU refuses it and
+// counts no eviction.
 func (l *LRU[K, V]) AddCold(key K, v V) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.byKey[key]; ok {
+	if _, ok := l.byKey[key]; ok || len(l.byKey) >= l.limit {
 		return false
 	}
 	l.insert(key, v, l.root.prev)

@@ -11,7 +11,7 @@ import (
 // checks its keys, coldest first, and its eviction count after each.
 func TestLRU(t *testing.T) {
 	type step struct {
-		op  string // put, get, peek, cold
+		op  string // put, get, peek, cold, refused
 		key string
 		val int
 	}
@@ -47,9 +47,9 @@ func TestLRU(t *testing.T) {
 			want:  []string{"b", "a", "c"},
 		},
 		{
-			name:  "cold insert into a full LRU evicts itself",
-			steps: []step{{"put", "a", 1}, {"put", "b", 2}, {"put", "c", 3}, {"cold", "d", 4}, {"get", "a", 1}},
-			want:  []string{"b", "c", "a"}, evictions: 1,
+			name:  "cold insert into a full LRU is refused",
+			steps: []step{{"put", "a", 1}, {"put", "b", 2}, {"put", "c", 3}, {"refused", "d", 4}, {"get", "a", 1}},
+			want:  []string{"b", "c", "a"},
 		},
 		{
 			name:  "cold insert leaves a present key alone",
@@ -67,6 +67,10 @@ func TestLRU(t *testing.T) {
 					_, present := l.Peek(s.key)
 					if added := l.AddCold(s.key, s.val); added == present {
 						t.Fatalf("AddCold(%q) = %v with the key present: %v", s.key, added, present)
+					}
+				case "refused":
+					if l.AddCold(s.key, s.val) {
+						t.Fatalf("AddCold(%q) into a full LRU stored it", s.key)
 					}
 				case "get", "peek":
 					get := l.Get

@@ -77,35 +77,15 @@ func migrateOnto(g *graph.Graph, sys sim.System, device []sim.DeviceID, arrived 
 	}
 	target := total / time.Duration(len(gpus))
 
-	// Eviction units per donor device.
-	type unit struct {
-		ids  []graph.NodeID
-		cost time.Duration
-		mem  int64
+	// Eviction units per donor device: every live GPU but the arrival.
+	donorOp := func(n graph.Node) bool {
+		dv, _ := sys.Device(dev[n.ID])
+		return dev[n.ID] != arrived && dv.Kind == sim.GPU && !dv.Failed
 	}
-	byDevice := make(map[sim.DeviceID][]*unit)
-	groups := make(map[string]*unit)
-	for _, n := range g.Nodes() {
-		d := dev[n.ID]
-		if d == arrived {
-			continue
-		}
-		if dv, _ := sys.Device(d); dv.Kind != sim.GPU || dv.Failed {
-			continue
-		}
-		if n.Coloc != "" {
-			u, ok := groups[n.Coloc]
-			if !ok {
-				u = &unit{}
-				groups[n.Coloc] = u
-				byDevice[d] = append(byDevice[d], u)
-			}
-			u.ids = append(u.ids, n.ID)
-			u.cost += n.Cost
-			u.mem += n.Memory
-		} else {
-			byDevice[d] = append(byDevice[d], &unit{ids: []graph.NodeID{n.ID}, cost: n.Cost, mem: n.Memory})
-		}
+	byDevice := make(map[sim.DeviceID][]*evictionUnit)
+	for _, u := range evictionUnits(g, donorOp) {
+		d := dev[u.ids[0]]
+		byDevice[d] = append(byDevice[d], u)
 	}
 	for _, us := range byDevice {
 		sort.SliceStable(us, func(i, j int) bool {

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"pesto/internal/baselines"
 	"pesto/internal/coarsen"
 	"pesto/internal/graph"
 	"pesto/internal/incr"
@@ -256,7 +257,7 @@ func incrementalAttempt(ctx context.Context, g *graph.Graph, sys sim.System, pri
 	// whole speedup is its simulation budget, so each start has to
 	// earn its place (the cold solver's full seed sweep does not).
 	etfObj := math.Inf(1)
-	if etf, eerr := greedyETF(g, s.simSys, false); eerr == nil {
+	if etf, eerr := baselines.ListSchedule(g, s.simSys, baselines.NoFavorite); eerr == nil {
 		// Score the raw build too (without adopting it — it ignores
 		// the partial-assignment pin): it doubles as the escape
 		// detector below.

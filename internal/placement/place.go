@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -546,154 +545,6 @@ func baselinePlans(ctx context.Context, pool *engine.Pool, g *graph.Graph, sys s
 		}
 	}
 	return plans
-}
-
-// greedyETF builds an earliest-task-first placement: repeatedly assign
-// the ready operation that can start soonest on a memory-feasible
-// device, accounting for communication from already-placed parents.
-// With sct, each task's largest-tensor successor is biased towards the
-// parent's device.
-//
-// An op's data arrival on each device is fixed once it is ready (every
-// parent is placed and finished), so it is computed once, into a row
-// the op holds while on the ready list; a step only maxes it with the
-// device's free time. The ready list stays sorted by ID and the scan
-// keeps the first strict minimum, ties to the lower ID, then the
-// earlier device.
-func greedyETF(g *graph.Graph, sys sim.System, sct bool) ([]sim.DeviceID, error) {
-	gpus := sys.GPUs()
-	cpuOnly := []sim.DeviceID{sys.CPUID()}
-	n, nd := g.NumNodes(), len(sys.Devices)
-	dev := make([]sim.DeviceID, n)
-	fav := make([]graph.NodeID, n)
-	for i := range fav {
-		fav[i] = -1
-	}
-	if sct {
-		for i := 0; i < n; i++ {
-			var best int64 = -1
-			for _, e := range g.Succ(graph.NodeID(i)) {
-				if e.Bytes > best {
-					best = e.Bytes
-					fav[i] = e.To
-				}
-			}
-		}
-	}
-	caps := make([]int64, nd)
-	for d := range caps {
-		caps[d] = memCap(sys, sim.DeviceID(d))
-	}
-	devFree := make([]time.Duration, nd)
-	memUsed := make([]int64, nd)
-	finish := make([]time.Duration, n)
-	pending := make([]int, n)
-
-	// ready is sorted by id. Row r of arrive holds the op's data arrival
-	// per device (math.MinInt64 before any parent's) and row r of favs,
-	// with sct, how many of its favourite-child parents sit on each
-	// device; freed rows are reused.
-	type readyOp struct {
-		id    graph.NodeID
-		row   int
-		gpu   bool
-		mem   int64
-		cands []sim.DeviceID
-	}
-	var (
-		ready   []readyOp
-		arrive  []time.Duration
-		favs    []int
-		freeRow []int
-	)
-	push := func(id graph.NodeID) {
-		nd0, _ := g.Node(id)
-		op := readyOp{id: id, gpu: nd0.Kind == graph.KindGPU, mem: nd0.Memory, cands: cpuOnly}
-		if op.gpu {
-			op.cands = gpus
-		}
-		if k := len(freeRow); k > 0 {
-			op.row, freeRow = freeRow[k-1], freeRow[:k-1]
-		} else {
-			op.row = len(arrive) / nd
-			arrive = append(arrive, make([]time.Duration, nd)...)
-			if sct {
-				favs = append(favs, make([]int, nd)...)
-			}
-		}
-		row := arrive[op.row*nd:][:nd]
-		for _, d := range op.cands {
-			row[d] = math.MinInt64
-		}
-		for _, e := range g.Pred(id) {
-			for _, d := range op.cands {
-				arr := finish[e.From]
-				if dev[e.From] != d {
-					arr += sys.TransferTime(dev[e.From], d, e.Bytes)
-				}
-				row[d] = max(row[d], arr)
-			}
-		}
-		if sct {
-			fr := favs[op.row*nd:][:nd]
-			clear(fr)
-			for _, e := range g.Pred(id) {
-				if fav[e.From] == id {
-					fr[dev[e.From]]++
-				}
-			}
-		}
-		at, _ := slices.BinarySearchFunc(ready, id, func(r readyOp, id graph.NodeID) int { return cmp.Compare(r.id, id) })
-		ready = slices.Insert(ready, at, op)
-	}
-	for i := 0; i < n; i++ {
-		pending[i] = g.InDegree(graph.NodeID(i))
-		if pending[i] == 0 {
-			push(graph.NodeID(i))
-		}
-	}
-	for len(ready) > 0 {
-		bestI := -1
-		var bestDev sim.DeviceID
-		bestScore := time.Duration(math.MaxInt64)
-		for ri, op := range ready {
-			row := arrive[op.row*nd:][:nd]
-			for _, d := range op.cands {
-				if op.gpu && memUsed[d]+op.mem > caps[d] {
-					continue
-				}
-				score := max(devFree[d], row[d])
-				if sct {
-					for k := favs[op.row*nd+int(d)]; k > 0; k-- {
-						score -= score / 8
-					}
-				}
-				if score < bestScore {
-					bestScore, bestI, bestDev = score, ri, d
-				}
-			}
-		}
-		if bestI < 0 {
-			return nil, fmt.Errorf("greedy etf: no device fits any ready op: %w", sim.ErrOOM)
-		}
-		op := ready[bestI]
-		ready = slices.Delete(ready, bestI, bestI+1)
-		freeRow = append(freeRow, op.row)
-		nd0, _ := g.Node(op.id)
-		finish[op.id] = max(devFree[bestDev], arrive[op.row*nd+int(bestDev)]) + nd0.Cost
-		devFree[bestDev] = finish[op.id]
-		dev[op.id] = bestDev
-		if op.gpu {
-			memUsed[bestDev] += op.mem
-		}
-		for _, e := range g.Succ(op.id) {
-			pending[e.To]--
-			if pending[e.To] == 0 {
-				push(e.To)
-			}
-		}
-	}
-	return dev, nil
 }
 
 // tryIncumbent implements ilp.Options.Incumbent. It requires the

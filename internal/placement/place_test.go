@@ -12,6 +12,7 @@ import (
 	"pesto/internal/ilp"
 	"pesto/internal/models"
 	"pesto/internal/sim"
+	"pesto/internal/verify"
 )
 
 const gpuMem = 16 << 30
@@ -153,6 +154,19 @@ func TestPlaceRespectsMemoryCapacity(t *testing.T) {
 	}
 	if _, err := sim.Run(g, sys, res.Plan); err != nil {
 		t.Fatalf("plan does not simulate: %v", err)
+	}
+}
+
+// TestPlaceDisableMemoryVerifiesLifted: with DisableMemory, a system
+// too small for the graph still yields a plan that Verify accepts,
+// because verification lifts the capacity the caller waived; the same
+// plan fails the capacity check on the system as given.
+func TestPlaceDisableMemoryVerifiesLifted(t *testing.T) {
+	g := figure2(t) // eight 1 MiB ops
+	sys := sim.NewSystem(2, 1<<20)
+	res := place(t, g, sys, Options{CoarsenTarget: 8, DisableMemory: true, Verify: true, ILPTimeLimit: time.Second})
+	if _, err := verify.Check(g, sys, res.Plan); !errors.Is(err, verify.ErrMemory) {
+		t.Fatalf("plan on the unlifted system: %v, want %v", err, verify.ErrMemory)
 	}
 }
 

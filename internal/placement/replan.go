@@ -168,6 +168,41 @@ func memCap(sys sim.System, d sim.DeviceID) int64 {
 	return math.MaxInt64
 }
 
+// evictionUnit is what a migration moves as one: a colocation group
+// whole, or an op outside any group alone, with its summed compute
+// cost and memory.
+type evictionUnit struct {
+	ids  []graph.NodeID
+	cost time.Duration
+	mem  int64
+}
+
+// evictionUnits builds the eviction units of the ops movable accepts,
+// ordered by each unit's first op. A validated plan keeps a colocation
+// group on one device, so a device test accepts a group whole or not
+// at all.
+func evictionUnits(g *graph.Graph, movable func(graph.Node) bool) []*evictionUnit {
+	groups := make(map[string]*evictionUnit)
+	var units []*evictionUnit
+	for _, n := range g.Nodes() {
+		if !movable(n) {
+			continue
+		}
+		u := groups[n.Coloc] // never set for "": a lone op is its own unit
+		if u == nil {
+			u = &evictionUnit{}
+			units = append(units, u)
+			if n.Coloc != "" {
+				groups[n.Coloc] = u
+			}
+		}
+		u.ids = append(u.ids, n.ID)
+		u.cost += n.Cost
+		u.mem += n.Memory
+	}
+	return units
+}
+
 // migrateOff reassigns every operation on the failed device to the
 // survivor GPU with the most free memory, biggest evictees first so
 // large tensors claim space while it exists. Colocation groups move
@@ -186,33 +221,10 @@ func migrateOff(g *graph.Graph, survivors sim.System, device []sim.DeviceID, fai
 		}
 	}
 
-	// Eviction units: colocation groups move wholesale (a validated
-	// plan keeps each group on one device, so a group is either
-	// entirely on the failed device or not at all).
-	type unit struct {
-		ids []graph.NodeID
-		mem int64
-	}
-	groups := make(map[string]*unit)
-	var units []*unit
+	units := evictionUnits(g, func(n graph.Node) bool { return dev[n.ID] == failed })
 	migrated := 0
-	for _, n := range g.Nodes() {
-		if dev[n.ID] != failed {
-			continue
-		}
-		migrated++
-		if n.Coloc != "" {
-			u, ok := groups[n.Coloc]
-			if !ok {
-				u = &unit{}
-				groups[n.Coloc] = u
-				units = append(units, u)
-			}
-			u.ids = append(u.ids, n.ID)
-			u.mem += n.Memory
-		} else {
-			units = append(units, &unit{ids: []graph.NodeID{n.ID}, mem: n.Memory})
-		}
+	for _, u := range units {
+		migrated += len(u.ids)
 	}
 	sort.SliceStable(units, func(i, j int) bool {
 		if units[i].mem != units[j].mem {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"pesto/internal/baselines"
 	"pesto/internal/coarsen"
 	"pesto/internal/comm"
 	"pesto/internal/engine"
@@ -126,12 +127,13 @@ func (s *search) seedAndRefine(ctx context.Context, adopt []sim.DeviceID) error 
 	return nil
 }
 
-// listScheduling returns the greedy earliest-start-time placements of
-// the original graph, with and without the SCT favorite-child bias,
-// built concurrently; none when ctx is done.
+// listScheduling returns the earliest-start list-scheduling placements
+// of the original graph, without a favorite-child credit and with the
+// parent-count one, built concurrently; none when ctx is done.
 func (s *search) listScheduling(ctx context.Context) [][]sim.DeviceID {
-	outs, err := engine.Map(ctx, s.pool, 2, func(_ context.Context, i int) ([]sim.DeviceID, error) {
-		return greedyETF(s.g, s.simSys, i == 1)
+	rules := [...]baselines.FavoriteRule{baselines.NoFavorite, baselines.ParentCount}
+	outs, err := engine.Map(ctx, s.pool, len(rules), func(_ context.Context, i int) ([]sim.DeviceID, error) {
+		return baselines.ListSchedule(s.g, s.simSys, rules[i])
 	})
 	if err != nil {
 		return nil

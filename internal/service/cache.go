@@ -151,9 +151,10 @@ func (c *planCache) len() int {
 
 // install inserts one completed entry (fleet warm-sync import) at the
 // cold end: it is restored state, not observed traffic, and must not
-// evict genuinely hot entries. An existing entry for the key, filled
-// or filling, is left untouched: local solves outrank synced copies.
-// It reports whether the entry was installed.
+// evict genuinely hot entries, so a full cache refuses it. An existing
+// entry for the key, filled or filling, is left untouched: local
+// solves outrank synced copies. It reports whether the entry was
+// installed.
 func (c *planCache) install(key, fp [32]byte, body []byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -385,6 +386,60 @@ func TestCacheExportImport(t *testing.T) {
 	}
 	if ir.Installed != 0 || ir.Skipped != graphs {
 		t.Fatalf("re-import installed=%d skipped=%d, want 0/%d", ir.Installed, ir.Skipped, graphs)
+	}
+}
+
+// TestCacheImportKeepsHottest: an import into a cache too small for it
+// installs the exporter's hottest entries, keeps their order and counts
+// only what it installed.
+func TestCacheImportKeepsHottest(t *testing.T) {
+	_, tsA := newTestServer(t, Config{})
+	for i := 1; i <= 3; i++ {
+		resp := post(t, tsA.URL+"/v1/place", testBody(t, int64(i), fastOptions()))
+		if data := readAll(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve %d: %d %s", i, resp.StatusCode, data)
+		}
+	}
+	export := func(url string) CacheExport {
+		t.Helper()
+		resp, err := http.Get(url + "/v1/cache/export?lo=0&hi=0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ce CacheExport
+		if err := json.Unmarshal(readAll(t, resp), &ce); err != nil {
+			t.Fatal(err)
+		}
+		return ce
+	}
+	fromA := export(tsA.URL)
+	if len(fromA.Entries) != 3 {
+		t.Fatalf("exported %d entries, want 3", len(fromA.Entries))
+	}
+	body, err := json.Marshal(fromA)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, tsB := newTestServer(t, Config{CacheEntries: 2})
+	resp := post(t, tsB.URL+"/v1/cache/import", body)
+	var ir CacheImportResult
+	if err := json.Unmarshal(readAll(t, resp), &ir); err != nil {
+		t.Fatal(err)
+	}
+	if ir.Installed != 2 || ir.Skipped != 1 {
+		t.Fatalf("import installed=%d skipped=%d, want 2/1", ir.Installed, ir.Skipped)
+	}
+	// Coldest first on both sides: B holds A's two hottest, in A's order.
+	var got, want []string
+	for _, e := range export(tsB.URL).Entries {
+		got = append(got, e.Key)
+	}
+	for _, e := range fromA.Entries[1:] {
+		want = append(want, e.Key)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("cache after import holds %v, want %v", got, want)
 	}
 }
 

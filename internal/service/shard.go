@@ -37,8 +37,9 @@ type CacheExport struct {
 type CacheImportResult struct {
 	// Installed counts entries newly added to the cache.
 	Installed int `json:"installed"`
-	// Skipped counts entries the cache already had (local solves
-	// outrank synced copies).
+	// Skipped counts entries not installed: ones the cache already had
+	// (local solves outrank synced copies), and ones a full cache
+	// refused (a synced copy never evicts an entry traffic touched).
 	Skipped int `json:"skipped"`
 }
 
@@ -76,9 +77,10 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCacheImport serves POST /v1/cache/import: bulk-install
-// previously exported entries. Existing keys are skipped, malformed
-// entries are rejected wholesale with 400 (a warm-sync peer speaks
-// this schema exactly or not at all). Every body must embed the cache
+// previously exported entries, hottest first. Existing keys, and
+// entries a full cache refuses, are skipped, malformed entries are
+// rejected wholesale with 400 (a warm-sync peer speaks this schema
+// exactly or not at all). Every body must embed the cache
 // key it is being installed under: a response produced for one key —
 // say a delta plan, keyed in the delta namespace — can never be
 // re-filed under another key (the cold entry it would shadow), whether
@@ -91,8 +93,12 @@ func (s *Server) handleCacheImport(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("decode import: %v: %w", err, ErrBadRequest))
 		return
 	}
+	// Export sends a shard coldest first and install files each entry
+	// at the cold end, so install hottest first: the peer's order
+	// survives, and a full cache keeps the hottest ones.
 	var res CacheImportResult
-	for i, e := range in.Entries {
+	for i := len(in.Entries) - 1; i >= 0; i-- {
+		e := in.Entries[i]
 		key, err1 := hex32(e.Key)
 		fp, err2 := hex32(e.Fingerprint)
 		if err1 != nil || err2 != nil || len(e.Body) == 0 {
