@@ -142,9 +142,12 @@ func TestIncumbentCallback(t *testing.T) {
 }
 
 func TestTimeLimitReturnsIncumbent(t *testing.T) {
-	// A 22-var equality knapsack is slow enough that a ~zero time limit
-	// stops early, but the incumbent callback still provides a feasible
-	// answer.
+	// A time limit stops a 22-var knapsack early, and the incumbent
+	// callback still provides a feasible answer. The callback holds the
+	// search at its first call until the limit has passed, so the limit
+	// binds right after the root relaxation however busy the machine is:
+	// a 1 ms limit could expire before the root was solved, leaving no
+	// relaxation to offer the callback.
 	n := 22
 	pr := binaryProblem(n)
 	rng := rand.New(rand.NewSource(7))
@@ -155,9 +158,16 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 		terms[i] = lp.Term{Var: i, Coef: w}
 	}
 	_ = pr.LP.AddConstraint(lp.Constraint{Terms: terms, Rel: lp.LE, RHS: 30})
+	const limit = 200 * time.Millisecond
+	start := time.Now()
+	calls := 0
 	opts := Options{
-		TimeLimit: time.Millisecond,
+		TimeLimit: limit,
 		Incumbent: func(relaxed []float64) ([]float64, float64, bool) {
+			calls++
+			if calls == 1 {
+				time.Sleep(time.Until(start.Add(limit + 10*time.Millisecond)))
+			}
 			// All-zeros is always feasible with objective 0.
 			return make([]float64, n), 0, true
 		},
@@ -165,6 +175,9 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 	sol, err := Solve(context.Background(), pr, opts)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
+	}
+	if calls == 0 {
+		t.Fatal("incumbent callback never invoked")
 	}
 	if sol.Status != FeasibleStatus && sol.Status != OptimalStatus {
 		t.Fatalf("status = %v, want feasible or optimal", sol.Status)
